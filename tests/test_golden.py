@@ -1,0 +1,60 @@
+"""Byte-for-byte comparison of fresh CLI output with committed golden files.
+
+The files under tests/data/golden/ were written before the bootstrap was
+rebuilt around one shared replicate engine (see the README there for the
+exact commands).  Every run here repeats one of those commands and must
+reproduce the committed bytes: the rebuild is a pure speed change, and
+gate 11 (two fresh runs agree with each other) cannot see a change that
+moves both runs alike.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tailasym import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+_COLS = ["--x-col", "x", "--y-col", "y", "--key-col", "t"]
+
+RUNS = {
+    "kgumbel_n3000.csv": [
+        "simulate", "--model", "kgumbel:alpha=1,beta=0.5,delta=2",
+        "--n", "3000", "--seed", "7",
+    ],
+    "independent_n800.csv": [
+        "simulate", "--model", "kgumbel:alpha=1,beta=1,delta=1",
+        "--n", "800", "--seed", "11",
+    ],
+    "kgumbel_b50.json": [
+        "analyze", "kgumbel_n3000.csv", *_COLS, "--B", "50", "--seed", "3",
+    ],
+    "dense_grid.csv": [
+        "analyze", "kgumbel_n3000.csv", *_COLS, "--B", "50", "--seed", "3",
+        "--k-min", "20", "--k-max", "1000", "--k-step", "10", "--no-eta-gate",
+        "--format", "csv",
+    ],
+    "independent_gated.json": [
+        "analyze", "independent_n800.csv", *_COLS, "--B", "50", "--seed", "5",
+    ],
+    "ties_lower_jitter.json": [
+        "analyze", "ties_n1000.csv", *_COLS, "--B", "50", "--seed", "9",
+        "--tail", "lower", "--tie-policy", "jitter",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_matches_golden_bytes(name, tmp_path, monkeypatch):
+    # Run from the golden directory so the report's source field is the bare name.
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / name
+    assert cli.main([*RUNS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_runs_cover_the_delta_gate_both_ways():
+    assert '"skipped": "eta gate' in (GOLDEN / "independent_gated.json").read_text()
+    assert '"delta_test_gated_out": false' in (GOLDEN / "kgumbel_b50.json").read_text()
+    assert '"jitter_applied": true' in (GOLDEN / "ties_lower_jitter.json").read_text()
