@@ -4,9 +4,11 @@ Usage:
     python3 benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
 
 For each sample size this times the integer rank-scan kernel (the plain
-estimator sweep) and the weighted scan kernel (one bootstrap replicate) on a
-grid of ~40 tail sizes, reports the best of --repeats runs per backend, and
-checks that both backends agree on the outputs they produce.
+estimator sweep) and the weighted scan kernel (one bootstrap replicate, fed
+the same tail-truncated inputs the bootstrap engine prepares) on a grid of
+~40 tail sizes, reports the best of --repeats runs per backend, and checks
+that both backends agree on the outputs they produce.  Run it from the
+repository root with the package importable, e.g. PYTHONPATH=src.
 """
 
 import argparse
@@ -15,8 +17,7 @@ import time
 import numpy as np
 
 from tailasym import _kernels_py
-from tailasym.bootstrap import _plan_for, _normalized_weights
-from tailasym.estimators import Direction, _rank_positions
+from tailasym.bootstrap import _normalized_weights, _replicate_inputs
 from tailasym.ranks import concomitant_ranks, make_sample
 
 try:
@@ -44,11 +45,10 @@ def bench_one(n, repeats, rng):
     s = make_sample(rng.standard_normal(n), rng.standard_normal(n))
     ks = _grid(n)
 
-    pos = _rank_positions(concomitant_ranks(s).rho)
-    plan = _plan_for(s, Direction.X_GIVEN_Y)
+    ranks = concomitant_ranks(s)
+    pos = ranks.pos
     wo = _normalized_weights(rng.standard_exponential(n), n)
-    rx_s, ypos_s, w_s, excl = plan.replicate_inputs(wo)
-    taus = np.searchsorted(excl, ks.astype(np.float64), side="left").astype(np.int64)
+    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, wo, ks.astype(np.float64))
 
     rows = []
     backends = [("numpy", _kernels_py)]

@@ -7,10 +7,15 @@ Both backends implement the same two primitives:
 
 Callers own all validation and scaling; the kernels are pure array crunching.
 The integer kernel must stay in exact integer arithmetic: several tests assert
-bit-level agreement with literal double-sum evaluation.
+bit-level agreement with literal double-sum evaluation.  S(k) grows like
+k^3/3 and leaves the int64 range once k is above about 3.03e6, so the sum is
+taken as int64 partial dots over chunks short enough not to overflow, added
+up as Python integers.
 """
 
 import numpy as np
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def eta_grid_sums(pos, ks):
@@ -20,15 +25,20 @@ def eta_grid_sums(pos, ks):
     pos[v-1] = i  <=>  the (i+1)-th concomitant has rank v.  For each k, the
     rank values v <= k sitting among the first k-1 concomitants are visited in
     ascending order; the a-th smallest contributes (2a-1)(k+1-v), the sorted
-    form of the double sum.
+    form of the double sum.  Returns exact Python integers in an object array.
     """
-    out = np.empty(len(ks), dtype=np.int64)
+    out = np.empty(len(ks), dtype=object)
     for t, k in enumerate(ks):
         k = int(k)
-        vals = np.arange(1, k + 1, dtype=np.int64)
-        kept = vals[pos[:k] < k - 1]
-        a = np.arange(1, kept.size + 1, dtype=np.int64)
-        out[t] = np.dot(2 * a - 1, (k + 1) - kept)
+        # k + 1 - v for each kept rank value v, in ascending v; coef is 2a - 1.
+        tail = k - np.flatnonzero(pos[:k] < k - 1).astype(np.int64, copy=False)
+        coef = np.arange(1, 2 * tail.size, 2, dtype=np.int64)
+        # Each term is below 2k^2, so a chunk of this many terms fits in int64.
+        step = max(1, _INT64_MAX // (2 * k * k))
+        out[t] = sum(
+            int(np.dot(coef[i : i + step], tail[i : i + step]))
+            for i in range(0, coef.size, step)
+        )
     return out
 
 

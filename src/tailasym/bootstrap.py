@@ -8,24 +8,46 @@ sampling fluctuation of the statistic itself, which yields p-values for
 "eta = 0" (one-sided) and "delta = 0" (two-sided) without any variance
 formula, plus normal-style confidence intervals from the replicate spread.
 
-Replicate b always draws its multipliers from a stream derived from
-(seed, b), so tests that share a seed and replicate count see identical
-weights -- in particular the eta and delta tests are coupled, and results are
-reproducible bit for bit across runs and platforms.
+One engine serves every test.  Replicate b draws its multipliers once, from a
+stream derived from (seed, b), and evaluates every direction the caller asks
+for on that one batch.  test_pair runs both eta tests and the delta test from
+a single pass; test_eta_zero and test_delta_zero are the same engine asked
+for one or both directions.  Tests that share a seed and replicate count
+therefore see identical weights -- in particular the eta and delta tests are
+coupled -- and results are reproducible bit for bit across runs and platforms.
+
+Each evaluation only sorts the top of the conditioning order.  The element at
+position i of that order (by decreasing conditioning value) can enter the sum
+at tail size k only if i < tau(k), the weighted cutoff, and every tau(k) on
+the grid is at most T = tau(k_max).  The weighted ranks and cutoffs depend on
+all n weights, so their cumulative sums run over the full sample, but only
+the first T weighted ranks (about k_max of them) are sorted.  A stable sort of
+that prefix keeps the relative order a stable sort of all n gives those
+elements, and the kernel drops every element beyond the prefix anyway, so it
+adds the same terms in the same order: the sums are bit-identical to sorting
+all n.  Each direction is ranked once per test call (ranks.concomitant_ranks
+returns the value order, conditioning order and rank positions together),
+and the plain statistics and every replicate read those arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InvalidB, LengthMismatch, NonFinite, TiesPresent
-from .estimators import Direction, _check_k, _check_kgrid, _coerce_direction, eta_sweep
-from .ranks import PairedSample
+from .estimators import (
+    Direction,
+    _check_k,
+    _check_kgrid,
+    _coerce_direction,
+    _eta_values,
+    _oriented_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -106,41 +128,29 @@ def weighted_reverse_rank(values, weights) -> np.ndarray:
     return out
 
 
-class _DirectionPlan:
-    """Weight-independent sort structure for one direction of the statistic.
+def _replicate_inputs(ranks, wo, kf):
+    """Kernel arguments of one weighted evaluation in one direction.
 
-    Holds the ascending order of the ranked series and the descending order of
-    the conditioning series; each replicate only needs cumulative sums and
-    gathers on top of these, plus one sort of the weighted ranks.
+    ranks is the direction's ConcomitantRanks, wo the normalized weights and
+    kf the increasing float k-grid.  Returns the first tau(k_max) weighted
+    ranks in conditioning order sorted ascending, their conditioning
+    positions, their weights, and the cutoffs tau(k).
     """
-
-    def __init__(self, ranked, conditioning):
-        self.value_order = np.argsort(ranked, kind="stable")
-        self.y_order = np.argsort(-conditioning, kind="stable")
-
-    def replicate_inputs(self, wo):
-        n = wo.size
-        ws = wo[self.value_order]
-        greater = np.cumsum(ws[::-1])[::-1] - ws
-        r = np.empty(n, dtype=np.float64)
-        r[self.value_order] = greater
-        rx = r[self.y_order]
-        wy = wo[self.y_order]
-        excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
-        order = np.argsort(rx, kind="stable")
-        return rx[order], order.astype(np.int64), wy[order], excl
-
-
-def _plan_for(sample: PairedSample, direction: Direction) -> _DirectionPlan:
-    if direction is Direction.X_GIVEN_Y:
-        return _DirectionPlan(sample.x, sample.y)
-    return _DirectionPlan(sample.y, sample.x)
-
-
-def _weighted_values(plan, wo, ks):
-    kf = ks.astype(np.float64)
-    rx_s, ypos_s, w_s, excl = plan.replicate_inputs(wo)
+    ws = wo[ranks.value_order]
+    greater = np.cumsum(ws[::-1])[::-1] - ws
+    wy = wo[ranks.y_order]
+    excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
     taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
+    top = int(taus[-1])
+    # greater runs in ascending value order, where reverse rank r sits at n - r.
+    rx = greater[wo.size - ranks.rho[:top]]
+    order = np.argsort(rx, kind="stable").astype(np.int64, copy=False)
+    return rx[order], order, wy[:top][order], taus
+
+
+def _weighted_values(ranks, wo, ks):
+    kf = ks.astype(np.float64)
+    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, wo, kf)
     sums = _kernels.weighted_eta_grid_sums(rx_s, ypos_s, w_s, taus, ks)
     return (3.0 * sums) / kf**3
 
@@ -151,7 +161,7 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     k = _check_k(k, sample.n)
     wo = _normalized_weights(weights, sample.n)
     ks = np.asarray([k], dtype=np.int64)
-    return float(_weighted_values(_plan_for(sample, direction), wo, ks)[0])
+    return float(_weighted_values(_oriented_ranks(sample, direction), wo, ks)[0])
 
 
 def bootstrap_delta(sample, k, weights) -> float:
@@ -197,16 +207,43 @@ def _check_alpha(alpha):
     return float(alpha)
 
 
-def _replicate_matrices(sample, ks, B, scheme, seed, directions):
-    out = {d: np.empty((B, ks.size), dtype=np.float64) for d in directions}
-    plans = {d: _plan_for(sample, d) for d in directions}
+_BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
+
+
+def _replicate_matrices(ranks, n, ks, B, scheme, seed):
+    """(B, grid) replicate values for each direction in ranks, one draw per replicate."""
+    out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
     for b in range(1, B + 1):
         rng = _replicate_rng(seed, b)
-        wo = _checked_draw(scheme, rng, sample.n)
+        wo = _checked_draw(scheme, rng, n)
         wo = wo / wo.mean()
-        for d in directions:
-            out[d][b - 1, :] = _weighted_values(plans[d], wo, ks)
+        for d, r in ranks.items():
+            out[d][b - 1, :] = _weighted_values(r, wo, ks)
     return out
+
+
+def _engine(sample, kgrid, B, alpha, seed, scheme, directions):
+    """The one replicate pass behind every test.
+
+    Validates the arguments and ranks each requested direction once, then
+    returns the grid, B, alpha and, per direction, the plain eta values and
+    the (B, grid) matrix of replicate values.
+    """
+    ks = _check_kgrid(kgrid, sample.n)
+    B = _check_B(B)
+    alpha = _check_alpha(alpha)
+    scheme = scheme if scheme is not None else unit_exponential_scheme()
+    ranks = {d: _oriented_ranks(sample, d) for d in directions}
+    plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
+    boot = _replicate_matrices(ranks, sample.n, ks, B, scheme, seed)
+    return ks, B, alpha, plain, boot
+
+
+def _delta_results(ks, B, alpha, plain, boot):
+    xy, yx = _BOTH
+    return _assemble(
+        plain[xy] - plain[yx], boot[xy] - boot[yx], ks, B, alpha, two_sided=True
+    )
 
 
 def _assemble(plain, boot, ks, B, alpha, two_sided):
@@ -258,13 +295,10 @@ def test_eta_zero(
     Returns one TestResult per k, in grid order.
     """
     direction = _coerce_direction(direction)
-    ks = _check_kgrid(kgrid, sample.n)
-    B = _check_B(B)
-    alpha = _check_alpha(alpha)
-    scheme = scheme if scheme is not None else unit_exponential_scheme()
-    plain = [e.value for e in eta_sweep(sample, ks, direction)]
-    boot = _replicate_matrices(sample, ks, B, scheme, seed, (direction,))[direction]
-    return _assemble(plain, boot, ks, B, alpha, two_sided=False)
+    ks, B, alpha, plain, boot = _engine(
+        sample, kgrid, B, alpha, seed, scheme, (direction,)
+    )
+    return _assemble(plain[direction], boot[direction], ks, B, alpha, two_sided=False)
 
 
 def test_delta_zero(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None):
@@ -275,18 +309,31 @@ def test_delta_zero(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None):
     p-value at k is the fraction of replicates with |centered delta| above the
     observed |delta|.
     """
-    ks = _check_kgrid(kgrid, sample.n)
-    B = _check_B(B)
-    alpha = _check_alpha(alpha)
-    scheme = scheme if scheme is not None else unit_exponential_scheme()
-    exy = [e.value for e in eta_sweep(sample, ks, Direction.X_GIVEN_Y)]
-    eyx = [e.value for e in eta_sweep(sample, ks, Direction.Y_GIVEN_X)]
-    plain = [a - b for a, b in zip(exy, eyx)]
-    mats = _replicate_matrices(
-        sample, ks, B, scheme, seed, (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
+    return _delta_results(*_engine(sample, kgrid, B, alpha, seed, scheme, _BOTH))
+
+
+class PairTests(NamedTuple):
+    """Both directional eta tests and the delta test of one sample."""
+
+    eta_xy: list
+    eta_yx: list
+    delta: list
+
+
+def test_pair(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None) -> PairTests:
+    """test_eta_zero in both directions and test_delta_zero from one replicate pass.
+
+    Each result list equals what the single test returns for the same
+    arguments, at the cost of one multiplier draw and two weighted
+    evaluations per replicate.
+    """
+    ks, B, alpha, plain, boot = _engine(sample, kgrid, B, alpha, seed, scheme, _BOTH)
+    xy, yx = _BOTH
+    return PairTests(
+        eta_xy=_assemble(plain[xy], boot[xy], ks, B, alpha, two_sided=False),
+        eta_yx=_assemble(plain[yx], boot[yx], ks, B, alpha, two_sided=False),
+        delta=_delta_results(ks, B, alpha, plain, boot),
     )
-    boot = mats[Direction.X_GIVEN_Y] - mats[Direction.Y_GIVEN_X]
-    return _assemble(plain, boot, ks, B, alpha, two_sided=True)
 
 
 def summarize_rejection(results, threshold=0.75) -> SweepVerdict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, KOutOfRange
-from .ranks import PairedSample, concomitant_ranks
+from .ranks import ConcomitantRanks, PairedSample, concomitant_ranks
 
 
 class Direction(enum.Enum):
@@ -40,8 +40,11 @@ def _coerce_direction(direction) -> Direction:
         raise DomainError(f"unknown direction: {direction!r}") from None
 
 
-def _oriented(sample: PairedSample, direction: Direction) -> PairedSample:
-    return sample if direction is Direction.X_GIVEN_Y else sample.swapped()
+def _oriented_ranks(sample: PairedSample, direction: Direction) -> ConcomitantRanks:
+    """Concomitant ranks and sort orders for one direction of the statistic."""
+    if direction is Direction.Y_GIVEN_X:
+        sample = sample.swapped()
+    return concomitant_ranks(sample)
 
 
 def _check_k(k, n) -> int:
@@ -63,13 +66,6 @@ def _check_kgrid(kgrid, n) -> np.ndarray:
     if np.any(np.diff(arr) <= 0):
         raise KOutOfRange("k grid must be strictly increasing")
     return arr
-
-
-def _rank_positions(rho: np.ndarray) -> np.ndarray:
-    """Inverse permutation: pos[v-1] is the 0-based position of rank value v."""
-    pos = np.empty(rho.size, dtype=np.int64)
-    pos[rho - 1] = np.arange(rho.size, dtype=np.int64)
-    return pos
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,8 @@ def eta_upper_bound(k) -> float:
     return (k - 1) * (2 * k * k + 5 * k - 6) / (2 * k**3)
 
 
-def _eta_values(sample: PairedSample, ks: np.ndarray, direction: Direction):
-    cr = concomitant_ranks(_oriented(sample, direction))
-    pos = _rank_positions(cr.rho)
-    sums = _kernels.eta_grid_sums(pos, ks)
+def _eta_values(ranks: ConcomitantRanks, ks: np.ndarray):
+    sums = _kernels.eta_grid_sums(ranks.pos, ks)
     return [3 * int(s) / int(k) ** 3 for s, k in zip(sums, ks)]
 
 
@@ -124,7 +118,7 @@ def eta_kn(sample: PairedSample, k, direction=Direction.X_GIVEN_Y) -> EtaEstimat
     direction = _coerce_direction(direction)
     k = _check_k(k, sample.n)
     ks = np.asarray([k], dtype=np.int64)
-    value = _eta_values(sample, ks, direction)[0]
+    value = _eta_values(_oriented_ranks(sample, direction), ks)[0]
     return EtaEstimate(value=value, k=k, n=sample.n, direction=direction)
 
 
@@ -132,7 +126,7 @@ def eta_sweep(sample: PairedSample, kgrid, direction=Direction.X_GIVEN_Y):
     """eta_kn over a strictly increasing grid of tail sizes (one rank pass)."""
     direction = _coerce_direction(direction)
     ks = _check_kgrid(kgrid, sample.n)
-    values = _eta_values(sample, ks, direction)
+    values = _eta_values(_oriented_ranks(sample, direction), ks)
     return [
         EtaEstimate(value=v, k=int(k), n=sample.n, direction=direction)
         for v, k in zip(values, ks)
@@ -198,8 +192,7 @@ def empirical_tail_copula_slice(
     """
     direction = _coerce_direction(direction)
     k = _check_k(k, sample.n)
-    cr = concomitant_ranks(_oriented(sample, direction))
-    top = cr.rho[: k - 1]
+    top = _oriented_ranks(sample, direction).rho[: k - 1]
     contributing = np.sort(top[top <= k])
     breakpoints = (contributing - 1) / k
     values = np.arange(1, contributing.size + 1, dtype=np.float64) / k

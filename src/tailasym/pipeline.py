@@ -20,11 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import (
-    summarize_rejection,
-    test_delta_zero,
-    test_eta_zero,
-)
+from .bootstrap import summarize_rejection, test_pair
 from .errors import (
     DomainError,
     EmptyIntersection,
@@ -35,7 +31,7 @@ from .errors import (
     SeriesTooShort,
     UnparsableValue,
 )
-from .estimators import Direction, delta_sweep
+from .estimators import delta_sweep
 from .ranks import make_sample
 
 
@@ -345,9 +341,10 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     Estimates both directional tail coefficients and their difference over the
     tail-size grid, runs the corresponding bootstrap tests, and packages the
     results with provenance (tail orientation, tie handling, autocorrelation
-    diagnostics).  When the eta gate is active, the asymmetry test is only run
-    if at least one directional sweep rejects tail independence: asymmetry of
-    an empty tail is meaningless.
+    diagnostics).  All three tests come from one shared replicate pass.  When
+    the eta gate is active, the asymmetry test is only reported if at least
+    one directional sweep rejects tail independence: asymmetry of an empty
+    tail is meaningless.
     """
     for col in (col_x, col_y):
         if col not in table.columns:
@@ -369,12 +366,27 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
             f"no usable tail sizes for a sample of {sample.n} observations"
         )
 
-    deltas = delta_sweep(sample, kgrid)
+    if config.skip_tests:
+        tests = None
+        deltas = delta_sweep(sample, kgrid)
+        estimates = (
+            [d.eta_xy for d in deltas],
+            [d.eta_yx for d in deltas],
+            [d.value for d in deltas],
+        )
+    else:
+        # One replicate pass runs all three tests, and their statistics are
+        # the estimates; the eta gate below only decides whether the delta
+        # block is reported.
+        tests = test_pair(
+            sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed
+        )
+        estimates = tuple([r.statistic for r in res] for res in tests)
     per_k = {
         "k": [int(k) for k in kgrid],
-        "eta_xy": [d.eta_xy for d in deltas],
-        "eta_yx": [d.eta_yx for d in deltas],
-        "delta": [d.value for d in deltas],
+        "eta_xy": estimates[0],
+        "eta_yx": estimates[1],
+        "delta": estimates[2],
         "p_eta_xy": [None] * len(kgrid),
         "p_eta_yx": [None] * len(kgrid),
         "p_delta": [None] * len(kgrid),
@@ -385,15 +397,8 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     verdicts = {}
 
     delta_gated = False
-    if not config.skip_tests:
-        res_xy = test_eta_zero(
-            sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed,
-            direction=Direction.X_GIVEN_Y,
-        )
-        res_yx = test_eta_zero(
-            sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed,
-            direction=Direction.Y_GIVEN_X,
-        )
+    if tests is not None:
+        res_xy, res_yx, res_d = tests
         per_k["p_eta_xy"] = [r.p_value for r in res_xy]
         per_k["p_eta_yx"] = [r.p_value for r in res_yx]
         verdicts["eta_xy"] = _verdict_dict(res_xy, config.rejection_fraction)
@@ -403,9 +408,6 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
         if config.eta_gate:
             run_delta = verdicts["eta_xy"]["reject"] or verdicts["eta_yx"]["reject"]
         if run_delta:
-            res_d = test_delta_zero(
-                sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed
-            )
             per_k["p_delta"] = [r.p_value for r in res_d]
             per_k["ci_delta_low"] = [r.ci_low for r in res_d]
             per_k["ci_delta_high"] = [r.ci_high for r in res_d]

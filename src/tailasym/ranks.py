@@ -26,27 +26,31 @@ def _as_checked_array(values, name):
     return arr
 
 
-def _tied_pair(arr):
-    """Original indices of one tied pair, or None if all values are distinct."""
-    order = np.argsort(arr, kind="stable")
-    eq = np.flatnonzero(arr[order][1:] == arr[order][:-1])
+def _tied_pair(arr, order=None):
+    """Original indices of one tied pair, or None if all values are distinct.
+
+    order, when given, is the stable ascending argsort of arr.
+    """
+    if order is None:
+        order = np.argsort(arr, kind="stable")
+    ascending = arr[order]
+    eq = np.flatnonzero(ascending[1:] == ascending[:-1])
     if eq.size == 0:
         return None
     return int(order[eq[0]]), int(order[eq[0] + 1])
 
 
 def _jitter(arr, rng):
-    """Break ties with seeded offsets smaller than half the smallest nonzero gap.
+    """Replace a tied series by its ranks 1..n, ties broken in a seeded random order.
 
-    Offsets are distinct multiples of a common step, so tied entries become
-    distinct while the relative order of already-distinct values is preserved.
-    A constant series has no nonzero gap; unit scale is used there.
+    Distinct values keep their relative order and tied entries are ordered by
+    one seeded permutation, so every statistic (all of them are functions of
+    the ranks) sees a tie-free series however small the gaps in the data are.
     """
     n = arr.size
-    gaps = np.diff(np.unique(arr))
-    scale = float(gaps.min()) if gaps.size else 1.0
-    offsets = (rng.permutation(n) + 1.0) / (n + 1.0) * (0.5 * scale)
-    return arr + offsets
+    out = np.empty(n, dtype=np.float64)
+    out[np.lexsort((rng.permutation(n), arr))] = np.arange(1, n + 1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +74,8 @@ def make_sample(x, y, tie_policy="reject", seed=None):
     """Validate a pair of series into a PairedSample.
 
     tie_policy 'reject' raises TiesPresent on any within-series tie;
-    'jitter' breaks ties with a seeded perturbation (applied only to a series
-    that actually contains ties) and records that it did so.
+    'jitter' replaces a series that actually contains ties by its ranks 1..n,
+    ties broken in an order drawn from the seed, and records that it did so.
     """
     xa = _as_checked_array(x, "x")
     ya = _as_checked_array(y, "y")
@@ -135,21 +139,50 @@ class ConcomitantRanks:
     rho[i] is the reverse rank (among all n first-coordinate values) of the
     first coordinate paired with the (i+1)-th largest second coordinate; rho is
     a permutation of 1..n.  y_order[i] is the original index of that pair.
+    value_order is the ascending order of the first coordinates, and pos the
+    inverse of rho: pos[v-1] is the 0-based position of rank value v.
     """
 
     rho: np.ndarray
     y_order: np.ndarray
+    value_order: np.ndarray
+    pos: np.ndarray
 
     @property
     def n(self) -> int:
         return int(self.rho.size)
 
 
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def concomitant_ranks(sample: PairedSample) -> ConcomitantRanks:
-    """Concomitant reverse ranks of sample.x along decreasing sample.y."""
-    y_order = np.argsort(-sample.y, kind="stable")
-    rho = reverse_ranks(sample.x[y_order])
-    rho.flags.writeable = False
-    y_order = y_order.astype(np.int64)
-    y_order.flags.writeable = False
-    return ConcomitantRanks(rho=rho, y_order=y_order)
+    """Concomitant reverse ranks of sample.x along decreasing sample.y.
+
+    Also returns the two sorts they come from and the inverse permutation,
+    so one call gives every rank-derived array the estimators and the
+    bootstrap need for this orientation.
+    """
+    n = sample.n
+    value_order = np.argsort(sample.x, kind="stable").astype(np.int64, copy=False)
+    t = _tied_pair(sample.x, value_order)
+    if t is not None:
+        raise TiesPresent(f"x has equal values at indices {t[0]} and {t[1]}")
+    reverse = np.empty(n, dtype=np.int64)
+    reverse[value_order] = np.arange(n, 0, -1, dtype=np.int64)
+    y_order = np.argsort(-sample.y, kind="stable").astype(np.int64, copy=False)
+    rho = reverse[y_order]
+    # Invert rho in the buffer it was gathered from: rho - 1 is a permutation,
+    # so every entry is overwritten.  Shifting rho in place saves a temporary.
+    pos = reverse
+    rho -= 1
+    pos[rho] = np.arange(n, dtype=np.int64)
+    rho += 1
+    return ConcomitantRanks(
+        rho=_frozen(rho),
+        y_order=_frozen(y_order),
+        value_order=_frozen(value_order),
+        pos=_frozen(pos),
+    )

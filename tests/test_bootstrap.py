@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from tailasym import _kernels
 from tailasym import bootstrap as bt
 from tailasym import errors
-from tailasym.estimators import Direction, delta_kn, eta_kn
+from tailasym.estimators import Direction, _oriented_ranks, delta_kn, eta_kn
 from tailasym.ranks import make_sample, reverse_ranks
 
 
@@ -320,6 +321,102 @@ def test_argument_validation():
         bt.test_delta_zero(s, [5, 5], B=4)
     with pytest.raises(errors.KOutOfRange):
         bt.test_delta_zero(s, [10, 6], B=4)
+
+
+# --- the shared, tail-truncated replicate engine ----------------------------------
+
+
+def _count_weighted_calls(monkeypatch):
+    """Record (input length, tau(k_max)) of every weighted-kernel call."""
+    calls = []
+    real = _kernels.weighted_eta_grid_sums
+
+    def counted(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+        calls.append((len(rx_sorted), int(np.max(taus))))
+        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", counted)
+    return calls
+
+
+def full_sort_replicate(ranked, conditioning, wo, ks):
+    """Reference replicate: all n weighted ranks sorted, no truncation."""
+    n = ranked.size
+    value_order = np.argsort(ranked, kind="stable")
+    y_order = np.argsort(-conditioning, kind="stable")
+    ws = wo[value_order]
+    greater = np.cumsum(ws[::-1])[::-1] - ws
+    r = np.empty(n)
+    r[value_order] = greater
+    rx = r[y_order]
+    wy = wo[y_order]
+    excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
+    order = np.argsort(rx, kind="stable")
+    kf = ks.astype(np.float64)
+    taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
+    sums = _kernels.weighted_eta_grid_sums(
+        rx[order], order.astype(np.int64), wy[order], taus, ks
+    )
+    return (3.0 * sums) / kf**3
+
+
+def test_pair_makes_two_kernel_calls_per_replicate(monkeypatch):
+    rng = np.random.default_rng(40)
+    s = _random_sample(rng, 300)
+    calls = _count_weighted_calls(monkeypatch)
+    B = 7
+    bt.test_pair(s, [5, 10, 20], B=B, seed=1)
+    assert len(calls) == 2 * B
+    # only the top tau(k_max) of the conditioning order reaches the kernel
+    for size, tau_max in calls:
+        assert size == tau_max < s.n
+
+
+def test_single_tests_use_the_same_engine(monkeypatch):
+    rng = np.random.default_rng(41)
+    s = _random_sample(rng, 120)
+    calls = _count_weighted_calls(monkeypatch)
+    bt.test_eta_zero(s, [6, 12], B=5, seed=2)
+    assert len(calls) == 5
+    bt.test_delta_zero(s, [6, 12], B=5, seed=2)
+    assert len(calls) == 5 + 10
+    assert all(size == tau_max for size, tau_max in calls)
+
+
+def test_pair_equals_the_three_single_tests():
+    rng = np.random.default_rng(42)
+    for n in (2, 9, 40):
+        s = _random_sample(rng, n)
+        kgrid = sorted({2, max(2, n // 3), n})
+        pair = bt.test_pair(s, kgrid, B=11, alpha=0.1, seed=6)
+        xy = bt.test_eta_zero(s, kgrid, B=11, alpha=0.1, seed=6)
+        yx = bt.test_eta_zero(
+            s, kgrid, B=11, alpha=0.1, seed=6, direction=Direction.Y_GIVEN_X
+        )
+        delta = bt.test_delta_zero(s, kgrid, B=11, alpha=0.1, seed=6)
+        assert pair == (xy, yx, delta)
+        assert pair.eta_xy == xy and pair.eta_yx == yx and pair.delta == delta
+
+
+def test_truncated_engine_equals_full_sort_reference():
+    rng = np.random.default_rng(43)
+    scheme = bt.unit_exponential_scheme()
+    cases = [(2, [2])] + [(int(n), None) for n in rng.integers(3, 61, size=25)]
+    for n, kgrid in cases:
+        s = _random_sample(rng, n)
+        if kgrid is None:
+            kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=4)} | {n})
+        ks = np.asarray(kgrid, dtype=np.int64)
+        B, seed = 4, int(rng.integers(0, 1000))
+        ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
+        mats = bt._replicate_matrices(ranks, n, ks, B, scheme, seed)
+        for b in range(1, B + 1):
+            w = replicate_weights(seed, b, n)
+            wo = w / w.mean()
+            want_xy = full_sort_replicate(s.x, s.y, wo, ks)
+            want_yx = full_sort_replicate(s.y, s.x, wo, ks)
+            assert np.array_equal(mats[Direction.X_GIVEN_Y][b - 1], want_xy)
+            assert np.array_equal(mats[Direction.Y_GIVEN_X][b - 1], want_yx)
 
 
 # --- sweep summaries -------------------------------------------------------------

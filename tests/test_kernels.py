@@ -1,13 +1,15 @@
 """Backend agreement: the compiled kernels and the numpy fallback must match.
 
 The integer kernel must agree bit for bit (it is exact integer arithmetic);
-the weighted kernel may differ by summation order only, so a few ulps.
+the weighted kernel may differ by summation order only, so a few ulps.  The
+integer kernel must also stay exact past the int64 range.
 """
 
 import numpy as np
 import pytest
 
 from tailasym import _kernels, _kernels_py
+from tailasym.estimators import eta_upper_bound
 
 
 requires_compiled = pytest.mark.skipif(
@@ -85,3 +87,18 @@ def test_integer_kernel_full_concordance_closed_form():
     for s, k in zip(out, ks):
         k = int(k)
         assert int(s) == (k - 1) * (2 * k * k + 5 * k - 6) // 6
+
+
+def test_integer_kernel_exact_just_above_the_int64_bound():
+    # S(k) at full concordance is the largest sum at tail size k; one step
+    # past MAX_INT64_K it no longer fits in int64 and must still come out exact
+    k = _kernels.MAX_INT64_K + 1
+    limit = int(np.iinfo(np.int64).max)
+    assert _kernels._max_sum(k - 1) <= limit < _kernels._max_sum(k)
+    pos = np.arange(k, dtype=np.int64)
+    ks = np.array([k - 1, k], dtype=np.int64)
+    want = [(j - 1) * (2 * j * j + 5 * j - 6) // 6 for j in (k - 1, k)]
+    assert [int(v) for v in _kernels_py.eta_grid_sums(pos, ks)] == want
+    got = _kernels.eta_grid_sums(pos, ks)
+    assert [int(v) for v in got] == want
+    assert 3 * int(got[1]) / k**3 == eta_upper_bound(k)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tailasym import errors
+from tailasym import _kernels, errors
 from tailasym.pipeline import (
     CSV_COLUMNS,
     AnalysisConfig,
@@ -290,6 +290,34 @@ def test_skip_tests_leaves_only_estimates():
     assert all(v is None for v in r.per_k["p_eta_xy"])
     assert all(v is not None for v in r.per_k["eta_xy"])
     assert r.config["tests"] is False
+
+
+def test_analysis_makes_one_replicate_pass(monkeypatch):
+    # one plain sweep and B weighted evaluations per direction, whether or
+    # not the eta gate lets the delta block into the report
+    counts = {"int": 0, "weighted": 0}
+    real_int, real_w = _kernels.eta_grid_sums, _kernels.weighted_eta_grid_sums
+
+    def int_sums(*args):
+        counts["int"] += 1
+        return real_int(*args)
+
+    def weighted_sums(*args):
+        counts["weighted"] += 1
+        return real_w(*args)
+
+    monkeypatch.setattr(_kernels, "eta_grid_sums", int_sums)
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", weighted_sums)
+    for table, skip, gated in (
+        (_dependent_table(), False, False),
+        (_independent_table(), False, True),
+        (_dependent_table(), True, False),
+    ):
+        counts.update(int=0, weighted=0)
+        cfg = AnalysisConfig(B=9, seed=3, skip_tests=skip)
+        r = run_pair_analysis(table, "a", "b", cfg)
+        assert r.provenance["delta_test_gated_out"] is gated
+        assert counts == {"int": 2, "weighted": 0 if skip else 2 * 9}
 
 
 def test_analysis_provenance_and_config_echo():

@@ -133,3 +133,52 @@ def test_jitter_is_deterministic_and_lazy():
 def test_jitter_handles_constant_series():
     s = ranks.make_sample([7.0, 7.0, 7.0], [1.0, 2.0, 3.0], tie_policy="jitter", seed=0)
     assert len(set(s.x.tolist())) == 3
+
+
+def test_jitter_survives_gaps_of_one_ulp():
+    # offsets below half the smallest gap round away at one ulp; ranking
+    # with a seeded tie-break cannot fail
+    x = [1.0, 1.0, 1.0, np.nextafter(1.0, 2.0)]
+    y = [1.0, 2.0, 3.0, 4.0]
+    s = ranks.make_sample(x, y, tie_policy="jitter", seed=3)
+    assert s.jittered
+    assert sorted(s.x.tolist()) == [1.0, 2.0, 3.0, 4.0]
+    assert s.x[3] == 4.0  # the one larger value stays on top
+    assert ranks.concomitant_ranks(s).n == 4
+
+
+def _offset_jitter(arr, rng):
+    """Tie-breaking by small seeded offsets, valid while the gaps are wide."""
+    n = arr.size
+    gaps = np.diff(np.unique(arr))
+    scale = float(gaps.min()) if gaps.size else 1.0
+    return arr + (rng.permutation(n) + 1.0) / (n + 1.0) * (0.5 * scale)
+
+
+def test_jitter_orders_like_offsets_wherever_offsets_work():
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        n = int(rng.integers(2, 200))
+        x = np.round(rng.standard_normal(n), 1)
+        y = np.round(rng.standard_normal(n), 1)
+        s = ranks.make_sample(x, y, tie_policy="jitter", seed=seed)
+        stream = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+        )
+        for got, raw in ((s.x, x), (s.y, y)):
+            if len(np.unique(raw)) == n:
+                assert np.array_equal(got, raw)
+                continue
+            want = _offset_jitter(raw, stream)
+            assert len(np.unique(want)) == n
+            assert np.array_equal(ranks.reverse_ranks(got), ranks.reverse_ranks(want))
+
+
+def test_concomitant_ranks_carry_their_sort_orders():
+    s = ranks.make_sample([5, 1, 4, 2], [10, 40, 20, 30])
+    cr = ranks.concomitant_ranks(s)
+    assert cr.value_order.tolist() == [1, 3, 2, 0]  # ascending x
+    assert np.array_equal(cr.pos[cr.rho - 1], np.arange(4))
+    for field in ("rho", "y_order", "value_order", "pos"):
+        assert getattr(cr, field).dtype == np.int64
+        assert not getattr(cr, field).flags.writeable
