@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import _kernels
 from .errors import DomainError, InvalidB, LengthMismatch, NonFinite, TiesPresent
@@ -351,76 +352,6 @@ def summarize_rejection(results, threshold=0.75) -> SweepVerdict:
     )
 
 
-# --- standard normal quantile ------------------------------------------------
-#
-# Rational initial guess (relative error ~1e-9 everywhere) polished with one
-# Halley step against the erfc form of the normal CDF, which lands within a
-# few ulps of the true quantile.  Kept dependency-free on purpose: the tests
-# cross-check it against an independent implementation.
-
-_CENTRAL_NUM = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_CENTRAL_DEN = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_TAIL_NUM = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_TAIL_DEN = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-_P_LOW = 0.02425
-
-
-def _tail_guess(q):
-    c1, c2, c3, c4, c5, c6 = _TAIL_NUM
-    d1, d2, d3, d4 = _TAIL_DEN
-    num = ((((c1 * q + c2) * q + c3) * q + c4) * q + c5) * q + c6
-    den = (((d1 * q + d2) * q + d3) * q + d4) * q + 1.0
-    return num / den
-
-
-def _lower_quantile(p):
-    # Reflect the upper half onto the lower: 1 - p is exact here (both
-    # operands lie within a factor of two), and the Halley step below is only
-    # well conditioned for p <= 1/2, where Phi(x) - p does not cancel.
-    if p > 0.5:
-        return -_lower_quantile(1.0 - p)
-    if p < _P_LOW:
-        x = _tail_guess(math.sqrt(-2.0 * math.log(p)))
-    else:
-        a1, a2, a3, a4, a5, a6 = _CENTRAL_NUM
-        b1, b2, b3, b4, b5 = _CENTRAL_DEN
-        q = p - 0.5
-        r = q * q
-        num = (((((a1 * r + a2) * r + a3) * r + a4) * r + a5) * r + a6) * q
-        den = ((((b1 * r + b2) * r + b3) * r + b4) * r + b5) * r + 1.0
-        x = num / den
-    # Halley refinement on Phi(x) - p = 0.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def normal_quantile(p) -> float:
     """Upper-tail standard normal quantile: the z with P(Z > z) = p.
 
@@ -429,4 +360,4 @@ def normal_quantile(p) -> float:
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie strictly between 0 and 1, got {p!r}")
-    return 0.0 - _lower_quantile(float(p))
+    return 0.0 - float(ndtri(p))

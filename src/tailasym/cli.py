@@ -22,27 +22,17 @@ from .copulas import (
     sample,
     tail_dependence_chi,
 )
-from .errors import IoError, QuadratureFailure, TailAsymError
+from .errors import QuadratureFailure, TailAsymError
 from .pipeline import (
     AnalysisConfig,
     _round_floats,
+    _write_text,
     acf,
     emit_report,
     load_csv,
     log_returns,
     run_pair_analysis,
 )
-
-
-def _write_text(text, path):
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
 
 
 def _add_out(p):

@@ -7,7 +7,7 @@ attains a closed-form maximum (eta_upper_bound) exactly when the top ranks
 match perfectly.  delta_kn is the difference between the two directions and
 measures asymmetry of extreme-tail dependence.
 
-Heavy lifting happens in integer arithmetic inside the kernel backend, so the
+Heavy lifting happens in exact integer arithmetic inside the kernel, so the
 estimator value is a single correctly-rounded division of exact integers: the
 "exact equality" guarantees in the tests are meaningful, not wishful.
 """

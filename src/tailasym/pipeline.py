@@ -479,6 +479,18 @@ def render_report(report: Report, format="json") -> str:
     raise DomainError(f"format must be 'json' or 'csv', got {format!r}")
 
 
+def _write_text(text, path):
+    """Write text to a file as UTF-8 bytes (LF newlines kept), or to stdout."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+
+
 def emit_report(report: Report, format="json", path=None) -> str:
     """Render and write a report; returns the rendered text.
 
@@ -486,12 +498,5 @@ def emit_report(report: Report, format="json", path=None) -> str:
     checks (UTF-8, LF newlines); without one the text goes to stdout.
     """
     text = render_report(report, format)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(text.encode("utf-8"))
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from None
+    _write_text(text, path)
     return text

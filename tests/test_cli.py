@@ -73,6 +73,12 @@ def test_simulate_bad_model_exits_2(capsys):
     assert run_cli("simulate", "--model", "nelsen:theta=0.5", "--n", "1") == 2
 
 
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "sim.csv"
+    assert run_cli("simulate", "--model", "maxmodel:m=2", "--n", "3", "--out", str(out)) == 2
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
