@@ -110,6 +110,90 @@ def test_load_csv_deduplicates_requested_columns(tmp_path):
     assert list(t.columns) == ["v"]
 
 
+def test_load_csv_repeated_header_name_reads_its_last_column(tmp_path):
+    p = _write(tmp_path, "rep.csv", "k,v,v\n1,10,20\n2,11,21\n3,12\n")
+    t = load_csv(p, "k", ["v"])
+    # the row too short to reach the second 'v' counts as missing, not as 12
+    assert t.keys == ("1", "2")
+    assert np.array_equal(t.columns["v"], [20.0, 21.0])
+
+
+def test_load_csv_drops_short_and_blank_rows(tmp_path):
+    p = _write(
+        tmp_path,
+        "short.csv",
+        "k,a,b,c\n"
+        "1,1,2,3\n"
+        "2,4\n"          # lacks b -> dropped
+        "\n"             # blank -> dropped
+        "3,5,6\n"        # lacks only the unrequested c -> kept
+        "4\n"            # key only -> dropped
+        "5,7,8,9,10\n",  # an extra cell is ignored
+    )
+    t = load_csv(p, "k", ["a", "b"])
+    assert t.keys == ("1", "3", "5")
+    assert np.array_equal(t.columns["a"], [1.0, 5.0, 7.0])
+    assert np.array_equal(t.columns["b"], [2.0, 6.0, 8.0])
+
+
+def test_load_csv_line_numbers_count_blank_lines_and_quoted_newlines(tmp_path):
+    p = _write(tmp_path, "blank.csv", "k,v\n1,2\n\n\n2,x\n")
+    with pytest.raises(errors.UnparsableValue, match="line 5, column 'v'"):
+        load_csv(p, "k", ["v"])
+    p2 = _write(tmp_path, "multi.csv", 'k,v\n"a\nb",1\nc,x\n')
+    with pytest.raises(errors.UnparsableValue, match="line 4, column 'v'"):
+        load_csv(p2, "k", ["v"])
+    # an error inside a multi-line record names the record's last line
+    p3 = _write(tmp_path, "multi_bad.csv", 'k,v\nc,1\n"a\nb",x\n')
+    with pytest.raises(errors.UnparsableValue, match="line 4, column 'v'"):
+        load_csv(p3, "k", ["v"])
+    good = load_csv(_write(tmp_path, "ok.csv", 'k,v\n"a\nb",1\nc,2\n'), "k", ["v"])
+    assert good.keys == ("a\nb", "c")
+
+
+def test_load_csv_reports_the_first_bad_cell_in_row_major_order(tmp_path):
+    # a non-finite w on line 3 comes before an unparsable v on line 4
+    p = _write(tmp_path, "two.csv", "k,v,w\n1,1,2\n2,3,inf\n3,oops,4\n")
+    with pytest.raises(errors.UnparsableValue) as exc:
+        load_csv(p, "k", ["v", "w"])
+    assert str(exc.value) == f"{p} line 3, column 'w': non-finite value 'inf'"
+    p2 = _write(tmp_path, "two_b.csv", "k,v,w\n1,1,2\n2,oops,4\n3,3,nan\n")
+    with pytest.raises(errors.UnparsableValue) as exc:
+        load_csv(p2, "k", ["v", "w"])
+    assert str(exc.value) == f"{p2} line 3, column 'v': cannot parse 'oops'"
+    # within one row, the requested column order decides, not the header order
+    p3 = _write(tmp_path, "same_row.csv", "k,v,w\n1,nan,oops\n")
+    with pytest.raises(errors.UnparsableValue) as exc:
+        load_csv(p3, "k", ["w", "v"])
+    assert str(exc.value) == f"{p3} line 2, column 'w': cannot parse 'oops'"
+    # a bad cell in a row dropped for a missing cell is never parsed
+    p4 = _write(tmp_path, "dropped.csv", "k,v,w\n1,oops,\n2,1,2\n")
+    assert load_csv(p4, "k", ["v", "w"]).keys == ("2",)
+
+
+def test_load_csv_key_column_can_also_be_a_value_column(tmp_path):
+    p = _write(tmp_path, "kv.csv", "k,v\n3,1\n1,2\n")
+    t = load_csv(p, "k", ["k", "v"])
+    assert t.keys == ("1", "3")
+    assert list(t.columns) == ["k", "v"]
+    assert np.array_equal(t.columns["k"], [1.0, 3.0])
+    assert np.array_equal(t.columns["v"], [2.0, 1.0])
+    p2 = _write(tmp_path, "kv_bad.csv", "k,v\n3,1\nx,2\n")
+    with pytest.raises(errors.UnparsableValue, match="line 3, column 'k'"):
+        load_csv(p2, "k", ["k", "v"])
+
+
+def test_load_csv_sorts_integer_keys_beyond_int64_numerically(tmp_path):
+    p = _write(
+        tmp_path,
+        "big.csv",
+        "k,v\n18446744073709551617,1\n9223372036854775808,2\n-5,3\n10,4\n",
+    )
+    t = load_csv(p, "k", ["v"])
+    assert t.keys == ("-5", "10", "9223372036854775808", "18446744073709551617")
+    assert np.array_equal(t.columns["v"], [3.0, 4.0, 2.0, 1.0])
+
+
 # --- series preparation ----------------------------------------------------------
 
 
