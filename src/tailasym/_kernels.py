@@ -49,6 +49,8 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     decreasing second coordinate, and ``taus`` the per-k cutoffs.  Only
     elements with ypos < tau(k) and R < k contribute; with W the running
     included weight, the a-th included element adds (k - R_a) w_a (2W + w_a).
+    Entries of ``rx_sorted`` at or above the largest k may be ``+inf``: the
+    kernel never reads past the first rank that is not below k.
     """
     out = np.empty(len(ks), dtype=np.float64)
     for t, k in enumerate(ks):

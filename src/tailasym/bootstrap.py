@@ -16,18 +16,29 @@ for one or both directions.  Tests that share a seed and replicate count
 therefore see identical weights -- in particular the eta and delta tests are
 coupled -- and results are reproducible bit for bit across runs and platforms.
 
-Each evaluation only sorts the top of the conditioning order.  The element at
-position i of that order (by decreasing conditioning value) can enter the sum
-at tail size k only if i < tau(k), the weighted cutoff, and every tau(k) on
-the grid is at most T = tau(k_max).  The weighted ranks and cutoffs depend on
-all n weights, so their cumulative sums run over the full sample, but only
-the first T weighted ranks (about k_max of them) are sorted.  A stable sort of
-that prefix keeps the relative order a stable sort of all n gives those
-elements, and the kernel drops every element beyond the prefix anyway, so it
-adds the same terms in the same order: the sums are bit-identical to sorting
-all n.  Each direction is ranked once per test call (ranks.concomitant_ranks
-returns the value order, conditioning order and rank positions together),
-and the plain statistics and every replicate read those arrays.
+Each evaluation only touches the top of the two orders.  The element at
+position i of the conditioning order (by decreasing conditioning value) can
+enter the sum at tail size k only if i < tau(k), the weighted cutoff, and
+every tau(k) on the grid is at most T = tau(k_max); it also needs a weighted
+rank below k.  The cutoffs come from the running sum of the normalized
+weights along the conditioning order, and the weighted rank of reverse rank
+r is the running sum along decreasing values up to r minus its own weight.
+Each running sum is taken over a prefix, doubled until its sum reaches k_max
+(cutoffs) or 2 k_max (ranks) or it covers all n.  Every prefix entry is
+bit-identical to the same entry over the full sample: np.cumsum adds left to
+right, and normalizing divides each weight by the mean of all n.  What lies
+past a prefix cannot matter.  The running sums never decrease, so no cutoff
+lies past a sum of k_max, and a rank past a sum of 2 k_max stays at or above
+k_max even after the one rounding in "sum minus own weight", so it is set to
++inf, which the kernel never reads.  Only the first T weighted ranks (about
+k_max of them) are sorted.  A stable sort of that prefix keeps the relative
+order a stable sort of all n gives the elements whose rank is below k_max,
+and the kernel drops every other element, so it adds the same terms in the
+same order: the sums are bit-identical to the full computation.
+
+Each direction is ranked once per test call (ranks.concomitant_ranks returns
+the value order, conditioning order and rank positions together), and the
+plain statistics and every replicate read those arrays.
 """
 
 from __future__ import annotations
@@ -95,7 +106,7 @@ def _checked_draw(scheme, rng, n):
     return w
 
 
-def _normalized_weights(weights, n):
+def _checked_weights(weights, n):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size != n:
         raise LengthMismatch(f"need {n} weights, got shape {w.shape}")
@@ -103,7 +114,7 @@ def _normalized_weights(weights, n):
         raise NonFinite("multiplier weights must be finite")
     if np.any(w <= 0.0):
         raise DomainError("multiplier weights must be strictly positive")
-    return w / w.mean()
+    return w
 
 
 def weighted_reverse_rank(values, weights) -> np.ndarray:
@@ -118,7 +129,8 @@ def weighted_reverse_rank(values, weights) -> np.ndarray:
         raise DomainError("values must be a nonempty one-dimensional array")
     if np.any(~np.isfinite(v)):
         raise NonFinite("values must be finite")
-    wo = _normalized_weights(weights, v.size)
+    w = _checked_weights(weights, v.size)
+    wo = w / w.mean()
     order = np.argsort(v, kind="stable")
     if np.any(v[order][1:] == v[order][:-1]):
         raise TiesPresent("values contain ties")
@@ -129,29 +141,48 @@ def weighted_reverse_rank(values, weights) -> np.ndarray:
     return out
 
 
-def _replicate_inputs(ranks, wo, kf):
+def _prefix_weights(order, w, mean, bound):
+    """Normalized weights along order, cut to a prefix whose running sum reaches bound.
+
+    Returns w[order[:m]] / mean and its cumulative sum for the first m of
+    2 * bound, 4 * bound, ... whose sum reaches bound, or m = n.
+    """
+    n = order.size
+    m = min(n, int(2 * bound))
+    while True:
+        part = w[order[:m]] / mean
+        run = np.cumsum(part)
+        if m == n or run[-1] >= bound:
+            return part, run
+        m = min(n, 2 * m)
+
+
+def _replicate_inputs(ranks, w, mean, kf):
     """Kernel arguments of one weighted evaluation in one direction.
 
-    ranks is the direction's ConcomitantRanks, wo the normalized weights and
-    kf the increasing float k-grid.  Returns the first tau(k_max) weighted
-    ranks in conditioning order sorted ascending, their conditioning
-    positions, their weights, and the cutoffs tau(k).
+    ranks is the direction's ConcomitantRanks, w the multipliers, mean their
+    mean over all n and kf the increasing float k-grid.  Returns the first
+    tau(k_max) weighted ranks in conditioning order sorted ascending (a rank
+    past its prefix reads +inf), their conditioning positions, their weights,
+    and the cutoffs tau(k).
     """
-    ws = wo[ranks.value_order]
-    greater = np.cumsum(ws[::-1])[::-1] - ws
-    wy = wo[ranks.y_order]
-    excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
+    k_max = float(kf[-1])
+    # The margin of 2 * k_max keeps every rank past the prefix at or above
+    # k_max after the rounding of "running sum minus own weight".
+    wd, above = _prefix_weights(ranks.value_order[::-1], w, mean, 2.0 * k_max)
+    greater = np.concatenate((above - wd, [np.inf]))
+    wy, upto = _prefix_weights(ranks.y_order, w, mean, k_max)
+    excl = np.concatenate(([0.0], upto[:-1]))
     taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
     top = int(taus[-1])
-    # greater runs in ascending value order, where reverse rank r sits at n - r.
-    rx = greater[wo.size - ranks.rho[:top]]
+    rx = greater[np.minimum(ranks.rho[:top] - 1, wd.size)]
     order = np.argsort(rx, kind="stable").astype(np.int64, copy=False)
     return rx[order], order, wy[:top][order], taus
 
 
-def _weighted_values(ranks, wo, ks):
+def _weighted_values(ranks, w, mean, ks):
     kf = ks.astype(np.float64)
-    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, wo, kf)
+    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, w, mean, kf)
     sums = _kernels.weighted_eta_grid_sums(rx_s, ypos_s, w_s, taus, ks)
     return (3.0 * sums) / kf**3
 
@@ -160,9 +191,10 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     """One multiplier-weighted eta replicate at tail size k."""
     direction = _coerce_direction(direction)
     k = _check_k(k, sample.n)
-    wo = _normalized_weights(weights, sample.n)
+    w = _checked_weights(weights, sample.n)
     ks = np.asarray([k], dtype=np.int64)
-    return float(_weighted_values(_oriented_ranks(sample, direction), wo, ks)[0])
+    ranks = _oriented_ranks(sample, direction)
+    return float(_weighted_values(ranks, w, w.mean(), ks)[0])
 
 
 def bootstrap_delta(sample, k, weights) -> float:
@@ -216,10 +248,10 @@ def _replicate_matrices(ranks, n, ks, B, scheme, seed):
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
     for b in range(1, B + 1):
         rng = _replicate_rng(seed, b)
-        wo = _checked_draw(scheme, rng, n)
-        wo = wo / wo.mean()
+        w = _checked_draw(scheme, rng, n)
+        mean = w.mean()
         for d, r in ranks.items():
-            out[d][b - 1, :] = _weighted_values(r, wo, ks)
+            out[d][b - 1, :] = _weighted_values(r, w, mean, ks)
     return out
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -52,10 +53,13 @@ def load_csv(path, key_column, value_columns):
     """Read the requested columns from a headered CSV, inner-joined on the key.
 
     Rows with an empty key or an empty cell in any requested column are
-    dropped (missing data); text that is present but not a finite number is an
-    error, reported with its line and column.  Rows are returned sorted by
-    key: numerically when every key parses as an integer, lexicographically
-    otherwise.  Duplicate keys are kept in input order.
+    dropped (missing data), and so are rows too short to hold every requested
+    column; a header name given twice reads its last column.  Text that is
+    present but not a finite number is an error, reported with its line and
+    column, and so is a file that is not UTF-8 text or not valid CSV.  Rows
+    are returned sorted by key: numerically when every key parses as an
+    integer, lexicographically otherwise.  Duplicate keys are kept in input
+    order.
     """
     wanted = list(dict.fromkeys(value_columns))
     try:
@@ -63,64 +67,95 @@ def load_csv(path, key_column, value_columns):
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
 
-    rows = []
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise UnparsableValue(f"{path} has no header row")
-        missing = [c for c in [key_column, *wanted] if c not in reader.fieldnames]
-        if missing:
-            raise MissingColumn(
-                f"{path} lacks column(s) {', '.join(repr(m) for m in missing)}"
-            )
-        for record in reader:
-            key = record.get(key_column)
-            if key is None or key.strip() == "":
-                continue
-            cells = [record.get(c) for c in wanted]
-            if any(c is None or c.strip() == "" for c in cells):
-                continue
-            parsed = []
-            for name, cell in zip(wanted, cells):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise UnparsableValue(
-                        f"{path} line {reader.line_num}, column {name!r}:"
-                        f" cannot parse {cell!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise UnparsableValue(
-                        f"{path} line {reader.line_num}, column {name!r}:"
-                        f" non-finite value {cell!r}"
-                    )
-                parsed.append(val)
-            rows.append((key, parsed))
+        reader = csv.reader(handle)
+        try:
+            (keys, *cells), lines = _read_cells(reader, path, key_column, wanted)
+        except UnicodeDecodeError as exc:
+            raise UnparsableValue(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise UnparsableValue(f"{path} line {reader.line_num}: {exc}") from None
 
-    if not rows:
+    n = len(keys)
+    if n == 0:
         raise EmptyIntersection(
             f"{path}: no rows with a key and values in {', '.join(map(repr, wanted))}"
         )
+    try:
+        values = [np.fromiter(map(float, col), np.float64, n) for col in cells]
+        finite = all(np.isfinite(v).all() for v in values)
+    except ValueError:
+        finite = False
+    if not finite:
+        # The first offending cell in row-major order: earliest row, then
+        # the first requested column.
+        i, _, name, complaint = min(
+            (bad[0], j, name, bad[1])
+            for j, (name, col) in enumerate(zip(wanted, cells))
+            if (bad := _first_bad_cell(col)) is not None
+        )
+        raise UnparsableValue(f"{path} line {lines[i]}, column {name!r}: {complaint}")
 
-    def _as_int(text):
-        try:
-            return int(text)
-        except ValueError:
-            return None
+    try:
+        sort_keys = list(map(int, keys))
+    except ValueError:
+        sort_keys = keys
+    order = sorted(range(n), key=sort_keys.__getitem__)
 
-    int_keys = [_as_int(k) for k, _ in rows]
-    if all(v is not None for v in int_keys):
-        order = sorted(range(len(rows)), key=lambda i: int_keys[i])
-    else:
-        order = sorted(range(len(rows)), key=lambda i: rows[i][0])
-
-    keys = tuple(rows[i][0] for i in order)
     columns = {}
-    for j, name in enumerate(wanted):
-        col = np.asarray([rows[i][1][j] for i in order], dtype=np.float64)
+    for name, col in zip(wanted, values):
+        col = col[order]
         col.flags.writeable = False
         columns[name] = col
-    return SeriesTable(keys=keys, columns=columns, source=str(path))
+    return SeriesTable(
+        keys=tuple(map(keys.__getitem__, order)), columns=columns, source=str(path)
+    )
+
+
+def _read_cells(reader, path, key_column, wanted):
+    """The key, each wanted column and the line number of every complete row.
+
+    Cells are kept as one flat list of strings per column: a list per row
+    would leave one tracked container per row for the cyclic garbage
+    collector to walk again and again.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise UnparsableValue(f"{path} has no header row")
+    missing = [c for c in [key_column, *wanted] if c not in header]
+    if missing:
+        raise MissingColumn(
+            f"{path} lacks column(s) {', '.join(repr(m) for m in missing)}"
+        )
+    # A header name given twice reads its last column, as csv.DictReader does.
+    index = {name: i for i, name in enumerate(header)}
+    at = [index[key_column], *(index[c] for c in wanted)]
+    width = max(at) + 1
+    cols = [[] for _ in at]
+    lines = []
+    for row in reader:
+        # Shorter rows, blank lines among them, lack a requested cell.
+        if len(row) >= width:
+            for col, i in zip(cols, at):
+                col.append(row[i])
+            lines.append(reader.line_num)
+    if any("" in map(str.strip, col) for col in cols):
+        keep = [all(cells) for cells in zip(*(map(str.strip, col) for col in cols))]
+        cols = [list(compress(col, keep)) for col in cols]
+        lines = list(compress(lines, keep))
+    return cols, lines
+
+
+def _first_bad_cell(cells):
+    """Index and complaint of the first cell that is not a finite number, or None."""
+    for i, cell in enumerate(cells):
+        try:
+            val = float(cell)
+        except ValueError:
+            return i, f"cannot parse {cell!r}"
+        if not math.isfinite(val):
+            return i, f"non-finite value {cell!r}"
+    return None
 
 
 def log_returns(prices):

@@ -419,6 +419,79 @@ def test_truncated_engine_equals_full_sort_reference():
             assert np.array_equal(mats[Direction.Y_GIVEN_X][b - 1], want_yx)
 
 
+def _record_prefixes(monkeypatch):
+    """Record (bound, prefix length) of every weight prefix the engine gathers."""
+    seen = []
+    real = bt._prefix_weights
+
+    def recorded(order, w, mean, bound):
+        part, run = real(order, w, mean, bound)
+        seen.append((bound, part.size))
+        return part, run
+
+    monkeypatch.setattr(bt, "_prefix_weights", recorded)
+    return seen
+
+
+def _assert_engine_equals_full_sort(s, kgrid, B, seed, scheme):
+    ks = np.asarray(kgrid, dtype=np.int64)
+    ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
+    mats = bt._replicate_matrices(ranks, s.n, ks, B, scheme, seed)
+    for b in range(1, B + 1):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
+        w = scheme.draw(np.random.Generator(np.random.Philox(seq)), s.n)
+        wo = w / w.mean()
+        want_xy = full_sort_replicate(s.x, s.y, wo, ks)
+        want_yx = full_sort_replicate(s.y, s.x, wo, ks)
+        assert np.array_equal(mats[Direction.X_GIVEN_Y][b - 1], want_xy)
+        assert np.array_equal(mats[Direction.Y_GIVEN_X][b - 1], want_yx)
+
+
+def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
+    rng = np.random.default_rng(44)
+    s = _random_sample(rng, 5000)
+    seen = _record_prefixes(monkeypatch)
+    _assert_engine_equals_full_sort(
+        s, [20, 33, 47, 60], B=6, seed=8, scheme=bt.unit_exponential_scheme()
+    )
+    assert len(seen) == 2 * 2 * 6  # two prefixes per direction and replicate
+    assert max(size for _, size in seen) <= 4 * 2 * 60 < s.n
+
+
+def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
+    rng = np.random.default_rng(45)
+    s = _random_sample(rng, 2000)
+    # The 600 largest values of each series weigh almost nothing, so the
+    # first prefix guess (2 * bound) sums far below its bound.
+    light = np.zeros(s.n, dtype=bool)
+    light[np.argsort(-s.x)[:600]] = True
+    light[np.argsort(-s.y)[:600]] = True
+
+    def draw(r, n):
+        w = r.standard_exponential(n)
+        w[light] *= 1e-9
+        return w
+
+    seen = _record_prefixes(monkeypatch)
+    kgrid = [5, 12, 30]
+    _assert_engine_equals_full_sort(
+        s, kgrid, B=4, seed=9, scheme=bt.MultiplierScheme("light_top", draw)
+    )
+    # every prefix outgrew its first guess but stopped before n
+    assert all(2 * bound < size < s.n for bound, size in seen)
+
+
+def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
+    rng = np.random.default_rng(46)
+    n = 50
+    s = _random_sample(rng, n)
+    seen = _record_prefixes(monkeypatch)
+    _assert_engine_equals_full_sort(
+        s, [2, 17, n - 1], B=5, seed=10, scheme=bt.unit_exponential_scheme()
+    )
+    assert seen and all(size == n for _, size in seen)
+
+
 # --- sweep summaries -------------------------------------------------------------
 
 

@@ -178,6 +178,26 @@ def test_analyze_tie_rejection_exit_2(tmp_path, capsys):
     assert "equal values" in capsys.readouterr().err
 
 
+def test_analyze_non_utf8_input_exits_2(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"t,x,y\n1,0.5,1.5\n2,caf\xe9,2.5\n")
+    code = run_cli("analyze", str(data), "--x-col", "x", "--y-col", "y", "--key-col", "t")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data} is not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_analyze_oversized_field_exits_2(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(f"t,x,y\n1,0.5,1.5\n2,{'9' * 131_073},2.5\n", encoding="utf-8")
+    code = run_cli("analyze", str(data), "--x-col", "x", "--y-col", "y", "--key-col", "t")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data} line 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 # --- acf -------------------------------------------------------------------------
 
 
