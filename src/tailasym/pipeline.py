@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
@@ -56,46 +57,25 @@ def load_csv(path, key_column, value_columns):
     dropped (missing data), and so are rows too short to hold every requested
     column; a header name given twice reads its last column.  Text that is
     present but not a finite number is an error, reported with its line and
-    column, and so is a file that is not UTF-8 text or not valid CSV.  Rows
-    are returned sorted by key: numerically when every key parses as an
-    integer, lexicographically otherwise.  Duplicate keys are kept in input
-    order.
+    column, and so is a file that is not UTF-8 text or not valid CSV.  A
+    leading UTF-8 byte-order mark is skipped.  Rows are returned sorted by
+    key: numerically when every key parses as an integer, lexicographically
+    otherwise.  Duplicate keys are kept in input order.
     """
     wanted = list(dict.fromkeys(value_columns))
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
+    read = _read_plain(path, key_column, wanted) or _read_exact(
+        path, key_column, wanted
+    )
+    return _sorted_table(path, wanted, *read)
 
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            (keys, *cells), lines = _read_cells(reader, path, key_column, wanted)
-        except UnicodeDecodeError as exc:
-            raise UnparsableValue(f"{path} is not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise UnparsableValue(f"{path} line {reader.line_num}: {exc}") from None
 
+def _sorted_table(path, wanted, keys, values):
+    """The SeriesTable of the parsed rows, sorted by key."""
     n = len(keys)
     if n == 0:
         raise EmptyIntersection(
             f"{path}: no rows with a key and values in {', '.join(map(repr, wanted))}"
         )
-    try:
-        values = [np.fromiter(map(float, col), np.float64, n) for col in cells]
-        finite = all(np.isfinite(v).all() for v in values)
-    except ValueError:
-        finite = False
-    if not finite:
-        # The first offending cell in row-major order: earliest row, then
-        # the first requested column.
-        i, _, name, complaint = min(
-            (bad[0], j, name, bad[1])
-            for j, (name, col) in enumerate(zip(wanted, cells))
-            if (bad := _first_bad_cell(col)) is not None
-        )
-        raise UnparsableValue(f"{path} line {lines[i]}, column {name!r}: {complaint}")
-
     try:
         sort_keys = list(map(int, keys))
     except ValueError:
@@ -112,14 +92,91 @@ def load_csv(path, key_column, value_columns):
     )
 
 
-def _read_cells(reader, path, key_column, wanted):
-    """The key, each wanted column and the line number of every complete row.
+def _read_plain(path, key_column, wanted):
+    """The keys and wanted columns of a plain file, by numpy's C parser, or None.
 
-    Cells are kept as one flat list of strings per column: a list per row
-    would leave one tracked container per row for the cyclic garbage
-    collector to walk again and again.
+    A file is plain when it holds no quote, NUL, carriage return or
+    information separator (bytes 0x1c-0x1f) and no line longer than csv's
+    field size limit.  csv.reader then splits it as loadtxt does, a record
+    per line and a cell per comma, and loadtxt strips the same whitespace
+    around a number as float(), which keeps 0x1c-0x1f.  Anything else the
+    two readers could treat differently gives None, for _read_exact to read:
+    a header lacking a column, a short row, a blank key, a cell loadtxt
+    cannot parse (float() also takes '1_000' and Unicode digits) or one that
+    is not finite.
     """
-    header = next(reader, None)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if any(byte in data for byte in b'"\0\r\x1c\x1d\x1e\x1f'):
+        return None
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if np.diff(breaks, prepend=-1, append=len(data)).max() > csv.field_size_limit():
+        return None
+    head = data[: breaks[0]] if breaks.size else data
+    dtype = [("key", object)] + [(f"v{j}", np.float64) for j in range(len(wanted))]
+    try:
+        header = next(csv.reader([head.decode("utf-8-sig")]))
+        at = _column_indices(header, path, key_column, wanted)
+        with warnings.catch_warnings():
+            # A file without data rows is EmptyIntersection, not a warning.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            rows = np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=1, usecols=at,
+                comments=None, quotechar=None, encoding="utf-8-sig", ndmin=1,
+            )
+    except (OSError, ValueError, MissingColumn):
+        return None
+    keys = rows["key"].tolist()
+    values = [rows[f"v{j}"] for j in range(len(wanted))]
+    if "" in map(str.strip, keys) or not all(np.isfinite(v).all() for v in values):
+        return None
+    return keys, values
+
+
+def _read_exact(path, key_column, wanted):
+    """The keys and wanted columns of any CSV file, by csv.reader and float().
+
+    The source of every error message load_csv raises about the file.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            (keys, *cells), lines = _read_cells(reader, path, key_column, wanted)
+        except UnicodeDecodeError as exc:
+            raise UnparsableValue(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise UnparsableValue(f"{path} line {reader.line_num}: {exc}") from None
+
+    n = len(keys)
+    try:
+        values = [np.fromiter(map(float, col), np.float64, n) for col in cells]
+        finite = all(np.isfinite(v).all() for v in values)
+    except ValueError:
+        finite = False
+    if not finite:
+        # The first offending cell in row-major order: earliest row, then
+        # the first requested column.
+        i, _, name, complaint = min(
+            (bad[0], j, name, bad[1])
+            for j, (name, col) in enumerate(zip(wanted, cells))
+            if (bad := _first_bad_cell(col)) is not None
+        )
+        raise UnparsableValue(f"{path} line {lines[i]}, column {name!r}: {complaint}")
+    return keys, values
+
+
+def _column_indices(header, path, key_column, wanted):
+    """Where the key and each wanted column sit in the header row."""
     if header is None:
         raise UnparsableValue(f"{path} has no header row")
     missing = [c for c in [key_column, *wanted] if c not in header]
@@ -129,7 +186,17 @@ def _read_cells(reader, path, key_column, wanted):
         )
     # A header name given twice reads its last column, as csv.DictReader does.
     index = {name: i for i, name in enumerate(header)}
-    at = [index[key_column], *(index[c] for c in wanted)]
+    return [index[key_column], *(index[c] for c in wanted)]
+
+
+def _read_cells(reader, path, key_column, wanted):
+    """The key, each wanted column and the line number of every complete row.
+
+    Cells are kept as one flat list of strings per column: a list per row
+    would leave one tracked container per row for the cyclic garbage
+    collector to walk again and again.
+    """
+    at = _column_indices(next(reader, None), path, key_column, wanted)
     width = max(at) + 1
     cols = [[] for _ in at]
     lines = []

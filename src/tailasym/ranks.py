@@ -26,17 +26,21 @@ def _as_checked_array(values, name):
     return arr
 
 
-def _tied_pair(arr, order=None):
+def _tied_pair(arr, ordered=None):
     """Original indices of one tied pair, or None if all values are distinct.
 
-    order, when given, is the stable ascending argsort of arr.
+    ordered, when given, is arr sorted in either direction, in any order
+    among equal values; by default np.sort gives it.  Only once a tie is
+    found does a stable argsort name the pair: the two lowest indices holding
+    the smallest tied value.
     """
-    if order is None:
-        order = np.argsort(arr, kind="stable")
+    if ordered is None:
+        ordered = np.sort(arr)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return None
+    order = np.argsort(arr, kind="stable")
     ascending = arr[order]
     eq = np.flatnonzero(ascending[1:] == ascending[:-1])
-    if eq.size == 0:
-        return None
     return int(order[eq[0]]), int(order[eq[0] + 1])
 
 
@@ -123,10 +127,11 @@ def reverse_ranks(values):
     arr = _as_checked_array(values, "values")
     if arr.size == 0:
         raise InvalidN("cannot rank an empty sequence")
-    t = _tied_pair(arr)
+    # On tie-free values every sort gives the one ascending permutation.
+    order = np.argsort(arr)
+    t = _tied_pair(arr, arr[order])
     if t is not None:
         raise TiesPresent(f"values has equal entries at indices {t[0]} and {t[1]}")
-    order = np.argsort(arr, kind="stable")
     out = np.empty(arr.size, dtype=np.int64)
     out[order] = np.arange(arr.size, 0, -1, dtype=np.int64)
     return out
@@ -163,16 +168,22 @@ def concomitant_ranks(sample: PairedSample) -> ConcomitantRanks:
 
     Also returns the two sorts they come from and the inverse permutation,
     so one call gives every rank-derived array the estimators and the
-    bootstrap need for this orientation.
+    bootstrap need for this orientation.  Raises TiesPresent if either
+    series holds two equal values.
     """
     n = sample.n
-    value_order = np.argsort(sample.x, kind="stable").astype(np.int64, copy=False)
-    t = _tied_pair(sample.x, value_order)
+    # Both series must be tie-free, and then every sort gives the one
+    # permutation a stable sort would; a tie raises whatever the order.
+    value_order = np.argsort(sample.x).astype(np.int64, copy=False)
+    t = _tied_pair(sample.x, sample.x[value_order])
     if t is not None:
         raise TiesPresent(f"x has equal values at indices {t[0]} and {t[1]}")
+    y_order = np.argsort(-sample.y).astype(np.int64, copy=False)
+    t = _tied_pair(sample.y, sample.y[y_order])
+    if t is not None:
+        raise TiesPresent(f"y has equal values at indices {t[0]} and {t[1]}")
     reverse = np.empty(n, dtype=np.int64)
     reverse[value_order] = np.arange(n, 0, -1, dtype=np.int64)
-    y_order = np.argsort(-sample.y, kind="stable").astype(np.int64, copy=False)
     rho = reverse[y_order]
     # Invert rho in the buffer it was gathered from: rho - 1 is a permutation,
     # so every entry is overwritten.  Shifting rho in place saves a temporary.

@@ -188,6 +188,33 @@ def test_misbehaving_schemes_are_rejected():
     assert np.all(w == np.finfo(np.float64).tiny)
 
 
+@pytest.mark.parametrize(
+    "draws, error",
+    [
+        ([1.0, np.nan, 2.0], errors.NonFinite),
+        ([1.0, -np.inf, 2.0], errors.NonFinite),
+        ([1.0, 2.0, np.inf], errors.NonFinite),
+        ([-1.0, 2.0, np.nan], errors.NonFinite),  # non-finite is checked first
+        ([1.0, -0.5, 2.0], errors.DomainError),
+        ([0.0, -0.5, 2.0], errors.DomainError),  # a zero beside it does not help
+    ],
+)
+def test_scheme_draws_are_checked_in_order(draws, error):
+    scheme = bt.MultiplierScheme("fixed", lambda rng, n: np.array(draws))
+    with pytest.raises(error) as exc:
+        bt.draw_multipliers(scheme, 3, 0)
+    assert type(exc.value) is error
+    kind = "non-finite" if error is errors.NonFinite else "negative"
+    assert str(exc.value) == f"multiplier scheme 'fixed' produced {kind} draws"
+
+
+def test_scheme_zeros_of_either_sign_alone_are_nudged():
+    tiny = np.finfo(np.float64).tiny
+    scheme = bt.MultiplierScheme("zeros", lambda rng, n: np.array([0.0, 2.0, -0.0, 1.0]))
+    w = bt.draw_multipliers(scheme, 4, 0)
+    assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
+
+
 def test_alternative_scheme_is_used():
     rng = np.random.default_rng(11)
     s = _random_sample(rng, 60)

@@ -198,6 +198,26 @@ def test_analyze_oversized_field_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_reads_a_header_behind_a_utf8_byte_order_mark(tmp_path):
+    data = _simulate(tmp_path, n=200, seed=7)
+    text = data.read_text(encoding="utf-8")
+    quoted = tmp_path / "quoted.csv"  # quotes make load_csv use its exact reader
+    quoted.write_text(text.replace("\n", ',"q"\n'), encoding="utf-8")
+    reports = []
+    for src in (data, quoted):
+        bom = tmp_path / f"bom_{src.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        for path in (src, bom):
+            out = tmp_path / f"{path.stem}.report.csv"
+            code = run_cli(
+                "analyze", str(path), "--x-col", "x", "--y-col", "y", "--key-col", "t",
+                "--skip-tests", "--format", "csv", "--out", str(out),
+            )
+            assert code == 0
+            reports.append(out.read_bytes())
+    assert len(set(reports)) == 1
+
+
 # --- acf -------------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tailasym import _kernels, errors
+from tailasym import _kernels, errors, pipeline
 from tailasym.pipeline import (
     CSV_COLUMNS,
     AnalysisConfig,
@@ -192,6 +192,31 @@ def test_load_csv_sorts_integer_keys_beyond_int64_numerically(tmp_path):
     t = load_csv(p, "k", ["v"])
     assert t.keys == ("-5", "10", "9223372036854775808", "18446744073709551617")
     assert np.array_equal(t.columns["v"], [3.0, 4.0, 2.0, 1.0])
+
+
+def test_load_csv_rejects_an_oversized_field_in_any_column(tmp_path):
+    # csv.reader's field size limit holds for cells that are never parsed
+    # and for numbers that would parse to a finite value
+    long_text = _write(tmp_path, "long_text.csv", f"k,v,w\n1,2,{'a' * 131_073}\n")
+    long_zero = _write(tmp_path, "long_zero.csv", f"k,v\n1,0.{'0' * 131_073}1\n")
+    for p in (long_text, long_zero):
+        with pytest.raises(errors.UnparsableValue, match="line 2: field larger than field limit"):
+            load_csv(p, "k", ["v"])
+
+
+def test_load_csv_reads_plain_files_without_the_exact_reader(tmp_path, monkeypatch):
+    plain = _write(tmp_path, "plain.csv", "k,v,w\n3,1.5,x\n1,-2e-3,y\n 2 ,7,z,extra\n\n")
+    quoted = _write(tmp_path, "quoted.csv", 'k,v\n"3",1.5\n')
+
+    def exact(*args):
+        raise AssertionError("the exact reader ran")
+
+    monkeypatch.setattr(pipeline, "_read_exact", exact)
+    t = load_csv(plain, "k", ["v"])
+    assert t.keys == ("1", " 2 ", "3")
+    assert np.array_equal(t.columns["v"], [-2e-3, 7.0, 1.5])
+    with pytest.raises(AssertionError, match="the exact reader ran"):
+        load_csv(quoted, "k", ["v"])
 
 
 # --- series preparation ----------------------------------------------------------

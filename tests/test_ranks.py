@@ -62,6 +62,29 @@ def test_concomitant_ranks_y_order_indices():
     assert cr.n == 4
 
 
+def test_concomitant_ranks_reject_ties_in_either_series():
+    # hand-built samples skip make_sample's checks; any tie must still raise,
+    # naming the pair a stable sort finds first
+    tied_y = ranks.PairedSample(x=np.array([1.0, 2.0, 3.0, 4.0]), y=np.array([6.0, 5.0, 7.0, 5.0]))
+    with pytest.raises(errors.TiesPresent, match="y has equal values at indices 1 and 3"):
+        ranks.concomitant_ranks(tied_y)
+    tied_x = ranks.PairedSample(x=np.array([3.0, 1.0, 3.0, 1.0]), y=np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(errors.TiesPresent, match="x has equal values at indices 1 and 3"):
+        ranks.concomitant_ranks(tied_x)
+
+
+def test_signed_zeros_are_a_tie():
+    with pytest.raises(errors.TiesPresent, match="x has equal values at indices 0 and 2"):
+        ranks.make_sample([0.0, 1.0, -0.0], [1.0, 2.0, 3.0])
+    with pytest.raises(errors.TiesPresent, match="y has equal values at indices 1 and 2"):
+        ranks.make_sample([1.0, 2.0, 3.0], [5.0, -0.0, 0.0])
+    with pytest.raises(errors.TiesPresent, match="indices 0 and 1"):
+        ranks.reverse_ranks([-0.0, 0.0, 1.0])
+    zeros = ranks.PairedSample(x=np.array([1.0, 2.0, 3.0]), y=np.array([0.0, 1.0, -0.0]))
+    with pytest.raises(errors.TiesPresent, match="y has equal values at indices 0 and 2"):
+        ranks.concomitant_ranks(zeros)
+
+
 def test_negating_x_reverses_ranks():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(40)
