@@ -17,7 +17,8 @@ therefore see identical weights -- in particular the eta and delta tests are
 coupled.  Results repeat bit for bit from run to run with the same BLAS build
 and thread count, not across them: the weighted kernel reduces each tail size
 with np.dot, whose summation order follows the BLAS threads (ROADMAP Open
-item 1).
+item 1).  The ``_kernels`` module docstring states that summation contract
+and why evaluating the whole grid at once leaves it unchanged.
 
 Each evaluation only touches the top of the two orders.  The element at
 position i of the conditioning order (by decreasing conditioning value) can
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernels
 from .errors import DomainError, InvalidB, LengthMismatch, NonFinite, TiesPresent
@@ -398,4 +398,7 @@ def normal_quantile(p) -> float:
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie strictly between 0 and 1, got {p!r}")
+    # Imported on first use, so that importing tailasym does not load scipy.
+    from scipy.special import ndtri
+
     return 0.0 - float(ndtri(p))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InvalidModelSpec, InvalidN, QuadratureFailure
 from .estimators import Direction, _coerce_direction
@@ -307,6 +306,10 @@ class PopulationValues:
 
 
 def _eta_by_quadrature(model, direction, tol):
+    # Imported on first use: loading scipy.integrate takes longer than
+    # importing the rest of tailasym.
+    from scipy import integrate
+
     if direction is Direction.X_GIVEN_Y:
         slice_fn = lambda u: float(model.tail_copula(u, 1.0))  # noqa: E731
     else:

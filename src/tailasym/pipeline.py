@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Optional
 
 import numpy as np
@@ -80,16 +81,21 @@ def _sorted_table(path, wanted, keys, values):
         sort_keys = list(map(int, keys))
     except ValueError:
         sort_keys = keys
-    order = sorted(range(n), key=sort_keys.__getitem__)
+    if all(map(operator.le, sort_keys, islice(sort_keys, 1, None))):
+        # Already in order, as tailasym simulate writes its files: the stable
+        # sort would leave every row in place.  The copies are contiguous
+        # even where the reader's columns are strided views.
+        keys = tuple(keys)
+        values = [np.array(col) for col in values]
+    else:
+        order = sorted(range(n), key=sort_keys.__getitem__)
+        keys = tuple(map(keys.__getitem__, order))
+        order = np.fromiter(order, np.intp, n)
+        values = [col[order] for col in values]
 
-    columns = {}
-    for name, col in zip(wanted, values):
-        col = col[order]
+    for col in values:
         col.flags.writeable = False
-        columns[name] = col
-    return SeriesTable(
-        keys=tuple(map(keys.__getitem__, order)), columns=columns, source=str(path)
-    )
+    return SeriesTable(keys=keys, columns=dict(zip(wanted, values)), source=str(path))
 
 
 def _read_plain(path, key_column, wanted):

@@ -218,6 +218,29 @@ def test_analyze_reads_a_header_behind_a_utf8_byte_order_mark(tmp_path):
     assert len(set(reports)) == 1
 
 
+def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path):
+    # scipy serves only the bootstrap's normal quantile and the population
+    # quadrature, and loading it takes longer than the rest of the package
+    data, out = tmp_path / "sim.csv", tmp_path / "report.csv"
+    script = (
+        "import sys\n"
+        "import tailasym\n"
+        "from tailasym import cli\n"
+        "assert 'scipy' not in sys.modules, 'import tailasym'\n"
+        "assert cli.main(['simulate', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
+        f"                 '--n', '300', '--out', {str(data)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'simulate'\n"
+        f"assert cli.main(['analyze', {str(data)!r}, '--x-col', 'x', '--y-col', 'y',\n"
+        f"                 '--key-col', 't', '--skip-tests', '--out', {str(out)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'analyze --skip-tests'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8").startswith("{")
+
+
 # --- acf -------------------------------------------------------------------------
 
 

@@ -1,11 +1,21 @@
-"""Exactness of the integer kernel, checked against closed-form oracles.
+"""The two kernels against their oracles.
 
 The integer kernel is exact integer arithmetic: it must give zero where no
 rank contributes, the closed-form sum (k - 1)(2k^2 + 5k - 6)/6 at full
 concordance, and stay exact past the int64 range.
+
+The weighted kernel evaluates a whole chunk of the grid at once, and must
+give bit for bit what the literal loop over k, ``per_k_weighted_sums``
+below, gives: same terms, same running sums and the same ``np.dot`` call
+per k.  These tests are derandomized; CI runs
+them a second time with two BLAS threads, where ``np.dot`` splits every sum
+of more than 10,000 terms between the threads.
 """
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailasym import _kernels
 from tailasym.estimators import eta_upper_bound
@@ -47,3 +57,99 @@ def test_integer_kernel_exact_just_above_the_int64_bound():
     got = _kernels.eta_grid_sums(pos, ks)
     assert [int(v) for v in got] == want
     assert 3 * int(got[1]) / k**3 == eta_upper_bound(k)
+
+
+# --- weighted kernel -----------------------------------------------------------
+
+
+def per_k_weighted_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+    """The weighted kernel as a loop over k: one prefix, one mask, one dot each."""
+    out = np.empty(len(ks), dtype=np.float64)
+    for t, k in enumerate(ks):
+        kf = float(k)
+        hi = int(np.searchsorted(rx_sorted, kf, side="left"))
+        keep = ypos_sorted[:hi] < taus[t]
+        rx = rx_sorted[:hi][keep]
+        w = w_sorted[:hi][keep]
+        cw = np.cumsum(w)
+        out[t] = float(np.dot((kf - rx) * w, 2.0 * cw - w))
+    return out
+
+
+def _weighted_inputs(size, finite, m, seed, halves=False):
+    """Kernel arguments: size elements, the first finite ranks below k_max + 1.
+
+    The grid is m strictly increasing tail sizes from 1 to size + 2, cutoffs
+    are nondecreasing in 0..size, ranks past finite read +inf, and with
+    halves the ranks are multiples of 0.5, so that some equal a k.
+    """
+    rng = np.random.default_rng(seed)
+    ks = np.sort(rng.choice(np.arange(1, size + 3), min(m, size + 2), replace=False))
+    rx = rng.uniform(0.0, ks[-1] + 1.0, size)
+    if halves:
+        rx = np.round(2.0 * rx) / 2.0
+    rx = np.sort(rx)
+    rx[finite:] = np.inf
+    ypos = rng.permutation(size).astype(np.int64)
+    w = rng.exponential(size=size)
+    taus = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
+    return rx, ypos, w, taus, ks.astype(np.int64)
+
+
+def _check_weighted(args, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", block)
+        got = _kernels.weighted_eta_grid_sums(*args)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, per_k_weighted_sums(*args))
+    rx, _, _, taus, ks = args
+    # nothing kept at k: no cutoff, or no rank below k
+    empty = (taus == 0) | (np.searchsorted(rx, ks.astype(np.float64)) == 0)
+    assert np.all(got[empty] == 0.0)
+    return got
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    size=st.integers(0, 300),
+    finite=st.integers(0, 300),
+    m=st.sampled_from([1, 2]) | st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    halves=st.booleans(),
+    block=st.sampled_from([1, 5, 64, 700, _kernels._BLOCK]),
+)
+@example(size=0, finite=0, m=1, seed=0, halves=False, block=1)
+@example(size=20, finite=20, m=1, seed=1, halves=False, block=_kernels._BLOCK)
+def test_weighted_kernel_is_the_per_k_loop_bit_for_bit(size, finite, m, seed, halves, block):
+    _check_weighted(_weighted_inputs(size, min(finite, size), m, seed, halves), block)
+
+
+def test_weighted_kernel_rows_with_nothing_kept_are_zero():
+    rx = np.array([0.5, 1.5, 2.5, np.inf])
+    ypos = np.array([3, 0, 1, 2], dtype=np.int64)
+    w = np.array([1.0, 0.75, 1.25, 2.0])
+    ks = np.array([1, 2, 3, 4], dtype=np.int64)
+    # k = 1: only ypos 3 ranks below 1, and tau = 3 excludes it; k = 2: tau = 0
+    taus = np.array([3, 0, 2, 4], dtype=np.int64)
+    got = _check_weighted((rx, ypos, w, taus, ks), 2)
+    assert got[0] == 0.0 and got[1] == 0.0 and got[2] > 0.0
+    no_rank = _check_weighted((rx + 5.0, ypos, w, taus, ks), _kernels._BLOCK)
+    assert np.all(no_rank == 0.0)
+
+
+def test_weighted_kernel_matches_past_the_threaded_dot_length():
+    # more than 10,000 kept terms at the larger tail sizes: the length above
+    # which a threaded OpenBLAS ddot splits the sum between threads
+    rng = np.random.default_rng(7)
+    size = 30_000
+    rx = np.sort(rng.uniform(0.0, 26_000.0, size))
+    rx[25_000:] = np.inf
+    ypos = rng.permutation(size).astype(np.int64)
+    w = rng.exponential(size=size)
+    ks = np.array([100, 9_000, 15_000, 20_000, 25_000], dtype=np.int64)
+    taus = np.array([150, 12_000, 20_000, 28_000, 30_000], dtype=np.int64)
+    hi = np.searchsorted(rx, ks.astype(np.float64))
+    kept = [int(np.count_nonzero(ypos[:h] < tau)) for h, tau in zip(hi, taus)]
+    assert max(kept) > 10_000
+    for block in (1, 3 * 25_000, _kernels._BLOCK):
+        _check_weighted((rx, ypos, w, taus, ks), block)

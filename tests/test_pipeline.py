@@ -73,6 +73,28 @@ def test_load_csv_keeps_duplicate_keys_in_input_order(tmp_path):
     assert np.array_equal(t.columns["v"], [2.0, 1.0, 3.0])
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "exact"])
+def test_load_csv_key_order_cases(tmp_path, quote):
+    # (file keys, keys as loaded, v as loaded); quoted keys go through the
+    # exact reader, plain ones through the fast one
+    cases = [
+        (["1", "2", "10", "11"], ("1", "2", "10", "11"), [0, 1, 2, 3]),  # in order
+        (["11", "10", "2", "1"], ("1", "2", "10", "11"), [3, 2, 1, 0]),  # reversed
+        (["2", "02", "1", "2"], ("1", "2", "02", "2"), [2, 0, 1, 3]),  # equal keys
+        (["1", "1", "+1", "2"], ("1", "1", "+1", "2"), [0, 1, 2, 3]),  # equal, in order
+        (["b", "a10", "a9", "a10"], ("a10", "a10", "a9", "b"), [1, 3, 2, 0]),  # text
+        (["a", "a", "b", "c"], ("a", "a", "b", "c"), [0, 1, 2, 3]),  # text, in order
+    ]
+    for i, (keys, want_keys, want_v) in enumerate(cases):
+        rows = "".join(f"{quote}{k}{quote},{v}\n" for v, k in enumerate(keys))
+        p = _write(tmp_path, f"keys{i}.csv", "k,v\n" + rows)
+        t = load_csv(p, "k", ["v"])
+        assert t.keys == want_keys
+        v = t.columns["v"]
+        assert np.array_equal(v, want_v)
+        assert v.flags.c_contiguous and not v.flags.writeable
+
+
 def test_load_csv_unparsable_cell_reports_line_and_column(tmp_path):
     p = _write(tmp_path, "bad.csv", "k,v,w\n1,2.0,3\n2,oops,4\n")
     with pytest.raises(errors.UnparsableValue) as exc:
