@@ -1,24 +1,27 @@
 """Multiplier bootstrap tests and confidence intervals for the tail statistics.
 
-Each replicate perturbs every observation with an iid positive multiplier and
-recomputes the statistic with weighted ranks throughout: weighted reverse
-ranks, a weighted cutoff in place of the literal top k, and multiplier
-products in the double sum.  Centered replicate deviations emulate the
-sampling fluctuation of the statistic itself, which yields p-values for
-"eta = 0" (one-sided) and "delta = 0" (two-sided) without any variance
-formula, plus normal-style confidence intervals from the replicate spread.
+Each replicate perturbs every observation with an i.i.d. unit exponential
+multiplier (mean 1, variance 1) and recomputes the statistic with weighted
+ranks throughout: weighted reverse ranks, a weighted cutoff in place of the
+literal top k, and multiplier products in the double sum.  Centered replicate
+deviations emulate the sampling fluctuation of the statistic itself, which
+yields p-values for "eta = 0" (one-sided) and "delta = 0" (two-sided) without
+any variance formula, plus normal-style confidence intervals from the
+replicate spread.
 
-One engine serves every test.  Replicate b draws its multipliers once, from a
-stream derived from (seed, b), and evaluates every direction the caller asks
-for on that one batch.  test_pair runs both eta tests and the delta test from
-a single pass; test_eta_zero and test_delta_zero are the same engine asked
-for one or both directions.  Tests that share a seed and replicate count
-therefore see identical weights -- in particular the eta and delta tests are
-coupled.  Results repeat bit for bit from run to run with the same BLAS build
-and thread count, not across them: the weighted kernel reduces each tail size
-with np.dot, whose summation order follows the BLAS threads (ROADMAP Open
-item 1).  The ``_kernels`` module docstring states that summation contract
-and why evaluating the whole grid at once leaves it unchanged.
+One engine serves every test.  Replicate b draws its multipliers once, as
+standard_exponential(n) from Philox((seed, (0, b))) -- the generator of the
+SeedSequence with entropy seed and spawn key (0, b) -- and evaluates every
+direction the caller asks for on that one batch.  test_pair runs both eta
+tests and the delta test from a single pass; test_eta_zero and
+test_delta_zero are the same engine asked for one or both directions.  Tests
+that share a seed and replicate count therefore see identical weights -- in
+particular the eta and delta tests are coupled.  Results repeat bit for bit
+from run to run with the same BLAS build and thread count, not across them:
+the weighted kernel reduces each tail size with np.dot, whose summation order
+follows the BLAS threads (ROADMAP Open item 1).  The ``_kernels`` module
+docstring states that summation contract and why evaluating the whole grid at
+once leaves it unchanged.
 
 Each evaluation only touches the top of the two orders.  The element at
 position i of the conditioning order (by decreasing conditioning value) can
@@ -49,12 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InvalidB, LengthMismatch, NonFinite, TiesPresent
+from .errors import DomainError, InvalidB, LengthMismatch, NonFinite
 from .estimators import (
     Direction,
     _check_k,
@@ -65,50 +68,13 @@ from .estimators import (
 )
 
 
-@dataclass(frozen=True)
-class MultiplierScheme:
-    """A named distribution of positive iid bootstrap multipliers."""
-
-    name: str
-    draw: Callable
-
-
-def unit_exponential_scheme() -> MultiplierScheme:
-    """Standard exponential multipliers (mean 1, variance 1) -- the default."""
-    return MultiplierScheme(
-        name="unit_exponential", draw=lambda rng, n: rng.standard_exponential(n)
-    )
-
-
-def draw_multipliers(scheme: MultiplierScheme, n, seed) -> np.ndarray:
-    """One batch of n multipliers from the scheme, seeded and reproducible."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"need n >= 1 multipliers, got {n!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    return _checked_draw(scheme, rng, int(n))
-
-
-def _replicate_rng(seed, b):
+def _draw(seed, b, n):
+    """Replicate b's n multipliers: unit exponentials from Philox((seed, (0, b)))."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def _checked_draw(scheme, rng, n):
-    w = np.asarray(scheme.draw(rng, n), dtype=np.float64)
-    if w.shape != (n,):
-        raise DomainError(
-            f"multiplier scheme {scheme.name!r} returned shape {w.shape}, wanted ({n},)"
-        )
-    # Two reductions decide every check: min and max are NaN if any draw is.
-    lo, hi = w.min(), w.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise NonFinite(f"multiplier scheme {scheme.name!r} produced non-finite draws")
-    if lo < 0.0:
-        raise DomainError(f"multiplier scheme {scheme.name!r} produced negative draws")
-    if lo == 0.0:
-        # An exact floating-point zero is astronomically unlikely but would
-        # break the positivity contract, so nudge it to the smallest normal.
-        w[w == 0.0] = np.finfo(np.float64).tiny
+    w = np.random.Generator(np.random.Philox(seq)).standard_exponential(n)
+    # The ziggurat sampler can return an exact 0.0, which would break the
+    # positivity of the weights, so nudge it to the smallest normal.
+    w[w == 0.0] = np.finfo(np.float64).tiny
     return w
 
 
@@ -121,30 +87,6 @@ def _checked_weights(weights, n):
     if np.any(w <= 0.0):
         raise DomainError("multiplier weights must be strictly positive")
     return w
-
-
-def weighted_reverse_rank(values, weights) -> np.ndarray:
-    """Weight-smoothed reverse ranks: entry i sums normalized weights of values > values[i].
-
-    With equal weights this is exactly reverse_ranks(values) - 1.  Values must
-    be tie-free; weights strictly positive (they are normalized to mean one
-    internally).
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DomainError("values must be a nonempty one-dimensional array")
-    if np.any(~np.isfinite(v)):
-        raise NonFinite("values must be finite")
-    w = _checked_weights(weights, v.size)
-    wo = w / w.mean()
-    order = np.argsort(v)
-    if np.any(v[order][1:] == v[order][:-1]):
-        raise TiesPresent("values contain ties")
-    ws = wo[order]
-    greater = np.cumsum(ws[::-1])[::-1] - ws
-    out = np.empty(v.size, dtype=np.float64)
-    out[order] = greater
-    return out
 
 
 def _prefix_weights(order, w, mean, bound):
@@ -249,19 +191,18 @@ def _check_alpha(alpha):
 _BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
 
 
-def _replicate_matrices(ranks, n, ks, B, scheme, seed):
+def _replicate_matrices(ranks, n, ks, B, seed):
     """(B, grid) replicate values for each direction in ranks, one draw per replicate."""
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
     for b in range(1, B + 1):
-        rng = _replicate_rng(seed, b)
-        w = _checked_draw(scheme, rng, n)
+        w = _draw(seed, b, n)
         mean = w.mean()
         for d, r in ranks.items():
             out[d][b - 1, :] = _weighted_values(r, w, mean, ks)
     return out
 
 
-def _engine(sample, kgrid, B, alpha, seed, scheme, directions):
+def _engine(sample, kgrid, B, alpha, seed, directions):
     """The one replicate pass behind every test.
 
     Validates the arguments and ranks each requested direction once, then
@@ -271,10 +212,9 @@ def _engine(sample, kgrid, B, alpha, seed, scheme, directions):
     ks = _check_kgrid(kgrid, sample.n)
     B = _check_B(B)
     alpha = _check_alpha(alpha)
-    scheme = scheme if scheme is not None else unit_exponential_scheme()
     ranks = {d: _oriented_ranks(sample, d) for d in directions}
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
-    boot = _replicate_matrices(ranks, sample.n, ks, B, scheme, seed)
+    boot = _replicate_matrices(ranks, sample.n, ks, B, seed)
     return ks, B, alpha, plain, boot
 
 
@@ -324,7 +264,6 @@ def test_eta_zero(
     alpha=0.05,
     seed=0,
     direction=Direction.X_GIVEN_Y,
-    scheme=None,
 ):
     """One-sided multiplier test of 'no extreme-tail association' over a k-grid.
 
@@ -334,13 +273,11 @@ def test_eta_zero(
     Returns one TestResult per k, in grid order.
     """
     direction = _coerce_direction(direction)
-    ks, B, alpha, plain, boot = _engine(
-        sample, kgrid, B, alpha, seed, scheme, (direction,)
-    )
+    ks, B, alpha, plain, boot = _engine(sample, kgrid, B, alpha, seed, (direction,))
     return _assemble(plain[direction], boot[direction], ks, B, alpha, two_sided=False)
 
 
-def test_delta_zero(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None):
+def test_delta_zero(sample, kgrid, B=100, alpha=0.05, seed=0):
     """Two-sided multiplier test of 'both tails equally dependent' over a k-grid.
 
     Each replicate uses one shared multiplier batch for both directions, so
@@ -348,7 +285,7 @@ def test_delta_zero(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None):
     p-value at k is the fraction of replicates with |centered delta| above the
     observed |delta|.
     """
-    return _delta_results(*_engine(sample, kgrid, B, alpha, seed, scheme, _BOTH))
+    return _delta_results(*_engine(sample, kgrid, B, alpha, seed, _BOTH))
 
 
 class PairTests(NamedTuple):
@@ -359,14 +296,14 @@ class PairTests(NamedTuple):
     delta: list
 
 
-def test_pair(sample, kgrid, B=100, alpha=0.05, seed=0, scheme=None) -> PairTests:
+def test_pair(sample, kgrid, B=100, alpha=0.05, seed=0) -> PairTests:
     """test_eta_zero in both directions and test_delta_zero from one replicate pass.
 
     Each result list equals what the single test returns for the same
     arguments, at the cost of one multiplier draw and two weighted
     evaluations per replicate.
     """
-    ks, B, alpha, plain, boot = _engine(sample, kgrid, B, alpha, seed, scheme, _BOTH)
+    ks, B, alpha, plain, boot = _engine(sample, kgrid, B, alpha, seed, _BOTH)
     xy, yx = _BOTH
     return PairTests(
         eta_xy=_assemble(plain[xy], boot[xy], ks, B, alpha, two_sided=False),

@@ -68,22 +68,3 @@ class InvalidModelSpec(TailAsymError):
 
 class QuadratureFailure(TailAsymError):
     """Numerical integration did not converge to the requested tolerance."""
-
-
-#: Errors that indicate bad input rather than a numerical breakdown.
-INPUT_ERRORS = (
-    LengthMismatch,
-    NonFinite,
-    TiesPresent,
-    KOutOfRange,
-    DomainError,
-    InvalidN,
-    InvalidB,
-    SeriesTooShort,
-    IoError,
-    MissingColumn,
-    UnparsableValue,
-    EmptyIntersection,
-    NonPositivePrice,
-    InvalidModelSpec,
-)

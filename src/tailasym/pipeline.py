@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress, islice
 from typing import Optional
 
@@ -280,7 +280,11 @@ def acf(values, max_lag) -> AcfSummary:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"values must be one-dimensional, got shape {v.shape}")
-    if not (isinstance(max_lag, (int, np.integer)) and max_lag >= 1):
+    if (
+        isinstance(max_lag, bool)
+        or not isinstance(max_lag, (int, np.integer))
+        or max_lag < 1
+    ):
         raise DomainError(f"max_lag must be an integer >= 1, got {max_lag!r}")
     max_lag = int(max_lag)
     n = v.size
@@ -356,8 +360,7 @@ class AnalysisConfig:
                     " at least one observation out"
                 )
             return list(range(k_min, k_max + 1, k_step))
-        grid = default_kgrid(n)
-        return [k for k in grid if k <= n - 1]
+        return default_kgrid(n)
 
 
 def _echo_config(config, kgrid):
@@ -434,13 +437,7 @@ def _round_floats(obj):
 
 
 def _verdict_dict(results, threshold):
-    verdict = summarize_rejection(results, threshold)
-    return {
-        "fraction_below_alpha": verdict.fraction_below_alpha,
-        "reject": verdict.reject,
-        "threshold": verdict.threshold,
-        "n_k": verdict.n_k,
-    }
+    return asdict(summarize_rejection(results, threshold))
 
 
 def run_pair_analysis(table, col_x, col_y, config) -> Report:
@@ -469,10 +466,6 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     acf_summary = _acf_block({col_x: x, col_y: y}, config)
     sample = make_sample(x, y, tie_policy=config.tie_policy, seed=config.seed)
     kgrid = config.materialize_kgrid(sample.n)
-    if not kgrid:
-        raise SeriesTooShort(
-            f"no usable tail sizes for a sample of {sample.n} observations"
-        )
 
     if config.skip_tests:
         tests = None

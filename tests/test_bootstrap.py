@@ -18,7 +18,7 @@ from tailasym import _kernels
 from tailasym import bootstrap as bt
 from tailasym import errors
 from tailasym.estimators import Direction, _oriented_ranks, delta_kn, eta_kn
-from tailasym.ranks import make_sample, reverse_ranks
+from tailasym.ranks import make_sample
 
 
 def _random_sample(rng, n):
@@ -53,46 +53,6 @@ def naive_weighted_eta(x, y, w, k):
             if m < k:
                 s += wo[i] * wo[j] * (k - m)
     return 3.0 * s / k**3
-
-
-# --- weighted reverse ranks ---------------------------------------------------
-
-
-def test_weighted_reverse_rank_equals_plain_ranks_under_equal_weights():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 40):
-        v = rng.standard_normal(n)
-        got = bt.weighted_reverse_rank(v, np.ones(n))
-        assert np.array_equal(got, reverse_ranks(v).astype(float) - 1.0)
-
-
-def test_weighted_reverse_rank_pairwise_definition():
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        n = int(rng.integers(2, 30))
-        v = rng.standard_normal(n)
-        w = rng.standard_exponential(n) + 0.05
-        wo = w / w.mean()
-        want = np.array([wo[v > vi].sum() for vi in v])
-        got = bt.weighted_reverse_rank(v, w)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_weighted_reverse_rank_rejects_bad_input():
-    with pytest.raises(errors.TiesPresent):
-        bt.weighted_reverse_rank([1.0, 2.0, 1.0], np.ones(3))
-    with pytest.raises(errors.NonFinite):
-        bt.weighted_reverse_rank([1.0, np.nan], np.ones(2))
-    with pytest.raises(errors.DomainError):
-        bt.weighted_reverse_rank([], np.ones(0))
-    with pytest.raises(errors.LengthMismatch):
-        bt.weighted_reverse_rank([1.0, 2.0], np.ones(3))
-    with pytest.raises(errors.DomainError):
-        bt.weighted_reverse_rank([1.0, 2.0], [1.0, 0.0])
-    with pytest.raises(errors.DomainError):
-        bt.weighted_reverse_rank([1.0, 2.0], [1.0, -0.5])
-    with pytest.raises(errors.NonFinite):
-        bt.weighted_reverse_rank([1.0, 2.0], [1.0, np.inf])
 
 
 # --- single replicates vs the brute-force oracle --------------------------------
@@ -153,81 +113,22 @@ def test_bootstrap_eta_validates_like_the_plain_estimator():
         bt.bootstrap_eta(s, 5, w, direction="sideways")
 
 
-# --- multiplier schemes ---------------------------------------------------------
+# --- multiplier draws -----------------------------------------------------------
 
 
-def test_draw_multipliers_is_deterministic_and_positive():
-    scheme = bt.unit_exponential_scheme()
-    assert scheme.name == "unit_exponential"
-    a = bt.draw_multipliers(scheme, 1000, 123)
-    b = bt.draw_multipliers(scheme, 1000, 123)
-    c = bt.draw_multipliers(scheme, 1000, 124)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert np.all(a > 0)
-    assert a.mean() == pytest.approx(1.0, abs=0.1)
-    with pytest.raises(errors.DomainError):
-        bt.draw_multipliers(scheme, 0, 1)
-    with pytest.raises(errors.DomainError):
-        bt.draw_multipliers(scheme, True, 1)
-
-
-def test_misbehaving_schemes_are_rejected():
-    bad_negative = bt.MultiplierScheme("neg", lambda rng, n: -np.ones(n))
-    bad_nan = bt.MultiplierScheme("nan", lambda rng, n: np.full(n, np.nan))
-    bad_shape = bt.MultiplierScheme("shape", lambda rng, n: np.ones((n, 1)))
-    with pytest.raises(errors.DomainError):
-        bt.draw_multipliers(bad_negative, 4, 0)
-    with pytest.raises(errors.NonFinite):
-        bt.draw_multipliers(bad_nan, 4, 0)
-    with pytest.raises(errors.DomainError):
-        bt.draw_multipliers(bad_shape, 4, 0)
-    # exact zeros are nudged to the smallest positive normal, not rejected
-    zeroy = bt.MultiplierScheme("zero", lambda rng, n: np.zeros(n))
-    w = bt.draw_multipliers(zeroy, 3, 0)
-    assert np.all(w == np.finfo(np.float64).tiny)
-
-
-@pytest.mark.parametrize(
-    "draws, error",
-    [
-        ([1.0, np.nan, 2.0], errors.NonFinite),
-        ([1.0, -np.inf, 2.0], errors.NonFinite),
-        ([1.0, 2.0, np.inf], errors.NonFinite),
-        ([-1.0, 2.0, np.nan], errors.NonFinite),  # non-finite is checked first
-        ([1.0, -0.5, 2.0], errors.DomainError),
-        ([0.0, -0.5, 2.0], errors.DomainError),  # a zero beside it does not help
-    ],
-)
-def test_scheme_draws_are_checked_in_order(draws, error):
-    scheme = bt.MultiplierScheme("fixed", lambda rng, n: np.array(draws))
-    with pytest.raises(error) as exc:
-        bt.draw_multipliers(scheme, 3, 0)
-    assert type(exc.value) is error
-    kind = "non-finite" if error is errors.NonFinite else "negative"
-    assert str(exc.value) == f"multiplier scheme 'fixed' produced {kind} draws"
-
-
-def test_scheme_zeros_of_either_sign_alone_are_nudged():
+def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
     tiny = np.finfo(np.float64).tiny
-    scheme = bt.MultiplierScheme("zeros", lambda rng, n: np.array([0.0, 2.0, -0.0, 1.0]))
-    w = bt.draw_multipliers(scheme, 4, 0)
+
+    class Zeros:
+        def __init__(self, bit_generator):
+            pass
+
+        def standard_exponential(self, n):
+            return np.array([0.0, 2.0, -0.0, 1.0])
+
+    monkeypatch.setattr(np.random, "Generator", Zeros)
+    w = bt._draw(0, 1, 4)
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
-
-
-def test_alternative_scheme_is_used():
-    rng = np.random.default_rng(11)
-    s = _random_sample(rng, 60)
-    lognormal = bt.MultiplierScheme(
-        "lognormal", lambda r, n: np.exp(r.standard_normal(n) - 0.5)
-    )
-    res_a = bt.test_eta_zero(s, [6, 9], B=8, seed=3)
-    res_b = bt.test_eta_zero(s, [6, 9], B=8, seed=3, scheme=lognormal)
-    assert [r.statistic for r in res_a] == [r.statistic for r in res_b]
-    assert any(
-        ra.boot_sd != rb.boot_sd or ra.p_value != rb.p_value
-        for ra, rb in zip(res_a, res_b)
-    )
 
 
 # --- full tests against a reconstructed replicate loop ---------------------------
@@ -427,7 +328,6 @@ def test_pair_equals_the_three_single_tests():
 
 def test_truncated_engine_equals_full_sort_reference():
     rng = np.random.default_rng(43)
-    scheme = bt.unit_exponential_scheme()
     cases = [(2, [2])] + [(int(n), None) for n in rng.integers(3, 61, size=25)]
     for n, kgrid in cases:
         s = _random_sample(rng, n)
@@ -436,7 +336,7 @@ def test_truncated_engine_equals_full_sort_reference():
         ks = np.asarray(kgrid, dtype=np.int64)
         B, seed = 4, int(rng.integers(0, 1000))
         ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
-        mats = bt._replicate_matrices(ranks, n, ks, B, scheme, seed)
+        mats = bt._replicate_matrices(ranks, n, ks, B, seed)
         for b in range(1, B + 1):
             w = replicate_weights(seed, b, n)
             wo = w / w.mean()
@@ -460,13 +360,12 @@ def _record_prefixes(monkeypatch):
     return seen
 
 
-def _assert_engine_equals_full_sort(s, kgrid, B, seed, scheme):
+def _assert_engine_equals_full_sort(s, kgrid, B, seed):
     ks = np.asarray(kgrid, dtype=np.int64)
     ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
-    mats = bt._replicate_matrices(ranks, s.n, ks, B, scheme, seed)
+    mats = bt._replicate_matrices(ranks, s.n, ks, B, seed)
     for b in range(1, B + 1):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-        w = scheme.draw(np.random.Generator(np.random.Philox(seq)), s.n)
+        w = bt._draw(seed, b, s.n)
         wo = w / w.mean()
         want_xy = full_sort_replicate(s.x, s.y, wo, ks)
         want_yx = full_sort_replicate(s.y, s.x, wo, ks)
@@ -478,9 +377,7 @@ def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
     rng = np.random.default_rng(44)
     s = _random_sample(rng, 5000)
     seen = _record_prefixes(monkeypatch)
-    _assert_engine_equals_full_sort(
-        s, [20, 33, 47, 60], B=6, seed=8, scheme=bt.unit_exponential_scheme()
-    )
+    _assert_engine_equals_full_sort(s, [20, 33, 47, 60], B=6, seed=8)
     assert len(seen) == 2 * 2 * 6  # two prefixes per direction and replicate
     assert max(size for _, size in seen) <= 4 * 2 * 60 < s.n
 
@@ -494,16 +391,16 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
     light[np.argsort(-s.x)[:600]] = True
     light[np.argsort(-s.y)[:600]] = True
 
-    def draw(r, n):
-        w = r.standard_exponential(n)
+    real = bt._draw
+
+    def draw(seed, b, n):
+        w = real(seed, b, n)
         w[light] *= 1e-9
         return w
 
+    monkeypatch.setattr(bt, "_draw", draw)
     seen = _record_prefixes(monkeypatch)
-    kgrid = [5, 12, 30]
-    _assert_engine_equals_full_sort(
-        s, kgrid, B=4, seed=9, scheme=bt.MultiplierScheme("light_top", draw)
-    )
+    _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9)
     # every prefix outgrew its first guess but stopped before n
     assert all(2 * bound < size < s.n for bound, size in seen)
 
@@ -513,9 +410,7 @@ def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
     n = 50
     s = _random_sample(rng, n)
     seen = _record_prefixes(monkeypatch)
-    _assert_engine_equals_full_sort(
-        s, [2, 17, n - 1], B=5, seed=10, scheme=bt.unit_exponential_scheme()
-    )
+    _assert_engine_equals_full_sort(s, [2, 17, n - 1], B=5, seed=10)
     assert seen and all(size == n for _, size in seen)
 
 

@@ -305,8 +305,9 @@ def test_acf_validation():
         acf(np.arange(5.0), 5)
     with pytest.raises(errors.DomainError):
         acf(np.arange(10.0), 0)
-    with pytest.raises(errors.DomainError):
-        acf(np.arange(10.0), 2.5)
+    for bad_lag in (2.5, True):
+        with pytest.raises(errors.DomainError):
+            acf(np.arange(10.0), bad_lag)
     with pytest.raises(errors.DomainError):
         acf(np.ones((4, 4)), 1)
 
@@ -327,6 +328,9 @@ def test_default_kgrid_small_samples():
     assert len(grid) == 20
     assert grid[0] == 125 and grid[-1] == 499  # ceil(n/20) .. floor(n/5)
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    # every tail size leaves at least one observation out
+    for n in range(10, 5001):
+        assert max(default_kgrid(n)) <= n - 1
 
 
 def test_default_kgrid_errors():
