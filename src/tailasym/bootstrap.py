@@ -43,6 +43,23 @@ order a stable sort of all n gives the elements whose rank is below k_max,
 and the kernel drops every other element, so it adds the same terms in the
 same order: the sums are bit-identical to the full computation.
 
+Replicates are drawn and evaluated in stacks: R replicates at a time fill
+the rows of one (R, n) array, each drawn in place from its own stream, and
+each direction makes one kernel call per stack.  R is the largest count,
+and at least 1, with R <= B, R * n <= 2**18 elements (2 MB of multipliers)
+and R * G * k_max within the kernel's block budget ``_kernels._BLOCK``, G
+being the grid size.  So a large sample or a dense grid gets one replicate
+per stack, and small ones pay a few array calls per stack in place of a few
+per replicate.  A stack changes no replicate's value.  Each row's mean is
+the same pairwise sum as that replicate's own.  The stack's prefixes run to
+the first length at which every row's sum reaches the bound, which may be
+longer than one row needs; that changes none of the row's earlier entries
+and only turns +inf ranks into finite ones at or above k_max, which the
+kernel drops as well.  The kernel input is as wide as the stack's largest
+tau(k_max); a row's entries at or past its own tau(k_max) are set to +inf,
+so they sort after every kept element, leave the stable order of the kept
+ones as it is, and are never read.
+
 Each direction is ranked once per test call (ranks.concomitant_ranks returns
 the value order, conditioning order and rank positions together), and the
 plain statistics and every replicate read those arrays.
@@ -68,14 +85,13 @@ from .estimators import (
 )
 
 
-def _draw(seed, b, n):
-    """Replicate b's n multipliers: unit exponentials from Philox((seed, (0, b)))."""
+def _draw(seed, b, out):
+    """Fill out with replicate b's multipliers: unit exponentials from Philox((seed, (0, b)))."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-    w = np.random.Generator(np.random.Philox(seq)).standard_exponential(n)
+    np.random.Generator(np.random.Philox(seq)).standard_exponential(out=out)
     # The ziggurat sampler can return an exact 0.0, which would break the
     # positivity of the weights, so nudge it to the smallest normal.
-    w[w == 0.0] = np.finfo(np.float64).tiny
-    return w
+    out[out == 0.0] = np.finfo(np.float64).tiny
 
 
 def _checked_weights(weights, n):
@@ -89,48 +105,62 @@ def _checked_weights(weights, n):
     return w
 
 
-def _prefix_weights(order, w, mean, bound):
-    """Normalized weights along order, cut to a prefix whose running sum reaches bound.
+def _prefix_weights(order, W, means, bound):
+    """Normalized weights along order, cut to a prefix whose running sums reach bound.
 
-    Returns w[order[:m]] / mean and its cumulative sum for the first m of
-    2 * bound, 4 * bound, ... whose sum reaches bound, or m = n.
+    W holds one replicate's multipliers per row and means their row means.
+    Returns W[:, order[:m]] / means and its cumulative sum along each row for
+    the first m of 2 * bound, 4 * bound, ... at which every row's sum reaches
+    bound, or m = n.
     """
     n = order.size
     m = min(n, int(2 * bound))
     while True:
-        part = w[order[:m]] / mean
-        run = np.cumsum(part)
-        if m == n or run[-1] >= bound:
+        part = W.take(order[:m], axis=1)
+        part /= means[:, None]
+        run = np.cumsum(part, axis=1)
+        if m == n or run[:, -1].min() >= bound:
             return part, run
         m = min(n, 2 * m)
 
 
-def _replicate_inputs(ranks, w, mean, kf):
-    """Kernel arguments of one weighted evaluation in one direction.
+def _replicate_inputs(ranks, W, means, kf):
+    """Kernel arguments of a stack of weighted evaluations in one direction.
 
-    ranks is the direction's ConcomitantRanks, w the multipliers, mean their
-    mean over all n and kf the increasing float k-grid.  Returns the first
-    tau(k_max) weighted ranks in conditioning order sorted ascending (a rank
-    past its prefix reads +inf), their conditioning positions, their weights,
-    and the cutoffs tau(k).
+    ranks is the direction's ConcomitantRanks, W the stack of multipliers
+    (one replicate per row), means their row means over all n and kf the
+    increasing float k-grid.  Returns, per row, the first T weighted ranks in
+    conditioning order sorted ascending, their conditioning positions and
+    their weights, with T the stack's largest tau(k_max), plus the cutoffs
+    tau(k) of every row.  A rank past its row's prefix, or at a position at
+    or past its row's own tau(k_max), reads +inf.
     """
     k_max = float(kf[-1])
     # The margin of 2 * k_max keeps every rank past the prefix at or above
     # k_max after the rounding of "running sum minus own weight".
-    wd, above = _prefix_weights(ranks.value_order[::-1], w, mean, 2.0 * k_max)
-    greater = np.concatenate((above - wd, [np.inf]))
-    wy, upto = _prefix_weights(ranks.y_order, w, mean, k_max)
-    excl = np.concatenate(([0.0], upto[:-1]))
-    taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
-    top = int(taus[-1])
-    rx = greater[np.minimum(ranks.rho[:top] - 1, wd.size)]
-    order = np.argsort(rx, kind="stable").astype(np.int64, copy=False)
-    return rx[order], order, wy[:top][order], taus
+    wd, above = _prefix_weights(ranks.value_order[::-1], W, means, 2.0 * k_max)
+    greater = np.full((len(W), wd.shape[1] + 1), np.inf)
+    np.subtract(above, wd, out=greater[:, :-1])
+    wy, upto = _prefix_weights(ranks.y_order, W, means, k_max)
+    excl = np.concatenate((np.zeros((len(W), 1)), upto[:, :-1]), axis=1)
+    taus = np.stack([np.searchsorted(row, kf, side="left") for row in excl])
+    taus = taus.astype(np.int64, copy=False)
+    top = int(taus[:, -1].max())
+    rx = greater.take(np.minimum(ranks.rho[:top] - 1, wd.shape[1]), axis=1)
+    for row, tau_max in zip(rx, taus[:, -1]):
+        row[tau_max:] = np.inf
+    order = np.argsort(rx, axis=1, kind="stable")
+    # Gather each row by its own order, through indices into the flat array.
+    rows = np.arange(len(W))[:, None]
+    rx = rx.take(order + rows * top)
+    wy = wy.take(order + rows * wy.shape[1])
+    return rx, order.astype(np.int64, copy=False), wy, taus
 
 
-def _weighted_values(ranks, w, mean, ks):
+def _weighted_values(ranks, W, means, ks):
+    """(rows of W, grid) replicate values in one direction."""
     kf = ks.astype(np.float64)
-    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, w, mean, kf)
+    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, W, means, kf)
     sums = _kernels.weighted_eta_grid_sums(rx_s, ypos_s, w_s, taus, ks)
     return (3.0 * sums) / kf**3
 
@@ -142,7 +172,8 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     w = _checked_weights(weights, sample.n)
     ks = np.asarray([k], dtype=np.int64)
     ranks = _oriented_ranks(sample, direction)
-    return float(_weighted_values(ranks, w, w.mean(), ks)[0])
+    W = w[None, :]
+    return float(_weighted_values(ranks, W, W.mean(axis=1), ks)[0, 0])
 
 
 def bootstrap_delta(sample, k, weights) -> float:
@@ -189,16 +220,26 @@ def _check_alpha(alpha):
 
 
 _BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
+# Multipliers per stack (2 MB of float64), unless one replicate alone has more.
+_STACK_ELEMS = 1 << 18
 
 
 def _replicate_matrices(ranks, n, ks, B, seed):
-    """(B, grid) replicate values for each direction in ranks, one draw per replicate."""
+    """(B, grid) replicate values for each direction in ranks, one draw per replicate.
+
+    Replicates are drawn and evaluated in stacks of rows; see the module
+    docstring for the stack size.
+    """
+    R = max(1, min(B, _STACK_ELEMS // n, _kernels._BLOCK // (ks.size * int(ks[-1]))))
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
-    for b in range(1, B + 1):
-        w = _draw(seed, b, n)
-        mean = w.mean()
+    stack = np.empty((R, n), dtype=np.float64)
+    for b0 in range(0, B, R):
+        W = stack[: min(R, B - b0)]
+        for i, row in enumerate(W):
+            _draw(seed, b0 + i + 1, row)
+        means = W.mean(axis=1)
         for d, r in ranks.items():
-            out[d][b - 1, :] = _weighted_values(r, w, mean, ks)
+            out[d][b0 : b0 + len(W)] = _weighted_values(r, W, means, ks)
     return out
 
 
@@ -316,7 +357,9 @@ def summarize_rejection(results, threshold=0.75) -> SweepVerdict:
     """Fraction of grid points with p < alpha, and the reject/accept verdict."""
     if not results:
         raise DomainError("cannot summarize an empty result list")
-    if not (isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0):
+    if isinstance(threshold, bool) or not (
+        isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0
+    ):
         raise DomainError(f"threshold must lie in (0, 1], got {threshold!r}")
     frac = sum(1 for r in results if r.p_value < r.alpha) / len(results)
     return SweepVerdict(

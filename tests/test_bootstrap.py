@@ -123,11 +123,12 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
         def __init__(self, bit_generator):
             pass
 
-        def standard_exponential(self, n):
-            return np.array([0.0, 2.0, -0.0, 1.0])
+        def standard_exponential(self, out):
+            out[:] = [0.0, 2.0, -0.0, 1.0]
 
     monkeypatch.setattr(np.random, "Generator", Zeros)
-    w = bt._draw(0, 1, 4)
+    w = np.empty(4)
+    bt._draw(0, 1, w)
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
 
 
@@ -255,16 +256,40 @@ def test_argument_validation():
 
 
 def _count_weighted_calls(monkeypatch):
-    """Record (input length, tau(k_max)) of every weighted-kernel call."""
+    """Record (rows, width, each row's tau(k_max)) of every weighted-kernel call.
+
+    Engine calls must read +inf at every position at or past the row's own
+    tau(k_max): there is nothing for the kernel to keep there.
+    """
     calls = []
     real = _kernels.weighted_eta_grid_sums
 
     def counted(rx_sorted, ypos_sorted, w_sorted, taus, ks):
-        calls.append((len(rx_sorted), int(np.max(taus))))
+        tau_max = taus[:, -1]
+        assert np.all(np.isinf(rx_sorted[ypos_sorted >= tau_max[:, None]]))
+        calls.append((len(rx_sorted), rx_sorted.shape[1], tau_max.tolist()))
         return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", counted)
     return calls
+
+
+def _count_draws(monkeypatch):
+    """Record the replicate index b of every multiplier draw."""
+    drawn = []
+    real = bt._draw
+
+    def draw(seed, b, out):
+        drawn.append(b)
+        real(seed, b, out)
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    return drawn
+
+
+# The kernel as imported: the reference below calls it past any monkeypatch
+# that counts or reshapes the engine's calls.
+_kernel = _kernels.weighted_eta_grid_sums
 
 
 def full_sort_replicate(ranked, conditioning, wo, ks):
@@ -282,33 +307,42 @@ def full_sort_replicate(ranked, conditioning, wo, ks):
     order = np.argsort(rx, kind="stable")
     kf = ks.astype(np.float64)
     taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
-    sums = _kernels.weighted_eta_grid_sums(
-        rx[order], order.astype(np.int64), wy[order], taus, ks
+    sums = _kernel(
+        rx[order][None, :], order.astype(np.int64)[None, :], wy[order][None, :],
+        taus[None, :], ks,
     )
-    return (3.0 * sums) / kf**3
+    return (3.0 * sums[0]) / kf**3
 
 
-def test_pair_makes_two_kernel_calls_per_replicate(monkeypatch):
+def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     rng = np.random.default_rng(40)
     s = _random_sample(rng, 300)
+    # stacks of _BLOCK // (grid size * k_max) = 3 replicates: 3, 3 and 1
+    monkeypatch.setattr(_kernels, "_BLOCK", 3 * 3 * 20)
     calls = _count_weighted_calls(monkeypatch)
+    drawn = _count_draws(monkeypatch)
     B = 7
     bt.test_pair(s, [5, 10, 20], B=B, seed=1)
-    assert len(calls) == 2 * B
-    # only the top tau(k_max) of the conditioning order reaches the kernel
-    for size, tau_max in calls:
-        assert size == tau_max < s.n
+    assert drawn == list(range(1, B + 1))
+    assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
+    # only the top of the conditioning order reaches the kernel: as many
+    # entries as the stack's largest tau(k_max)
+    for _, width, tau_max in calls:
+        assert width == max(tau_max) < s.n
 
 
 def test_single_tests_use_the_same_engine(monkeypatch):
     rng = np.random.default_rng(41)
     s = _random_sample(rng, 120)
     calls = _count_weighted_calls(monkeypatch)
+    drawn = _count_draws(monkeypatch)
+    # 5 replicates fit one stack: one call per direction, all 5 as rows
     bt.test_eta_zero(s, [6, 12], B=5, seed=2)
-    assert len(calls) == 5
+    assert [rows for rows, _, _ in calls] == [5]
     bt.test_delta_zero(s, [6, 12], B=5, seed=2)
-    assert len(calls) == 5 + 10
-    assert all(size == tau_max for size, tau_max in calls)
+    assert [rows for rows, _, _ in calls] == [5, 5, 5]
+    assert drawn == [1, 2, 3, 4, 5] * 2
+    assert all(width == max(tau_max) < s.n for _, width, tau_max in calls)
 
 
 def test_pair_equals_the_three_single_tests():
@@ -347,13 +381,13 @@ def test_truncated_engine_equals_full_sort_reference():
 
 
 def _record_prefixes(monkeypatch):
-    """Record (bound, prefix length) of every weight prefix the engine gathers."""
+    """Record (bound, rows, prefix length) of every weight prefix the engine gathers."""
     seen = []
     real = bt._prefix_weights
 
-    def recorded(order, w, mean, bound):
-        part, run = real(order, w, mean, bound)
-        seen.append((bound, part.size))
+    def recorded(order, W, means, bound):
+        part, run = real(order, W, means, bound)
+        seen.append((bound, *part.shape))
         return part, run
 
     monkeypatch.setattr(bt, "_prefix_weights", recorded)
@@ -364,8 +398,9 @@ def _assert_engine_equals_full_sort(s, kgrid, B, seed):
     ks = np.asarray(kgrid, dtype=np.int64)
     ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
     mats = bt._replicate_matrices(ranks, s.n, ks, B, seed)
+    w = np.empty(s.n)
     for b in range(1, B + 1):
-        w = bt._draw(seed, b, s.n)
+        bt._draw(seed, b, w)
         wo = w / w.mean()
         want_xy = full_sort_replicate(s.x, s.y, wo, ks)
         want_yx = full_sort_replicate(s.y, s.x, wo, ks)
@@ -378,8 +413,9 @@ def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
     s = _random_sample(rng, 5000)
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [20, 33, 47, 60], B=6, seed=8)
-    assert len(seen) == 2 * 2 * 6  # two prefixes per direction and replicate
-    assert max(size for _, size in seen) <= 4 * 2 * 60 < s.n
+    # one stack of all 6 replicates: two prefixes per direction
+    assert [rows for _, rows, _ in seen] == [6] * (2 * 2)
+    assert max(size for _, _, size in seen) <= 4 * 2 * 60 < s.n
 
 
 def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
@@ -393,16 +429,15 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
 
     real = bt._draw
 
-    def draw(seed, b, n):
-        w = real(seed, b, n)
-        w[light] *= 1e-9
-        return w
+    def draw(seed, b, out):
+        real(seed, b, out)
+        out[light] *= 1e-9
 
     monkeypatch.setattr(bt, "_draw", draw)
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9)
     # every prefix outgrew its first guess but stopped before n
-    assert all(2 * bound < size < s.n for bound, size in seen)
+    assert seen and all(2 * bound < size < s.n for bound, _, size in seen)
 
 
 def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
@@ -411,7 +446,80 @@ def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
     s = _random_sample(rng, n)
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [2, 17, n - 1], B=5, seed=10)
-    assert seen and all(size == n for _, size in seen)
+    assert seen and all(size == n for _, _, size in seen)
+
+
+# --- replicate stacks against the full-sort reference ------------------------------
+
+
+def _record_rectangles(monkeypatch):
+    """Record the stack shape and the chunks of every kernel call.
+
+    The engine's calls come first, then the one-row calls of the reference.
+    """
+    seen = []
+    real = _kernels._rectangles
+
+    def recorded(hi):
+        chunks = list(real(hi))
+        seen.append((hi.shape, chunks))
+        return chunks
+
+    monkeypatch.setattr(_kernels, "_rectangles", recorded)
+    return seen
+
+
+def test_stacks_equal_the_full_sort_reference(monkeypatch):
+    rng = np.random.default_rng(47)
+    s = _random_sample(rng, 400)
+    kgrid = [10, 25, 40, 60]
+    # stacks of _BLOCK // (grid size * k_max) = 3 replicates, so B = 7 leaves
+    # a last stack of one
+    monkeypatch.setattr(_kernels, "_BLOCK", 3 * 4 * 60)
+    calls = _count_weighted_calls(monkeypatch)
+    _assert_engine_equals_full_sort(s, kgrid, B=7, seed=11)
+    assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
+    # rows of one stack reach different tau(k_max), so the shorter rows are
+    # filled with +inf up to the stack's width
+    assert any(len(set(tau_max)) > 1 for _, _, tau_max in calls)
+    calls.clear()
+    _assert_engine_equals_full_sort(s, kgrid, B=1, seed=12)
+    assert [rows for rows, _, _ in calls] == [1, 1]
+
+
+def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypatch):
+    rng = np.random.default_rng(48)
+    s = _random_sample(rng, 1500)
+    kgrid = list(range(10, 1400, 10))
+    seen = _record_rectangles(monkeypatch)
+    _assert_engine_equals_full_sort(s, kgrid, B=2, seed=13)
+    # one replicate per stack, its grid split into runs of rows
+    engine = seen[: 2 * 2]
+    assert all(shape == (1, len(kgrid)) for shape, _ in engine)
+    assert all(len(chunks) > 1 for _, chunks in engine)
+
+
+@pytest.mark.parametrize("block", [1, 50, 400, 1500])
+def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch, block):
+    # stacks sized by the real block, evaluated in chunks of a smaller one:
+    # single grid rows, runs of rows, single replicates, several replicates
+    rng = np.random.default_rng(49)
+    z = rng.standard_normal(300)
+    s = make_sample(z, z + 0.5 * rng.standard_normal(300))
+    real = _kernels.weighted_eta_grid_sums
+
+    def small_block(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK", block)
+            return real(*args)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
+    seen = _record_rectangles(monkeypatch)
+    _assert_engine_equals_full_sort(s, [10, 20, 30, 45, 60], B=10, seed=14)
+    # one stack of 10 replicates, one call per direction
+    engine = seen[:2]
+    assert [shape for shape, _ in engine] == [(10, 5), (10, 5)]
+    assert all(len(chunks) > 1 for _, chunks in engine)
 
 
 # --- sweep summaries -------------------------------------------------------------
@@ -438,6 +546,9 @@ def test_summarize_rejection_counts_and_threshold():
         bt.summarize_rejection(results, threshold=0.0)
     with pytest.raises(errors.DomainError):
         bt.summarize_rejection(results, threshold=1.5)
+    # a bool is not a fraction, although True == 1
+    with pytest.raises(errors.DomainError):
+        bt.summarize_rejection(results, threshold=True)
 
 
 # --- normal quantile --------------------------------------------------------------

@@ -4,12 +4,13 @@ The integer kernel is exact integer arithmetic: it must give zero where no
 rank contributes, the closed-form sum (k - 1)(2k^2 + 5k - 6)/6 at full
 concordance, and stay exact past the int64 range.
 
-The weighted kernel evaluates a whole chunk of the grid at once, and must
-give bit for bit what the literal loop over k, ``per_k_weighted_sums``
-below, gives: same terms, same running sums and the same ``np.dot`` call
-per k.  These tests are derandomized; CI runs
-them a second time with two BLAS threads, where ``np.dot`` splits every sum
-of more than 10,000 terms between the threads.
+The weighted kernel evaluates a stack of replicates over a rectangle of
+replicates x grid rows at once, and must give, for every row of the stack,
+bit for bit what the literal loop over k, ``per_k_weighted_sums`` below,
+gives: same terms, same running sums and the same ``np.dot`` call per k.
+These tests are derandomized; CI runs them a second time with two BLAS
+threads, where ``np.dot`` splits every sum of more than 10,000 terms between
+the threads.
 """
 
 import numpy as np
@@ -76,36 +77,49 @@ def per_k_weighted_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     return out
 
 
-def _weighted_inputs(size, finite, m, seed, halves=False):
-    """Kernel arguments: size elements, the first finite ranks below k_max + 1.
+def _weighted_inputs(size, finite, m, seed, halves=False, rows=1):
+    """Kernel arguments: a stack of rows replicates of size elements each.
 
-    The grid is m strictly increasing tail sizes from 1 to size + 2, cutoffs
-    are nondecreasing in 0..size, ranks past finite read +inf, and with
-    halves the ranks are multiples of 0.5, so that some equal a k.
+    The grid is m strictly increasing tail sizes from 1 to size + 2.  Each
+    row's ranks are sorted, below k_max + 1 for its first few elements (finite
+    of them in row 0, a random count in later rows) and +inf past them; its
+    cutoffs are nondecreasing in 0..size, and with halves the ranks are
+    multiples of 0.5, so that some equal a k.
     """
     rng = np.random.default_rng(seed)
     ks = np.sort(rng.choice(np.arange(1, size + 3), min(m, size + 2), replace=False))
-    rx = rng.uniform(0.0, ks[-1] + 1.0, size)
-    if halves:
-        rx = np.round(2.0 * rx) / 2.0
-    rx = np.sort(rx)
-    rx[finite:] = np.inf
-    ypos = rng.permutation(size).astype(np.int64)
-    w = rng.exponential(size=size)
-    taus = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
+    stack = []
+    for r in range(rows):
+        rx = rng.uniform(0.0, ks[-1] + 1.0, size)
+        if halves:
+            rx = np.round(2.0 * rx) / 2.0
+        rx = np.sort(rx)
+        rx[finite if r == 0 else rng.integers(0, size + 1) :] = np.inf
+        ypos = rng.permutation(size).astype(np.int64)
+        w = rng.exponential(size=size)
+        taus = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
+        stack.append((rx, ypos, w, taus))
+    rx, ypos, w, taus = (np.array(a) for a in zip(*stack))
     return rx, ypos, w, taus, ks.astype(np.int64)
 
 
+def _one_row(rx, ypos, w, taus, ks):
+    return rx[None, :], ypos[None, :], w[None, :], taus[None, :], ks
+
+
 def _check_weighted(args, block):
+    """The kernel on a stack equals the per-k loop on each row, bit for bit."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK", block)
         got = _kernels.weighted_eta_grid_sums(*args)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, per_k_weighted_sums(*args))
-    rx, _, _, taus, ks = args
-    # nothing kept at k: no cutoff, or no rank below k
-    empty = (taus == 0) | (np.searchsorted(rx, ks.astype(np.float64)) == 0)
-    assert np.all(got[empty] == 0.0)
+    rx, ypos, w, taus, ks = args
+    assert got.dtype == np.float64 and got.shape == taus.shape
+    for r in range(len(rx)):
+        want = per_k_weighted_sums(rx[r], ypos[r], w[r], taus[r], ks)
+        assert np.array_equal(got[r], want)
+        # nothing kept at k: no cutoff, or no rank below k
+        empty = (taus[r] == 0) | (np.searchsorted(rx[r], ks.astype(np.float64)) == 0)
+        assert np.all(got[r][empty] == 0.0)
     return got
 
 
@@ -117,11 +131,17 @@ def _check_weighted(args, block):
     seed=st.integers(0, 2**32 - 1),
     halves=st.booleans(),
     block=st.sampled_from([1, 5, 64, 700, _kernels._BLOCK]),
+    rows=st.integers(1, 6),
 )
-@example(size=0, finite=0, m=1, seed=0, halves=False, block=1)
-@example(size=20, finite=20, m=1, seed=1, halves=False, block=_kernels._BLOCK)
-def test_weighted_kernel_is_the_per_k_loop_bit_for_bit(size, finite, m, seed, halves, block):
-    _check_weighted(_weighted_inputs(size, min(finite, size), m, seed, halves), block)
+@example(size=0, finite=0, m=1, seed=0, halves=False, block=1, rows=1)
+@example(size=20, finite=20, m=1, seed=1, halves=False, block=_kernels._BLOCK, rows=1)
+@example(size=0, finite=0, m=2, seed=2, halves=False, block=5, rows=6)
+@example(size=60, finite=45, m=12, seed=3, halves=True, block=700, rows=6)
+def test_weighted_kernel_is_the_per_k_loop_bit_for_bit(
+    size, finite, m, seed, halves, block, rows
+):
+    args = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
+    _check_weighted(args, block)
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():
@@ -131,9 +151,9 @@ def test_weighted_kernel_rows_with_nothing_kept_are_zero():
     ks = np.array([1, 2, 3, 4], dtype=np.int64)
     # k = 1: only ypos 3 ranks below 1, and tau = 3 excludes it; k = 2: tau = 0
     taus = np.array([3, 0, 2, 4], dtype=np.int64)
-    got = _check_weighted((rx, ypos, w, taus, ks), 2)
+    (got,) = _check_weighted(_one_row(rx, ypos, w, taus, ks), 2)
     assert got[0] == 0.0 and got[1] == 0.0 and got[2] > 0.0
-    no_rank = _check_weighted((rx + 5.0, ypos, w, taus, ks), _kernels._BLOCK)
+    no_rank = _check_weighted(_one_row(rx + 5.0, ypos, w, taus, ks), _kernels._BLOCK)
     assert np.all(no_rank == 0.0)
 
 
@@ -152,4 +172,4 @@ def test_weighted_kernel_matches_past_the_threaded_dot_length():
     kept = [int(np.count_nonzero(ypos[:h] < tau)) for h, tau in zip(hi, taus)]
     assert max(kept) > 10_000
     for block in (1, 3 * 25_000, _kernels._BLOCK):
-        _check_weighted((rx, ypos, w, taus, ks), block)
+        _check_weighted(_one_row(rx, ypos, w, taus, ks), block)

@@ -428,9 +428,10 @@ def test_skip_tests_leaves_only_estimates():
 
 
 def test_analysis_makes_one_replicate_pass(monkeypatch):
-    # one plain sweep and B weighted evaluations per direction, whether or
-    # not the eta gate lets the delta block into the report
-    counts = {"int": 0, "weighted": 0}
+    # one plain sweep per direction and one weighted kernel call per
+    # direction holding all B replicates (B = 9 fits one stack here), whether
+    # or not the eta gate lets the delta block into the report
+    counts = {"int": 0, "weighted": []}
     real_int, real_w = _kernels.eta_grid_sums, _kernels.weighted_eta_grid_sums
 
     def int_sums(*args):
@@ -438,7 +439,7 @@ def test_analysis_makes_one_replicate_pass(monkeypatch):
         return real_int(*args)
 
     def weighted_sums(*args):
-        counts["weighted"] += 1
+        counts["weighted"].append(len(args[0]))
         return real_w(*args)
 
     monkeypatch.setattr(_kernels, "eta_grid_sums", int_sums)
@@ -448,11 +449,11 @@ def test_analysis_makes_one_replicate_pass(monkeypatch):
         (_independent_table(), False, True),
         (_dependent_table(), True, False),
     ):
-        counts.update(int=0, weighted=0)
+        counts.update(int=0, weighted=[])
         cfg = AnalysisConfig(B=9, seed=3, skip_tests=skip)
         r = run_pair_analysis(table, "a", "b", cfg)
         assert r.provenance["delta_test_gated_out"] is gated
-        assert counts == {"int": 2, "weighted": 0 if skip else 2 * 9}
+        assert counts == {"int": 2, "weighted": [] if skip else [9, 9]}
 
 
 def test_analysis_provenance_and_config_echo():
