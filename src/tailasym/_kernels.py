@@ -15,25 +15,30 @@ The weighted kernel takes a stack of replicates: each 2-D input holds one
 replicate per row, the cutoffs one row of tau(k) per replicate, and the
 result one row of sums per replicate.  With hi(k) the count of a row's
 weighted ranks below k, the kernel works on 3-D blocks, a rectangle of
-replicates x grid rows at a time, each row covering the first hi(k) sorted
-elements for the rectangle's largest hi; a mask keeps row k's entries below
-its own replicate's hi(k) whose conditioning position is below tau(k).  The
-running included weight is a cumsum along each row of the weights with the
-dropped entries set to 0.0; the two factors of each term are formed on the
-whole block and compressed with the mask, row after row, so that the kept
-terms of each (replicate, k) sit in one contiguous slice.  A rectangle holds
-as many whole replicates as keep each temporary within ``_BLOCK`` elements;
-a replicate whose own block is larger is split, as a run of grid rows at a
-time, into rectangles of one replicate, each at least one grid row.
+replicates x grid rows at a time, each row covering the first ``width``
+sorted elements, ``width`` being the rectangle's largest hi; a mask keeps
+row k's entries below its own replicate's hi(k) whose conditioning position
+is below tau(k).  The running included weight is a cumsum along each row of
+the weights with the dropped entries set to 0.0; the two factors of each
+term are formed on the whole block and compressed with the mask, row after
+row, so that the kept terms of each (replicate, k) sit in one contiguous
+slice.  A rectangle is a run of grid rows over every replicate of the
+stack, as many rows as keep each temporary within ``_BLOCK`` elements;
+hi(k) never decreases along the grid, so each row of a run is padded only
+to the widest hi in the run's last row.  A single grid row of the stack
+that is larger than the budget is split into runs of replicates, each
+holding at least one replicate.
 
-Summation contract: S(k) is ``np.dot`` of the kept terms (k - R_a) w_a and
-2 W_a - w_a, W_a being the included weight up to and including a, in
+Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
+and 2 W_a - w_a, W_a being the included weight up to and including a, in
 ascending weighted rank, as contiguous float64 vectors of exactly the kept
 length.  That is bit for bit the result of a loop over replicates and k that
 masks, cumsums and dots each prefix on its own: every factor comes from the
 same IEEE operations on the same operands, cumsum adds left to right and
-adding +0.0 leaves a positive running sum unchanged, and np.dot receives the
-same values with the same length and stride, so it makes the same BLAS call.
+adding +0.0 leaves a positive running sum unchanged, and the dot receives
+the same values with the same length and stride, so it makes the same BLAS
+call.  ``a.dot(b)`` and ``np.dot(a, b)`` reach the same ``ddot`` on the same
+operands; the method form skips the ``__array_function__`` dispatch.
 How replicates and grid rows are grouped into rectangles changes none of
 this.  Padding the vectors with zeros would move terms between the BLAS
 accumulator lanes and change the last bits.  The BLAS ``ddot`` order itself
@@ -45,7 +50,8 @@ build and thread count (ROADMAP Open item 1).
 import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Elements per temporary of the weighted kernel (at least one grid row).
+# Elements per temporary of the weighted kernel (at least one replicate x
+# grid row cell).
 _BLOCK = 1 << 16
 
 
@@ -109,7 +115,7 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
         tail, cw = tail[keep], cw[keep]
         ends = np.cumsum(keep.sum(axis=2)).tolist()
         out[r0:r1, t0:t1].flat = [
-            np.dot(tail[a:b], cw[a:b]) for a, b in zip([0] + ends, ends)
+            tail[a:b].dot(cw[a:b]) for a, b in zip([0] + ends, ends)
         ]
     return out
 
@@ -117,25 +123,28 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
 def _rectangles(hi):
     """Chunks (r0, r1, t0, t1, width) of replicates x grid rows within _BLOCK.
 
-    A chunk takes as many whole replicates as fit; a replicate whose own
-    block is larger is split into runs of grid rows, each holding at least
-    one row.  width is the chunk's largest hi.
+    A chunk is a run of grid rows over every replicate, as many rows as fit
+    with width the largest hi in the run's last row; a grid row that does not
+    fit on its own is split into runs of replicates, each holding at least
+    one replicate.  Every (replicate, grid row) cell is in exactly one chunk,
+    and width is the largest hi of the chunk's cells.
     """
     R, G = hi.shape
-    last = hi[:, -1].tolist()
-    r0 = 0
-    while r0 < R:
-        r1, width = r0, 0
-        while r1 < R and (r1 + 1 - r0) * G * max(width, last[r1]) <= _BLOCK:
-            width = max(width, last[r1])
-            r1 += 1
-        if r1 > r0:
-            yield r0, r1, 0, G, width
-        else:
-            r1, t0 = r0 + 1, 0
-            while t0 < G:
-                size = hi[r0, t0:] * np.arange(1, G - t0 + 1)
-                t1 = t0 + max(1, int(np.searchsorted(size, _BLOCK, side="right")))
-                yield r0, r1, t0, t1, int(hi[r0, t1 - 1])
-                t0 = t1
-        r0 = r1
+    widest = hi.max(axis=0)
+    t0 = 0
+    while t0 < G:
+        # Nondecreasing in the run's length: rows times the last row's width.
+        size = R * widest[t0:] * np.arange(1, G - t0 + 1)
+        t1 = t0 + int(np.searchsorted(size, _BLOCK, side="right"))
+        if t1 > t0:
+            yield 0, R, t0, t1, int(widest[t1 - 1])
+            t0 = t1
+            continue
+        col = hi[:, t0]
+        r0 = 0
+        while r0 < R:
+            size = np.maximum.accumulate(col[r0:]) * np.arange(1, R - r0 + 1)
+            r1 = r0 + max(1, int(np.searchsorted(size, _BLOCK, side="right")))
+            yield r0, r1, t0, t0 + 1, int(col[r0:r1].max())
+            r0 = r1
+        t0 += 1

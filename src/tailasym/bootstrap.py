@@ -30,35 +30,39 @@ every tau(k) on the grid is at most T = tau(k_max); it also needs a weighted
 rank below k.  The cutoffs come from the running sum of the normalized
 weights along the conditioning order, and the weighted rank of reverse rank
 r is the running sum along decreasing values up to r minus its own weight.
-Each running sum is taken over a prefix, doubled until its sum reaches k_max
-(cutoffs) or 2 k_max (ranks) or it covers all n.  Every prefix entry is
-bit-identical to the same entry over the full sample: np.cumsum adds left to
-right, and normalizing divides each weight by the mean of all n.  What lies
-past a prefix cannot matter.  The running sums never decrease, so no cutoff
-lies past a sum of k_max, and a rank past a sum of 2 k_max stays at or above
-k_max even after the one rounding in "sum minus own weight", so it is set to
-+inf, which the kernel never reads.  Only the first T weighted ranks (about
-k_max of them) are sorted.  A stable sort of that prefix keeps the relative
-order a stable sort of all n gives the elements whose rank is below k_max,
-and the kernel drops every other element, so it adds the same terms in the
-same order: the sums are bit-identical to the full computation.
+Each running sum is taken over a prefix whose sum must reach a bound, k_max
+(cutoffs) or 2 k_max (ranks).  The first prefix has bound + 6 sqrt(bound)
+entries, six standard deviations of a sum of unit-mean multipliers past the
+bound, and is doubled until every sum reaches the bound or it covers all n.
+Every prefix entry is bit-identical to the same entry over the full sample:
+np.cumsum adds left to right, and normalizing divides each weight by the
+mean of all n.  What lies past a prefix cannot matter.  The running sums
+never decrease, so no cutoff lies past a sum of k_max, and a rank past a sum
+of 2 k_max stays at or above k_max even after the one rounding in "sum
+minus own weight", so it is set to +inf, which the kernel never reads.
+Only the first T weighted ranks (about k_max of them) are sorted.  A stable
+sort of that prefix keeps the relative order a stable sort of all n gives
+the elements whose rank is below k_max, and the kernel drops every other
+element, so it adds the same terms in the same order: the sums are
+bit-identical to the full computation.
 
 Replicates are drawn and evaluated in stacks: R replicates at a time fill
 the rows of one (R, n) array, each drawn in place from its own stream, and
-each direction makes one kernel call per stack.  R is the largest count,
-and at least 1, with R <= B, R * n <= 2**18 elements (2 MB of multipliers)
-and R * G * k_max within the kernel's block budget ``_kernels._BLOCK``, G
-being the grid size.  So a large sample or a dense grid gets one replicate
-per stack, and small ones pay a few array calls per stack in place of a few
-per replicate.  A stack changes no replicate's value.  Each row's mean is
-the same pairwise sum as that replicate's own.  The stack's prefixes run to
-the first length at which every row's sum reaches the bound, which may be
-longer than one row needs; that changes none of the row's earlier entries
-and only turns +inf ranks into finite ones at or above k_max, which the
-kernel drops as well.  The kernel input is as wide as the stack's largest
-tau(k_max); a row's entries at or past its own tau(k_max) are set to +inf,
-so they sort after every kept element, leave the stable order of the kept
-ones as it is, and are never read.
+each direction makes one kernel call per stack.  R is sized by the
+multipliers alone: the largest count, and at least 1, with R <= B and
+R * n <= 2**17 elements (1 MB of multipliers).  So a sample of more than
+2**16 gets one replicate per stack, and smaller ones pay a few array calls
+per stack in place of a few per replicate; the kernel cuts each stack into
+blocks within its own budget, whatever the grid.  A stack changes no
+replicate's value.  Each row's mean is the same pairwise sum as that
+replicate's own.  The stack's prefixes run to the first length at which
+every row's sum reaches the bound, which may be longer than one row needs;
+that changes none of the row's earlier entries and only turns +inf ranks
+into finite ones at or above k_max, which the kernel drops as well.  The
+kernel input is as wide as the stack's largest tau(k_max); a row's entries
+at or past its own tau(k_max) are set to +inf, so they sort after every kept
+element, leave the stable order of the kept ones as it is, and are never
+read.
 
 Each direction is ranked once per test call (ranks.concomitant_ranks returns
 the value order, conditioning order and rank positions together), and the
@@ -110,11 +114,12 @@ def _prefix_weights(order, W, means, bound):
 
     W holds one replicate's multipliers per row and means their row means.
     Returns W[:, order[:m]] / means and its cumulative sum along each row for
-    the first m of 2 * bound, 4 * bound, ... at which every row's sum reaches
-    bound, or m = n.
+    the first m of m0, 2 * m0, 4 * m0, ... at which every row's sum reaches
+    bound, or m = n.  m0 = bound + 6 sqrt(bound) lies six standard deviations
+    of a sum of unit-mean multipliers above bound, so it rarely has to grow.
     """
     n = order.size
-    m = min(n, int(2 * bound))
+    m = min(n, int(bound + 6.0 * math.sqrt(bound)))
     while True:
         part = W.take(order[:m], axis=1)
         part /= means[:, None]
@@ -219,9 +224,17 @@ def _check_alpha(alpha):
     return float(alpha)
 
 
+def _check_threshold(threshold, name):
+    if isinstance(threshold, bool) or not (
+        isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0
+    ):
+        raise DomainError(f"{name} must lie in (0, 1], got {threshold!r}")
+    return float(threshold)
+
+
 _BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
-# Multipliers per stack (2 MB of float64), unless one replicate alone has more.
-_STACK_ELEMS = 1 << 18
+# Multipliers per stack (1 MB of float64), unless one replicate alone has more.
+_STACK_ELEMS = 1 << 17
 
 
 def _replicate_matrices(ranks, n, ks, B, seed):
@@ -230,7 +243,7 @@ def _replicate_matrices(ranks, n, ks, B, seed):
     Replicates are drawn and evaluated in stacks of rows; see the module
     docstring for the stack size.
     """
-    R = max(1, min(B, _STACK_ELEMS // n, _kernels._BLOCK // (ks.size * int(ks[-1]))))
+    R = max(1, min(B, _STACK_ELEMS // n))
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
     stack = np.empty((R, n), dtype=np.float64)
     for b0 in range(0, B, R):
@@ -357,15 +370,12 @@ def summarize_rejection(results, threshold=0.75) -> SweepVerdict:
     """Fraction of grid points with p < alpha, and the reject/accept verdict."""
     if not results:
         raise DomainError("cannot summarize an empty result list")
-    if isinstance(threshold, bool) or not (
-        isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0
-    ):
-        raise DomainError(f"threshold must lie in (0, 1], got {threshold!r}")
+    threshold = _check_threshold(threshold, "threshold")
     frac = sum(1 for r in results if r.p_value < r.alpha) / len(results)
     return SweepVerdict(
         fraction_below_alpha=frac,
         reject=frac >= threshold,
-        threshold=float(threshold),
+        threshold=threshold,
         n_k=len(results),
     )
 

@@ -23,7 +23,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import summarize_rejection, test_pair
+from .bootstrap import (
+    _check_alpha,
+    _check_B,
+    _check_threshold,
+    summarize_rejection,
+    test_pair,
+)
 from .errors import (
     DomainError,
     EmptyIntersection,
@@ -271,6 +277,12 @@ class AcfSummary:
         return [int(l) for l, v in zip(self.lags, self.values) if abs(v) > self.band]
 
 
+def _check_lags(lags, name):
+    if isinstance(lags, bool) or not isinstance(lags, (int, np.integer)) or lags < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {lags!r}")
+    return int(lags)
+
+
 def acf(values, max_lag) -> AcfSummary:
     """Biased (divide-by-n) sample autocorrelation at lags 1..max_lag.
 
@@ -280,13 +292,7 @@ def acf(values, max_lag) -> AcfSummary:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"values must be one-dimensional, got shape {v.shape}")
-    if (
-        isinstance(max_lag, bool)
-        or not isinstance(max_lag, (int, np.integer))
-        or max_lag < 1
-    ):
-        raise DomainError(f"max_lag must be an integer >= 1, got {max_lag!r}")
-    max_lag = int(max_lag)
+    max_lag = _check_lags(max_lag, "max_lag")
     n = v.size
     if n <= max_lag:
         raise SeriesTooShort(f"need more than {max_lag} observations, got {n}")
@@ -449,8 +455,13 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     diagnostics).  All three tests come from one shared replicate pass.  When
     the eta gate is active, the asymmetry test is only reported if at least
     one directional sweep rejects tail independence: asymmetry of an empty
-    tail is meaningless.
+    tail is meaningless.  The config's B, alpha, rejection_fraction and
+    acf_lags are checked before any work, with or without the tests.
     """
+    _check_B(config.B)
+    _check_alpha(config.alpha)
+    _check_threshold(config.rejection_fraction, "rejection_fraction")
+    _check_lags(config.acf_lags, "acf_lags")
     for col in (col_x, col_y):
         if col not in table.columns:
             raise MissingColumn(f"table has no column {col!r}")

@@ -9,6 +9,7 @@ must reproduce every field of a TestResult exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tailasym import _kernels
 from tailasym import bootstrap as bt
 from tailasym import errors
 from tailasym.estimators import Direction, _oriented_ranks, delta_kn, eta_kn
+from tailasym.pipeline import default_kgrid
 from tailasym.ranks import make_sample
 
 
@@ -317,8 +319,9 @@ def full_sort_replicate(ranked, conditioning, wo, ks):
 def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     rng = np.random.default_rng(40)
     s = _random_sample(rng, 300)
-    # stacks of _BLOCK // (grid size * k_max) = 3 replicates: 3, 3 and 1
-    monkeypatch.setattr(_kernels, "_BLOCK", 3 * 3 * 20)
+    # stacks of _STACK_ELEMS // n = 3 replicates: 3, 3 and 1, from the
+    # largest budget that still gives 3
+    monkeypatch.setattr(bt, "_STACK_ELEMS", 4 * s.n - 1)
     calls = _count_weighted_calls(monkeypatch)
     drawn = _count_draws(monkeypatch)
     B = 7
@@ -422,7 +425,7 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
     rng = np.random.default_rng(45)
     s = _random_sample(rng, 2000)
     # The 600 largest values of each series weigh almost nothing, so the
-    # first prefix guess (2 * bound) sums far below its bound.
+    # first prefix guess (bound + 6 sqrt(bound)) sums far below its bound.
     light = np.zeros(s.n, dtype=bool)
     light[np.argsort(-s.x)[:600]] = True
     light[np.argsort(-s.y)[:600]] = True
@@ -437,7 +440,9 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9)
     # every prefix outgrew its first guess but stopped before n
-    assert seen and all(2 * bound < size < s.n for bound, _, size in seen)
+    assert seen and all(
+        bound + 6 * math.sqrt(bound) < size < s.n for bound, _, size in seen
+    )
 
 
 def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
@@ -473,9 +478,9 @@ def test_stacks_equal_the_full_sort_reference(monkeypatch):
     rng = np.random.default_rng(47)
     s = _random_sample(rng, 400)
     kgrid = [10, 25, 40, 60]
-    # stacks of _BLOCK // (grid size * k_max) = 3 replicates, so B = 7 leaves
-    # a last stack of one
-    monkeypatch.setattr(_kernels, "_BLOCK", 3 * 4 * 60)
+    # stacks of _STACK_ELEMS // n = 3 replicates, so B = 7 leaves a last
+    # stack of one
+    monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
     calls = _count_weighted_calls(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=7, seed=11)
     assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
@@ -491,18 +496,22 @@ def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypat
     rng = np.random.default_rng(48)
     s = _random_sample(rng, 1500)
     kgrid = list(range(10, 1400, 10))
+    # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     seen = _record_rectangles(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=2, seed=13)
-    # one replicate per stack, its grid split into runs of rows
+    # the replicate's grid split into runs of rows
     engine = seen[: 2 * 2]
     assert all(shape == (1, len(kgrid)) for shape, _ in engine)
     assert all(len(chunks) > 1 for _, chunks in engine)
+    assert all(r0 == 0 and r1 == 1 for _, chunks in engine for r0, r1, *_ in chunks)
 
 
 @pytest.mark.parametrize("block", [1, 50, 400, 1500])
 def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch, block):
-    # stacks sized by the real block, evaluated in chunks of a smaller one:
-    # single grid rows, runs of rows, single replicates, several replicates
+    # stacks sized by _STACK_ELEMS, evaluated in chunks of a smaller block:
+    # runs of grid rows, single grid rows, single replicates, several
+    # replicates
     rng = np.random.default_rng(49)
     z = rng.standard_normal(300)
     s = make_sample(z, z + 0.5 * rng.standard_normal(300))
@@ -520,6 +529,58 @@ def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch
     engine = seen[:2]
     assert [shape for shape, _ in engine] == [(10, 5), (10, 5)]
     assert all(len(chunks) > 1 for _, chunks in engine)
+
+
+def test_grid_rows_split_into_replicate_rectangles_equal_the_full_sort_reference(
+    monkeypatch,
+):
+    # one stack of 20 replicates whose low grid rows fit the block in runs
+    # and whose high ones are each split into runs of replicates
+    rng = np.random.default_rng(50)
+    z = rng.standard_normal(600)
+    s = make_sample(z, z + 0.5 * rng.standard_normal(600))
+    kgrid = [4, 8, 12, 20, 35, 50, 70]
+    real = _kernels.weighted_eta_grid_sums
+
+    def small_block(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK", 1000)
+            return real(*args)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
+    seen = _record_rectangles(monkeypatch)
+    _assert_engine_equals_full_sort(s, kgrid, B=20, seed=15)
+    engine = seen[:2]
+    assert [shape for shape, _ in engine] == [(20, 7), (20, 7)]
+    for _, chunks in engine:
+        grid_runs = [c for c in chunks if (c[0], c[1]) == (0, 20)]
+        replicate_runs = [c for c in chunks if (c[0], c[1]) != (0, 20)]
+        assert any(t1 - t0 > 1 for _, _, t0, t1, _ in grid_runs)
+        assert replicate_runs and all(t1 - t0 == 1 for *_, t0, t1, _ in replicate_runs)
+        assert any(1 < r1 - r0 < 20 for r0, r1, *_ in replicate_runs)
+
+
+def test_stack_memory_is_bounded_by_the_stack_not_by_B():
+    rng = np.random.default_rng(51)
+    z = rng.standard_normal(2000)
+    s = make_sample(z, z + rng.standard_normal(2000))
+    kgrid = default_kgrid(s.n)
+    bt.test_delta_zero(s, kgrid, B=2, seed=3)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for B in (100, 400):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bt.test_delta_zero(s, kgrid, B=B, seed=3)
+            peaks[B] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a few stack-sized temporaries at most
+    assert peaks[100] <= 6 * bt._STACK_ELEMS * 8
+    # four times the replicates add no more than the (B, grid) matrices: one
+    # per direction and their difference
+    assert peaks[400] - peaks[100] <= 3 * (400 - 100) * len(kgrid) * 8
 
 
 # --- sweep summaries -------------------------------------------------------------

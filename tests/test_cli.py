@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailasym import __version__, cli
+from tailasym import __version__, cli, pipeline
 from tailasym.copulas import parse_model_spec, sample
 
 
@@ -131,6 +131,36 @@ def test_analyze_partial_k_flags_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "k_min, k_max and k_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rejection-fraction", "2"], "rejection_fraction must lie in (0, 1]"),
+        (["--rejection-fraction", "2", "--skip-tests"], "rejection_fraction must lie"),
+        (["--B", "0", "--skip-tests"], "B must be a positive integer"),
+        (["--alpha", "7", "--skip-tests"], "alpha must lie strictly between 0 and 1"),
+        (["--acf-lags", "-3"], "acf_lags must be an integer >= 1"),
+    ],
+)
+def test_analyze_invalid_config_exits_2_before_the_bootstrap(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    data = _simulate(tmp_path, n=3000, seed=1)
+    out = tmp_path / "report.json"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "acf", no_work)
+    monkeypatch.setattr(pipeline, "test_pair", no_work)
+    code = run_cli(
+        "analyze", str(data), "--x-col", "x", "--y-col", "y", "--key-col", "t",
+        *flags, "--out", str(out),
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_no_eta_gate_flag(tmp_path):

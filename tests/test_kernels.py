@@ -8,9 +8,10 @@ The weighted kernel evaluates a stack of replicates over a rectangle of
 replicates x grid rows at once, and must give, for every row of the stack,
 bit for bit what the literal loop over k, ``per_k_weighted_sums`` below,
 gives: same terms, same running sums and the same ``np.dot`` call per k.
-These tests are derandomized; CI runs them a second time with two BLAS
-threads, where ``np.dot`` splits every sum of more than 10,000 terms between
-the threads.
+The rectangles the kernel cuts a stack into must cover each (replicate,
+grid row) cell once, within the block budget.  These tests are
+derandomized; CI runs them a second time with two BLAS threads, where
+``np.dot`` splits every sum of more than 10,000 terms between the threads.
 """
 
 import numpy as np
@@ -142,6 +143,33 @@ def test_weighted_kernel_is_the_per_k_loop_bit_for_bit(
 ):
     args = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
     _check_weighted(args, block)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 12),
+    m=st.integers(1, 30),
+    top=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 7, 64, 500, _kernels._BLOCK]),
+)
+@example(rows=12, m=30, top=400, seed=0, block=1)
+@example(rows=12, m=30, top=0, seed=1, block=7)
+def test_rectangles_cover_every_cell_once_within_the_block(rows, m, top, seed, block):
+    rng = np.random.default_rng(seed)
+    hi = np.sort(rng.integers(0, top + 1, (rows, m)), axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", block)
+        chunks = list(_kernels._rectangles(hi))
+    covered = np.zeros(hi.shape, dtype=np.int64)
+    for r0, r1, t0, t1, width in chunks:
+        assert 0 <= r0 < r1 <= rows and 0 <= t0 < t1 <= m
+        covered[r0:r1, t0:t1] += 1
+        cells = (r1 - r0) * (t1 - t0)
+        assert cells == 1 or cells * width <= block
+        # wide enough for every cell, and no wider
+        assert width == hi[r0:r1, t0:t1].max()
+    assert np.all(covered == 1)
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():

@@ -493,6 +493,33 @@ def test_analysis_missing_column():
         run_pair_analysis(_dependent_table(), "a", "zzz", AnalysisConfig())
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("B", 0, errors.InvalidB),
+        ("B", True, errors.InvalidB),
+        ("alpha", 7.0, errors.DomainError),
+        ("rejection_fraction", 2.0, errors.DomainError),
+        ("rejection_fraction", True, errors.DomainError),
+        ("acf_lags", -3, errors.DomainError),
+        ("acf_lags", True, errors.DomainError),
+        ("acf_lags", 2.5, errors.DomainError),
+    ],
+)
+@pytest.mark.parametrize("skip", [False, True])
+def test_analysis_rejects_an_invalid_config_before_any_work(
+    monkeypatch, field, value, error, skip
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    for name in ("acf", "make_sample", "test_pair", "delta_sweep"):
+        monkeypatch.setattr(pipeline, name, no_work)
+    cfg = AnalysisConfig(**{"B": 5, "skip_tests": skip, field: value})
+    with pytest.raises(error, match=field):
+        run_pair_analysis(_dependent_table(), "a", "b", cfg)
+
+
 def test_analysis_constant_series_reports_acf_skip():
     t = _table(np.arange(50.0), np.ones(50))
     cfg = AnalysisConfig(B=5, seed=1, skip_tests=True, tie_policy="jitter")
