@@ -86,11 +86,14 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     ascending weighted rank ``rx_sorted``; ``ypos_sorted`` holds each
     element's 0-based position in the ordering by decreasing second
     coordinate, and row r of ``taus`` replicate r's cutoff at each tail size
-    in ``ks``.  Only elements with ypos < tau(k) and R < k contribute; with W
-    the running included weight, the a-th included element adds
-    (k - R_a) w_a (2W + w_a).  Entries of ``rx_sorted`` at or above the
-    largest k may be ``+inf``: the kernel never reads past the first rank
-    that is not below k.  ``ks`` is increasing, as every caller's grid is.
+    in ``ks``.  ``ypos_sorted`` may be one read-only row broadcast over the
+    stack, when every replicate shares the order.  Only elements with
+    ypos < tau(k) and R < k contribute; with W the running included weight,
+    the a-th included element adds (k - R_a) w_a (2W + w_a).  Entries of
+    ``rx_sorted`` at or above the largest k may be ``+inf``, which the
+    bootstrap passes only for ranks past its weight prefix, at the end of a
+    row: the kernel never reads past the first rank that is not below k.
+    ``ks`` is increasing, as every caller's grid is.
     Returns the sums in the shape of ``taus``, one row per replicate.  The
     module docstring gives the block layout and the summation contract.
     """

@@ -40,11 +40,20 @@ mean of all n.  What lies past a prefix cannot matter.  The running sums
 never decrease, so no cutoff lies past a sum of k_max, and a rank past a sum
 of 2 k_max stays at or above k_max even after the one rounding in "sum
 minus own weight", so it is set to +inf, which the kernel never reads.
-Only the first T weighted ranks (about k_max of them) are sorted.  A stable
-sort of that prefix keeps the relative order a stable sort of all n gives
-the elements whose rank is below k_max, and the kernel drops every other
-element, so it adds the same terms in the same order: the sums are
-bit-identical to the full computation.
+
+The kernel takes the first T conditioning positions in ascending weighted
+rank, and no replicate is sorted to get them.  Every weight is positive, so
+a weighted rank can only stay level or rise as the unweighted reverse rank
+rises: one order serves every replicate, the T positions sorted by their
+reverse rank.  The full computation sorts all n weighted ranks stably, by
+weighted rank and then by conditioning position.  On a row whose finite
+weighted ranks strictly increase along the shared order, the two orders are
+the same, so the kernel adds the same terms in the same order and the sums
+are bit-identical to the full computation.  Rounding can break the strict
+increase: a weight too small to move a running sum gives two elements the
+same weighted rank.  One comparison per stack checks every row, and a stack
+where it fails sorts each row by weighted rank, ties by conditioning
+position, which is the full computation's tie rule.
 
 Replicates are drawn and evaluated in stacks: R replicates at a time fill
 the rows of one (R, n) array, each drawn in place from its own stream, and
@@ -60,9 +69,9 @@ every row's sum reaches the bound, which may be longer than one row needs;
 that changes none of the row's earlier entries and only turns +inf ranks
 into finite ones at or above k_max, which the kernel drops as well.  The
 kernel input is as wide as the stack's largest tau(k_max); a row's entries
-at or past its own tau(k_max) are set to +inf, so they sort after every kept
-element, leave the stable order of the kept ones as it is, and are never
-read.
+at or past its own tau(k_max) keep their finite ranks and their place in
+the rank order, and the kernel drops them, since their position is at or
+past every tau(k) of that row.
 
 Each direction is ranked once per test call (ranks.concomitant_ranks returns
 the value order, conditioning order and rank positions together), and the
@@ -87,6 +96,7 @@ from .estimators import (
     _eta_values,
     _oriented_ranks,
 )
+from .ranks import _check_seed
 
 
 def _draw(seed, b, out):
@@ -134,11 +144,15 @@ def _replicate_inputs(ranks, W, means, kf):
 
     ranks is the direction's ConcomitantRanks, W the stack of multipliers
     (one replicate per row), means their row means over all n and kf the
-    increasing float k-grid.  Returns, per row, the first T weighted ranks in
-    conditioning order sorted ascending, their conditioning positions and
-    their weights, with T the stack's largest tau(k_max), plus the cutoffs
-    tau(k) of every row.  A rank past its row's prefix, or at a position at
-    or past its row's own tau(k_max), reads +inf.
+    increasing float k-grid.  Returns the weighted ranks of the first T
+    conditioning positions, T the stack's largest tau(k_max), with their
+    positions and weights, each row in ascending weighted rank; plus the
+    cutoffs tau(k) of every row.  A rank past its row's prefix reads +inf.
+
+    The rows share one order, the T positions by unweighted reverse rank,
+    and the positions come back as one read-only row broadcast over the
+    stack.  A stack in which some row's finite weighted ranks do not strictly
+    increase along it sorts each row by weighted rank, ties by position.
     """
     k_max = float(kf[-1])
     # The margin of 2 * k_max keeps every rank past the prefix at or above
@@ -151,15 +165,18 @@ def _replicate_inputs(ranks, W, means, kf):
     taus = np.stack([np.searchsorted(row, kf, side="left") for row in excl])
     taus = taus.astype(np.int64, copy=False)
     top = int(taus[:, -1].max())
-    rx = greater.take(np.minimum(ranks.rho[:top] - 1, wd.shape[1]), axis=1)
-    for row, tau_max in zip(rx, taus[:, -1]):
-        row[tau_max:] = np.inf
-    order = np.argsort(rx, axis=1, kind="stable")
-    # Gather each row by its own order, through indices into the flat array.
-    rows = np.arange(len(W))[:, None]
-    rx = rx.take(order + rows * top)
-    wy = wy.take(order + rows * wy.shape[1])
-    return rx, order.astype(np.int64, copy=False), wy, taus
+    rho = ranks.rho[:top]
+    p = np.argsort(rho)
+    rx = greater.take(np.minimum(rho[p] - 1, wd.shape[1]), axis=1)
+    ypos = np.broadcast_to(p, rx.shape)
+    wy = wy.take(p, axis=1)
+    # Along p the finite ranks come first; +inf (past the prefix) ends a row.
+    if not np.all((rx[:, 1:] > rx[:, :-1]) | (rx[:, 1:] == np.inf)):
+        order = np.lexsort((ypos, rx))
+        rx = np.take_along_axis(rx, order, axis=1)
+        ypos = p.take(order)
+        wy = np.take_along_axis(wy, order, axis=1)
+    return rx, ypos, wy, taus
 
 
 def _weighted_values(ranks, W, means, ks):
@@ -265,6 +282,7 @@ def _engine(sample, kgrid, B, alpha, seed, directions):
     """
     ks = _check_kgrid(kgrid, sample.n)
     B = _check_B(B)
+    seed = _check_seed(seed)
     alpha = _check_alpha(alpha)
     ranks = {d: _oriented_ranks(sample, d) for d in directions}
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}

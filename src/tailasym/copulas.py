@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidModelSpec, InvalidN, QuadratureFailure
 from .estimators import Direction, _coerce_direction
-from .ranks import PairedSample, make_sample
+from .ranks import PairedSample, _check_seed, make_sample
 
 
 def _check_unit_args(u, v):
@@ -406,7 +406,7 @@ def sample(model, n, seed) -> PairedSample:
     """Draw n pairs from the model's exact sampler, seeded and reproducible."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"need n >= 2, got {n!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     x, y = model._draw(rng, int(n))
     return make_sample(x, y, tie_policy="reject")
 

@@ -41,7 +41,7 @@ from .errors import (
     UnparsableValue,
 )
 from .estimators import delta_sweep
-from .ranks import make_sample
+from .ranks import _check_seed, make_sample
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,10 +455,11 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     diagnostics).  All three tests come from one shared replicate pass.  When
     the eta gate is active, the asymmetry test is only reported if at least
     one directional sweep rejects tail independence: asymmetry of an empty
-    tail is meaningless.  The config's B, alpha, rejection_fraction and
-    acf_lags are checked before any work, with or without the tests.
+    tail is meaningless.  The config's B, seed, alpha, rejection_fraction
+    and acf_lags are checked before any work, with or without the tests.
     """
     _check_B(config.B)
+    _check_seed(config.seed)
     _check_alpha(config.alpha)
     _check_threshold(config.rejection_fraction, "rejection_fraction")
     _check_lags(config.acf_lags, "acf_lags")

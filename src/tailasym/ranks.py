@@ -16,6 +16,12 @@ import numpy as np
 from .errors import DomainError, InvalidN, LengthMismatch, NonFinite, TiesPresent
 
 
+def _check_seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _as_checked_array(values, name):
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -95,9 +101,8 @@ def make_sample(x, y, tie_policy="reject", seed=None):
     if tie_policy == "jitter":
         if seed is None:
             raise DomainError("tie policy 'jitter' requires a seed")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        )
+        seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(1,))
+        rng = np.random.Generator(np.random.Philox(seq))
         # x first, then y, so the random stream layout is data-independent.
         if _tied_pair(xa) is not None:
             xa = _jitter(xa, rng)

@@ -1,4 +1,4 @@
-"""Release gate: the eleven checks a build must clear before shipping.
+"""Release gate: the twelve checks a build must clear before shipping.
 
 Each test is numbered and carries its own wall-clock budget, asserted at the
 end, so a regression in either correctness or speed trips the same gate.  The
@@ -303,3 +303,28 @@ def test_gate_11_byte_identical_reruns(tmp_path):
         r2 = _analyze_to_files(data, tmp_path, "r2", fmt)
         assert r1.read_bytes() == r2.read_bytes()
     assert time.monotonic() - t0 < 60.0
+
+
+def test_gate_12_delta_null_calibration():
+    """The asymmetry test keeps its nominal level at the symmetric null.
+
+    Symmetric Gumbel weights (1, 1, 2), n = 5000, B = 100, k grid 100..500
+    step 10, seeds 1..20: the mean per-k rejection rate at alpha = 0.05 and
+    the coverage of 0 by the confidence intervals stay within three binomial
+    Monte Carlo standard errors of 0.05 and 0.95.  The 41 tail sizes of one
+    sample share its data and its multipliers, so the error is taken over
+    the 20 independent samples, not the 820 cells.  Budget: 20 s.
+    """
+    t0 = time.monotonic()
+    grid = list(range(100, 501, 10))
+    model = KhoudrajiGumbelCopula(1.0, 1.0, 2.0)
+    seeds = range(1, 21)
+    rejected, covered = [], []
+    for seed in seeds:
+        res = delta_test(sample(model, 5000, seed), grid, B=100, seed=seed)
+        rejected.append(np.mean([r.p_value < 0.05 for r in res]))
+        covered.append(np.mean([r.ci_low <= 0.0 <= r.ci_high for r in res]))
+    margin = 3.0 * math.sqrt(0.05 * 0.95 / len(seeds))
+    assert float(np.mean(rejected)) <= 0.05 + margin
+    assert float(np.mean(covered)) >= 0.95 - margin
+    assert time.monotonic() - t0 < 20.0

@@ -246,6 +246,12 @@ def test_argument_validation():
     for bad_alpha in (0.0, 1.0, -0.1, "a"):
         with pytest.raises(errors.DomainError):
             bt.test_eta_zero(s, [5], B=4, alpha=bad_alpha)
+    for bad_seed in (-1, True, 1.5, "3", None):
+        with pytest.raises(errors.DomainError, match="seed must be a non-negative"):
+            bt.test_pair(s, [5], B=4, seed=bad_seed)
+    assert bt.test_pair(s, [5], B=4, seed=np.int64(3)) == bt.test_pair(
+        s, [5], B=4, seed=3
+    )
     with pytest.raises(errors.KOutOfRange):
         bt.test_eta_zero(s, [], B=4)
     with pytest.raises(errors.KOutOfRange):
@@ -260,16 +266,22 @@ def test_argument_validation():
 def _count_weighted_calls(monkeypatch):
     """Record (rows, width, each row's tau(k_max)) of every weighted-kernel call.
 
-    Engine calls must read +inf at every position at or past the row's own
-    tau(k_max): there is nothing for the kernel to keep there.
+    The engine's stacks here are tie-free, so every row comes in one shared
+    order of the conditioning positions, each row's finite weighted ranks
+    strictly increase along it, and the +inf ranks come last.
     """
     calls = []
     real = _kernels.weighted_eta_grid_sums
 
     def counted(rx_sorted, ypos_sorted, w_sorted, taus, ks):
         tau_max = taus[:, -1]
-        assert np.all(np.isinf(rx_sorted[ypos_sorted >= tau_max[:, None]]))
-        calls.append((len(rx_sorted), rx_sorted.shape[1], tau_max.tolist()))
+        width = rx_sorted.shape[1]
+        assert np.array_equal(np.sort(ypos_sorted[0]), np.arange(width))
+        assert np.all(ypos_sorted == ypos_sorted[0])
+        inf = rx_sorted == np.inf
+        assert not np.any(inf[:, :-1] & ~inf[:, 1:])
+        assert np.all((rx_sorted[:, 1:] > rx_sorted[:, :-1]) | inf[:, 1:])
+        calls.append((len(rx_sorted), width, tau_max.tolist()))
         return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", counted)
@@ -484,12 +496,79 @@ def test_stacks_equal_the_full_sort_reference(monkeypatch):
     calls = _count_weighted_calls(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=7, seed=11)
     assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
-    # rows of one stack reach different tau(k_max), so the shorter rows are
-    # filled with +inf up to the stack's width
+    # rows of one stack reach different tau(k_max), so the shorter rows carry
+    # finite ranks at positions past their own tau(k_max), which the kernel
+    # drops
     assert any(len(set(tau_max)) > 1 for _, _, tau_max in calls)
     calls.clear()
     _assert_engine_equals_full_sort(s, kgrid, B=1, seed=12)
     assert [rows for rows, _, _ in calls] == [1, 1]
+
+
+def _count_row_sorts(monkeypatch):
+    """Record the name of every np.argsort or np.lexsort call on a 2-D array."""
+    seen = []
+    for name in ("argsort", "lexsort"):
+        real = getattr(np, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            keys = a if _name == "lexsort" else (a,)
+            if any(np.ndim(key) > 1 for key in keys):
+                seen.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return seen
+
+
+def test_a_tie_free_stack_sorts_no_rows(monkeypatch):
+    rng = np.random.default_rng(52)
+    s = _random_sample(rng, 500)
+    sorts = _count_row_sorts(monkeypatch)
+    # the recorder checks that every row is in the shared rank order
+    calls = _count_weighted_calls(monkeypatch)
+    bt.test_pair(s, [10, 25, 40, 60], B=30, seed=17)
+    assert [rows for rows, _, _ in calls] == [30, 30]
+    assert sorts == []
+
+
+def test_tied_weighted_ranks_sort_the_stack_like_the_full_sort_reference(monkeypatch):
+    # Elements 0..9 hold the largest x and the smallest y, so they never
+    # enter the tail.  Element 10 (x reverse rank 11) weighs too little to
+    # move a running sum of 10, so its weighted rank is 10, the same as that
+    # of element 11 (reverse rank 12).  Element 11 comes first in the
+    # conditioning order: the reverse of their reverse-rank order.
+    n = 40
+    x = -np.arange(n, dtype=np.float64)
+    y = np.concatenate((-100.0 - np.arange(10), [99.0, 100.0], 50.0 - np.arange(n - 12)))
+    s = make_sample(x, y)
+
+    def draw(seed, b, out):
+        # they sum to exactly n, so the normalized weights are these values
+        out[:] = 1.0
+        out[10] = 1e-20
+        out[n - 1] = 2.0
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    sorts = _count_row_sorts(monkeypatch)
+    calls = []
+    real = _kernels.weighted_eta_grid_sums
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
+    _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16)
+    # one stack of 3 per direction, each sorted row by row
+    assert sorts == ["lexsort", "lexsort"]
+    # the engine's first call is the X_GIVEN_Y stack: both tied elements are
+    # kept at k = 12 and reach the kernel ordered by conditioning position
+    rx, ypos, _, taus, _ = calls[0]
+    assert rx.shape[0] == 3
+    assert np.all(rx[:, :3] == [10.0, 10.0, 11.0])
+    assert np.all(ypos[:, :2] == [0, 1])
+    assert np.all(taus[:, 0] > 2)
 
 
 def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypatch):

@@ -73,6 +73,19 @@ def test_simulate_bad_model_exits_2(capsys):
     assert run_cli("simulate", "--model", "nelsen:theta=0.5", "--n", "1") == 2
 
 
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    code = run_cli(
+        "simulate", "--model", "maxmodel:m=2", "--n", "3", "--seed", "-1",
+        "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "sim.csv"
     assert run_cli("simulate", "--model", "maxmodel:m=2", "--n", "3", "--out", str(out)) == 2
@@ -141,6 +154,8 @@ def test_analyze_partial_k_flags_exit_2(tmp_path, capsys):
         (["--B", "0", "--skip-tests"], "B must be a positive integer"),
         (["--alpha", "7", "--skip-tests"], "alpha must lie strictly between 0 and 1"),
         (["--acf-lags", "-3"], "acf_lags must be an integer >= 1"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["--seed", "-1", "--skip-tests"], "seed must be a non-negative integer"),
     ],
 )
 def test_analyze_invalid_config_exits_2_before_the_bootstrap(
@@ -159,7 +174,8 @@ def test_analyze_invalid_config_exits_2_before_the_bootstrap(
         *flags, "--out", str(out),
     )
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

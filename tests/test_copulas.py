@@ -271,6 +271,16 @@ def test_sample_returns_validated_pairs_deterministically():
         sample(c, 1, 0)
 
 
+def test_sample_seed_must_be_a_non_negative_integer():
+    c = NelsenCopula(0.5)
+    for bad in (-1, True, 2.0, None):
+        with pytest.raises(errors.DomainError, match="seed must be a non-negative"):
+            sample(c, 10, bad)
+    want = sample(c, 10, 42)
+    got = sample(c, 10, np.uint64(42))
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -504,6 +504,9 @@ def test_analysis_missing_column():
         ("acf_lags", -3, errors.DomainError),
         ("acf_lags", True, errors.DomainError),
         ("acf_lags", 2.5, errors.DomainError),
+        ("seed", -1, errors.DomainError),
+        ("seed", True, errors.DomainError),
+        ("seed", 1.0, errors.DomainError),
     ],
 )
 @pytest.mark.parametrize("skip", [False, True])

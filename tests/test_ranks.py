@@ -127,6 +127,16 @@ def test_jitter_requires_seed():
         ranks.make_sample([1, 1, 2], [1, 2, 3], tie_policy="jitter")
 
 
+def test_jitter_seed_must_be_a_non_negative_integer():
+    x, y = [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    for bad in (-1, True, 0.5, "5"):
+        with pytest.raises(errors.DomainError, match="seed must be a non-negative"):
+            ranks.make_sample(x, y, tie_policy="jitter", seed=bad)
+    want = ranks.make_sample(x, y, tie_policy="jitter", seed=5)
+    got = ranks.make_sample(x, y, tie_policy="jitter", seed=np.int32(5))
+    assert np.array_equal(got.x, want.x)
+
+
 def test_jitter_breaks_ties_preserving_order():
     x = [3.0, 1.0, 3.0, 2.0, 1.0]
     y = [10.0, 20.0, 30.0, 40.0, 50.0]
