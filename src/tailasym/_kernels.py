@@ -13,21 +13,21 @@ Python integers.
 
 The weighted kernel takes a stack of replicates: each 2-D input holds one
 replicate per row, the cutoffs one row of tau(k) per replicate, and the
-result one row of sums per replicate.  With hi(k) the count of a row's
-weighted ranks below k, the kernel works on 3-D blocks, a rectangle of
-replicates x grid rows at a time, each row covering the first ``width``
-sorted elements, ``width`` being the rectangle's largest hi; a mask keeps
-row k's entries below its own replicate's hi(k) whose conditioning position
-is below tau(k).  The running included weight is a cumsum along each row of
-the weights with the dropped entries set to 0.0; the two factors of each
-term are formed on the whole block and compressed with the mask, row after
-row, so that the kept terms of each (replicate, k) sit in one contiguous
-slice.  A rectangle is a run of grid rows over every replicate of the
-stack, as many rows as keep each temporary within ``_BLOCK`` elements;
-hi(k) never decreases along the grid, so each row of a run is padded only
-to the widest hi in the run's last row.  A single grid row of the stack
-that is larger than the budget is split into runs of replicates, each
-holding at least one replicate.
+result one row of sums per replicate.  It works on 3-D blocks, a run of grid
+rows over every replicate of the stack at a time, each row covering the
+first ``width`` sorted elements; a mask keeps row k's entries with a weighted
+rank below k whose conditioning position is below tau(k).  Each row of
+ranks is sorted, so the entries kept at k are a prefix of the row, and the
+stack's widest prefix at k is the count of the column-wise minimum below k:
+that minimum of sorted rows is itself sorted.  ``width`` is that count at
+the run's last grid row, the widest of the run, since the count never
+decreases along the grid.  A run holds as many grid rows as keep each
+temporary within ``_BLOCK`` elements, and at least one; a single grid row
+is at most the size of the kernel's own input.  The running included
+weight is a cumsum along each row of the weights with the dropped entries
+set to 0.0; the two factors of each term are formed on the whole block and
+compressed with the mask, row after row, so that the kept terms of each
+(replicate, k) sit in one contiguous slice.
 
 Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
 and 2 W_a - w_a, W_a being the included weight up to and including a, in
@@ -39,9 +39,9 @@ adding +0.0 leaves a positive running sum unchanged, and the dot receives
 the same values with the same length and stride, so it makes the same BLAS
 call.  ``a.dot(b)`` and ``np.dot(a, b)`` reach the same ``ddot`` on the same
 operands; the method form skips the ``__array_function__`` dispatch.
-How replicates and grid rows are grouped into rectangles changes none of
-this.  Padding the vectors with zeros would move terms between the BLAS
-accumulator lanes and change the last bits.  The BLAS ``ddot`` order itself
+How grid rows are grouped into runs changes none of this.  Padding the
+vectors with zeros would move terms between the BLAS accumulator lanes and
+change the last bits.  The BLAS ``ddot`` order itself
 depends on the thread count (OpenBLAS splits sums above 10,000 terms
 between its threads), so S(k) repeats bit for bit only under the same BLAS
 build and thread count (ROADMAP Open item 1).
@@ -50,8 +50,8 @@ build and thread count (ROADMAP Open item 1).
 import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Elements per temporary of the weighted kernel (at least one replicate x
-# grid row cell).
+# Elements per temporary of the weighted kernel, unless one grid row of the
+# stack alone has more.
 _BLOCK = 1 << 16
 
 
@@ -92,21 +92,22 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     the a-th included element adds (k - R_a) w_a (2W + w_a).  Entries of
     ``rx_sorted`` at or above the largest k may be ``+inf``, which the
     bootstrap passes only for ranks past its weight prefix, at the end of a
-    row: the kernel never reads past the first rank that is not below k.
+    row: the mask drops every rank that is not below k.
     ``ks`` is increasing, as every caller's grid is.
     Returns the sums in the shape of ``taus``, one row per replicate.  The
     module docstring gives the block layout and the summation contract.
     """
     kf = np.asarray(ks, dtype=np.float64)
     out = np.empty(taus.shape, dtype=np.float64)
-    # Nondecreasing along each row of the increasing grid, so a rectangle's
-    # last grid row is its widest.
-    hi = np.stack([np.searchsorted(row, kf, side="left") for row in rx_sorted])
-    for r0, r1, t0, t1, width in _rectangles(hi):
-        rx = rx_sorted[r0:r1, None, :width]
-        w = w_sorted[r0:r1, None, :width]
-        keep = np.arange(width) < hi[r0:r1, t0:t1, None]
-        keep &= ypos_sorted[r0:r1, None, :width] < taus[r0:r1, t0:t1, None]
+    # The largest count of a row's ranks below each k, nondecreasing along the
+    # increasing grid, so a run's last grid row is its widest.
+    widest = np.searchsorted(rx_sorted.min(axis=0), kf, side="left")
+    for t0, t1 in _runs(len(rx_sorted), widest):
+        width = int(widest[t1 - 1])
+        rx = rx_sorted[:, None, :width]
+        w = w_sorted[:, None, :width]
+        keep = rx < kf[t0:t1, None]
+        keep &= ypos_sorted[:, None, :width] < taus[:, t0:t1, None]
         cw = np.where(keep, w, 0.0)
         np.cumsum(cw, axis=2, out=cw)
         cw *= 2.0
@@ -117,37 +118,23 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
         # k) cell land end to end, replicate by replicate in grid order.
         tail, cw = tail[keep], cw[keep]
         ends = np.cumsum(keep.sum(axis=2)).tolist()
-        out[r0:r1, t0:t1].flat = [
+        out[:, t0:t1].flat = [
             tail[a:b].dot(cw[a:b]) for a, b in zip([0] + ends, ends)
         ]
     return out
 
 
-def _rectangles(hi):
-    """Chunks (r0, r1, t0, t1, width) of replicates x grid rows within _BLOCK.
+def _runs(R, widest):
+    """Runs (t0, t1) of grid rows over R replicates, each within _BLOCK.
 
-    A chunk is a run of grid rows over every replicate, as many rows as fit
-    with width the largest hi in the run's last row; a grid row that does not
-    fit on its own is split into runs of replicates, each holding at least
-    one replicate.  Every (replicate, grid row) cell is in exactly one chunk,
-    and width is the largest hi of the chunk's cells.
+    A run is as wide as ``widest`` at its last row and holds as many rows as
+    fit, and at least one.  Every grid row is in exactly one run.
     """
-    R, G = hi.shape
-    widest = hi.max(axis=0)
+    G = len(widest)
     t0 = 0
     while t0 < G:
         # Nondecreasing in the run's length: rows times the last row's width.
         size = R * widest[t0:] * np.arange(1, G - t0 + 1)
-        t1 = t0 + int(np.searchsorted(size, _BLOCK, side="right"))
-        if t1 > t0:
-            yield 0, R, t0, t1, int(widest[t1 - 1])
-            t0 = t1
-            continue
-        col = hi[:, t0]
-        r0 = 0
-        while r0 < R:
-            size = np.maximum.accumulate(col[r0:]) * np.arange(1, R - r0 + 1)
-            r1 = r0 + max(1, int(np.searchsorted(size, _BLOCK, side="right")))
-            yield r0, r1, t0, t0 + 1, int(col[r0:r1].max())
-            r0 = r1
-        t0 += 1
+        t1 = t0 + max(1, int(np.searchsorted(size, _BLOCK, side="right")))
+        yield t0, t1
+        t0 = t1

@@ -61,10 +61,11 @@ each direction makes one kernel call per stack.  R is sized by the
 multipliers alone: the largest count, and at least 1, with R <= B and
 R * n <= 2**17 elements (1 MB of multipliers).  So a sample of more than
 2**16 gets one replicate per stack, and smaller ones pay a few array calls
-per stack in place of a few per replicate; the kernel cuts each stack into
-blocks within its own budget, whatever the grid.  A stack changes no
-replicate's value.  Each row's mean is the same pairwise sum as that
-replicate's own.  The stack's prefixes run to the first length at which
+per stack in place of a few per replicate; the kernel cuts the grid into
+runs of rows over the whole stack and never splits a grid row, so each of
+its temporaries stays within its own budget or, for a single grid row past
+that budget, within the size of the stack.  A stack changes no replicate's
+value.  Each row's mean is the same pairwise sum as that replicate's own.  The stack's prefixes run to the first length at which
 every row's sum reaches the bound, which may be longer than one row needs;
 that changes none of the row's earlier entries and only turns +inf ranks
 into finite ones at or above k_max, which the kernel drops as well.  The

@@ -21,6 +21,15 @@ from .estimators import Direction, _coerce_direction
 from .ranks import PairedSample, _check_seed, make_sample
 
 
+def _is_real(val):
+    """A finite int or float parameter; a bool is not a number here."""
+    return (
+        isinstance(val, (int, float))
+        and not isinstance(val, bool)
+        and math.isfinite(val)
+    )
+
+
 def _check_unit_args(u, v):
     ua = np.asarray(u, dtype=np.float64)
     va = np.asarray(v, dtype=np.float64)
@@ -61,7 +70,7 @@ class NelsenCopula:
 
     def __post_init__(self):
         t = self.theta
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and 0.0 <= t <= 1.0):
+        if not (_is_real(t) and 0.0 <= t <= 1.0):
             raise DomainError(f"theta must lie in [0, 1], got {t!r}")
         object.__setattr__(self, "theta", float(t))
 
@@ -121,15 +130,11 @@ class KhoudrajiGumbelCopula:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             val = getattr(self, name)
-            if not (
-                isinstance(val, (int, float))
-                and math.isfinite(val)
-                and 0.0 <= val <= 1.0
-            ):
+            if not (_is_real(val) and 0.0 <= val <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
             object.__setattr__(self, name, float(val))
         d = self.delta
-        if not (isinstance(d, (int, float)) and math.isfinite(d) and d >= 1.0):
+        if not (_is_real(d) and d >= 1.0):
             raise DomainError(f"delta must be >= 1, got {d!r}")
         object.__setattr__(self, "delta", float(d))
 
@@ -343,9 +348,7 @@ def khoudraji_gumbel_delta_closed_form(alpha, beta):
     quadrature values loses half its digits to cancellation.
     """
     for name, val in (("alpha", alpha), ("beta", beta)):
-        if not (
-            isinstance(val, (int, float)) and math.isfinite(val) and 0.0 < val <= 1.0
-        ):
+        if not (_is_real(val) and 0.0 < val <= 1.0):
             raise DomainError(f"{name} must lie in (0, 1], got {val!r}")
     a, b = float(alpha), float(beta)
     r = math.hypot(a, b)
@@ -373,11 +376,7 @@ def population_values(model, integration_tol=1e-8):
     closed form (away from degenerate weights), which is immune to the
     cancellation the subtraction of two quadratures would suffer.
     """
-    if not (
-        isinstance(integration_tol, (int, float))
-        and math.isfinite(integration_tol)
-        and integration_tol > 0.0
-    ):
+    if not (_is_real(integration_tol) and integration_tol > 0.0):
         raise DomainError(f"integration_tol must be positive, got {integration_tol!r}")
     tol = float(integration_tol)
 

@@ -115,11 +115,7 @@ def eta_kn(sample: PairedSample, k, direction=Direction.X_GIVEN_Y) -> EtaEstimat
     Requires 2 <= k <= n.  The value lies in [0, eta_upper_bound(k)]; it is a
     function of the concomitant reverse ranks only.
     """
-    direction = _coerce_direction(direction)
-    k = _check_k(k, sample.n)
-    ks = np.asarray([k], dtype=np.int64)
-    value = _eta_values(_oriented_ranks(sample, direction), ks)[0]
-    return EtaEstimate(value=value, k=k, n=sample.n, direction=direction)
+    return eta_sweep(sample, [k], direction)[0]
 
 
 def eta_sweep(sample: PairedSample, kgrid, direction=Direction.X_GIVEN_Y):
@@ -135,15 +131,7 @@ def eta_sweep(sample: PairedSample, kgrid, direction=Direction.X_GIVEN_Y):
 
 def delta_kn(sample: PairedSample, k) -> DeltaEstimate:
     """Tail-asymmetry statistic: eta_kn(x|y) - eta_kn(y|x)."""
-    exy = eta_kn(sample, k, Direction.X_GIVEN_Y)
-    eyx = eta_kn(sample, k, Direction.Y_GIVEN_X)
-    return DeltaEstimate(
-        value=exy.value - eyx.value,
-        k=exy.k,
-        n=sample.n,
-        eta_xy=exy.value,
-        eta_yx=eyx.value,
-    )
+    return delta_sweep(sample, [k])[0]
 
 
 def delta_sweep(sample: PairedSample, kgrid):

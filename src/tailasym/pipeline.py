@@ -353,6 +353,9 @@ class AnalysisConfig:
         if any(g is not None for g in given):
             if any(g is None for g in given):
                 raise DomainError("k_min, k_max and k_step must be given together")
+            for name, g in zip(("k_min", "k_max", "k_step"), given):
+                if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
+                    raise KOutOfRange(f"{name} must be an integer, got {g!r}")
             k_min, k_max, k_step = (int(g) for g in given)
             if k_step < 1:
                 raise KOutOfRange(f"k_step must be >= 1, got {k_step}")

@@ -469,20 +469,20 @@ def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
 # --- replicate stacks against the full-sort reference ------------------------------
 
 
-def _record_rectangles(monkeypatch):
-    """Record the stack shape and the chunks of every kernel call.
+def _record_runs(monkeypatch):
+    """Record the stack height, the widest counts and the runs of every kernel call.
 
     The engine's calls come first, then the one-row calls of the reference.
     """
     seen = []
-    real = _kernels._rectangles
+    real = _kernels._runs
 
-    def recorded(hi):
-        chunks = list(real(hi))
-        seen.append((hi.shape, chunks))
-        return chunks
+    def recorded(R, widest):
+        runs = list(real(R, widest))
+        seen.append((R, widest.copy(), runs))
+        return runs
 
-    monkeypatch.setattr(_kernels, "_rectangles", recorded)
+    monkeypatch.setattr(_kernels, "_runs", recorded)
     return seen
 
 
@@ -577,20 +577,18 @@ def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypat
     kgrid = list(range(10, 1400, 10))
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    seen = _record_rectangles(monkeypatch)
+    seen = _record_runs(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=2, seed=13)
     # the replicate's grid split into runs of rows
     engine = seen[: 2 * 2]
-    assert all(shape == (1, len(kgrid)) for shape, _ in engine)
-    assert all(len(chunks) > 1 for _, chunks in engine)
-    assert all(r0 == 0 and r1 == 1 for _, chunks in engine for r0, r1, *_ in chunks)
+    assert all((R, len(widest)) == (1, len(kgrid)) for R, widest, _ in engine)
+    assert all(len(runs) > 1 for _, _, runs in engine)
 
 
 @pytest.mark.parametrize("block", [1, 50, 400, 1500])
 def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch, block):
-    # stacks sized by _STACK_ELEMS, evaluated in chunks of a smaller block:
-    # runs of grid rows, single grid rows, single replicates, several
-    # replicates
+    # stacks sized by _STACK_ELEMS, evaluated in runs of a smaller block:
+    # several grid rows, or single grid rows past the block
     rng = np.random.default_rng(49)
     z = rng.standard_normal(300)
     s = make_sample(z, z + 0.5 * rng.standard_normal(300))
@@ -602,19 +600,18 @@ def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch
             return real(*args)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
-    seen = _record_rectangles(monkeypatch)
+    seen = _record_runs(monkeypatch)
     _assert_engine_equals_full_sort(s, [10, 20, 30, 45, 60], B=10, seed=14)
     # one stack of 10 replicates, one call per direction
     engine = seen[:2]
-    assert [shape for shape, _ in engine] == [(10, 5), (10, 5)]
-    assert all(len(chunks) > 1 for _, chunks in engine)
+    assert [(R, len(widest)) for R, widest, _ in engine] == [(10, 5), (10, 5)]
+    assert all(len(runs) > 1 for _, _, runs in engine)
 
 
-def test_grid_rows_split_into_replicate_rectangles_equal_the_full_sort_reference(
-    monkeypatch,
-):
+def test_grid_rows_past_the_block_run_alone_equal_the_full_sort_reference(monkeypatch):
     # one stack of 20 replicates whose low grid rows fit the block in runs
-    # and whose high ones are each split into runs of replicates
+    # and whose high ones each exceed it, so each is a run of its own over
+    # all 20 replicates
     rng = np.random.default_rng(50)
     z = rng.standard_normal(600)
     s = make_sample(z, z + 0.5 * rng.standard_normal(600))
@@ -627,16 +624,14 @@ def test_grid_rows_split_into_replicate_rectangles_equal_the_full_sort_reference
             return real(*args)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
-    seen = _record_rectangles(monkeypatch)
+    seen = _record_runs(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=20, seed=15)
     engine = seen[:2]
-    assert [shape for shape, _ in engine] == [(20, 7), (20, 7)]
-    for _, chunks in engine:
-        grid_runs = [c for c in chunks if (c[0], c[1]) == (0, 20)]
-        replicate_runs = [c for c in chunks if (c[0], c[1]) != (0, 20)]
-        assert any(t1 - t0 > 1 for _, _, t0, t1, _ in grid_runs)
-        assert replicate_runs and all(t1 - t0 == 1 for *_, t0, t1, _ in replicate_runs)
-        assert any(1 < r1 - r0 < 20 for r0, r1, *_ in replicate_runs)
+    assert [(R, len(widest)) for R, widest, _ in engine] == [(20, 7), (20, 7)]
+    for R, widest, runs in engine:
+        assert any(t1 - t0 > 1 for t0, t1 in runs)
+        high = [t for t in range(len(kgrid)) if R * widest[t] > 1000]
+        assert high and all((t, t + 1) in runs for t in high)
 
 
 def test_stack_memory_is_bounded_by_the_stack_not_by_B():

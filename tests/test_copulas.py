@@ -41,7 +41,7 @@ KG_DELTA = 0.0680436021651469
 # --- parameter validation ----------------------------------------------------
 
 
-@pytest.mark.parametrize("theta", [-0.1, 1.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("theta", [-0.1, 1.1, float("nan"), float("inf"), True, False])
 def test_nelsen_rejects_bad_theta(theta):
     with pytest.raises(errors.DomainError):
         NelsenCopula(theta)
@@ -54,11 +54,20 @@ def test_nelsen_rejects_bad_theta(theta):
         {"alpha": 0.5, "beta": 1.2, "delta": 2.0},
         {"alpha": 0.5, "beta": 0.5, "delta": 0.8},
         {"alpha": 0.5, "beta": 0.5, "delta": float("nan")},
+        # a bool is not a number, although True == 1
+        {"alpha": True, "beta": 0.5, "delta": 2.0},
+        {"alpha": 0.5, "beta": False, "delta": 2.0},
+        {"alpha": 0.5, "beta": 0.5, "delta": True},
     ],
 )
 def test_kgumbel_rejects_bad_parameters(kwargs):
     with pytest.raises(errors.DomainError):
         KhoudrajiGumbelCopula(**kwargs)
+
+
+def test_integer_parameters_stay_valid():
+    assert NelsenCopula(1) == NelsenCopula(1.0)
+    assert KhoudrajiGumbelCopula(1, 0, 2) == KhoudrajiGumbelCopula(1.0, 0.0, 2.0)
 
 
 @pytest.mark.parametrize("m", [1, 0, -2, 2.5, True])
@@ -226,6 +235,10 @@ def test_kgumbel_closed_form_delta():
     assert abs(khoudraji_gumbel_delta_closed_form(0.8, 0.8)) < 1e-13
     with pytest.raises(errors.DomainError):
         khoudraji_gumbel_delta_closed_form(0.0, 0.5)
+    for bad in ((True, 0.5), (0.5, True)):
+        with pytest.raises(errors.DomainError):
+            khoudraji_gumbel_delta_closed_form(*bad)
+    assert khoudraji_gumbel_delta_closed_form(1, 1) == khoudraji_gumbel_delta_closed_form(1.0, 1.0)
 
 
 def test_kgumbel_closed_delta_matches_quadrature_across_parameters():
@@ -245,6 +258,9 @@ def test_population_values_tolerance_validation_and_failure():
         population_values(NelsenCopula(0.5), integration_tol=0.0)
     with pytest.raises(errors.DomainError):
         population_values(NelsenCopula(0.5), integration_tol=-1e-8)
+    with pytest.raises(errors.DomainError):
+        population_values(NelsenCopula(0.5), integration_tol=True)
+    assert population_values(NelsenCopula(0.5), integration_tol=1).method == "closed_form"
     with pytest.raises(errors.QuadratureFailure):
         population_values(KhoudrajiGumbelCopula(1.0, 0.5, 2.0), integration_tol=1e-30)
 

@@ -4,14 +4,15 @@ The integer kernel is exact integer arithmetic: it must give zero where no
 rank contributes, the closed-form sum (k - 1)(2k^2 + 5k - 6)/6 at full
 concordance, and stay exact past the int64 range.
 
-The weighted kernel evaluates a stack of replicates over a rectangle of
-replicates x grid rows at once, and must give, for every row of the stack,
-bit for bit what the literal loop over k, ``per_k_weighted_sums`` below,
-gives: same terms, same running sums and the same ``np.dot`` call per k.
-The rectangles the kernel cuts a stack into must cover each (replicate,
-grid row) cell once, within the block budget.  These tests are
-derandomized; CI runs them a second time with two BLAS threads, where
-``np.dot`` splits every sum of more than 10,000 terms between the threads.
+The weighted kernel evaluates a stack of replicates over a run of grid rows
+at once, and must give, for every row of the stack, bit for bit what the
+literal loop over k, ``per_k_weighted_sums`` below, gives: same terms, same
+running sums and the same ``np.dot`` call per k.  The runs the kernel cuts a
+grid into must cover each grid row once, within the block budget, and its
+width at each k must be the largest count of a row's ranks below k.  These
+tests are derandomized; CI runs them a second time with two BLAS threads,
+where ``np.dot`` splits every sum of more than 10,000 terms between the
+threads.
 """
 
 import numpy as np
@@ -155,21 +156,57 @@ def test_weighted_kernel_is_the_per_k_loop_bit_for_bit(
 )
 @example(rows=12, m=30, top=400, seed=0, block=1)
 @example(rows=12, m=30, top=0, seed=1, block=7)
-def test_rectangles_cover_every_cell_once_within_the_block(rows, m, top, seed, block):
+def test_runs_cover_every_grid_row_once_within_the_block(rows, m, top, seed, block):
     rng = np.random.default_rng(seed)
-    hi = np.sort(rng.integers(0, top + 1, (rows, m)), axis=1)
+    widest = np.sort(rng.integers(0, top + 1, m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK", block)
-        chunks = list(_kernels._rectangles(hi))
-    covered = np.zeros(hi.shape, dtype=np.int64)
-    for r0, r1, t0, t1, width in chunks:
-        assert 0 <= r0 < r1 <= rows and 0 <= t0 < t1 <= m
-        covered[r0:r1, t0:t1] += 1
-        cells = (r1 - r0) * (t1 - t0)
-        assert cells == 1 or cells * width <= block
-        # wide enough for every cell, and no wider
-        assert width == hi[r0:r1, t0:t1].max()
+        runs = list(_kernels._runs(rows, widest))
+    covered = np.zeros(m, dtype=np.int64)
+    for t0, t1 in runs:
+        assert 0 <= t0 < t1 <= m
+        covered[t0:t1] += 1
+        size = rows * (t1 - t0) * widest[t1 - 1]
+        assert t1 - t0 == 1 or size <= block
+        # as many grid rows as fit: one more would not
+        assert t1 == m or rows * (t1 - t0 + 1) * widest[t1] > block
     assert np.all(covered == 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    size=st.integers(0, 300),
+    finite=st.integers(0, 300),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    halves=st.booleans(),
+    rows=st.integers(1, 8),
+    shift=st.sampled_from([0.0, 50.0]),
+)
+@example(size=0, finite=0, m=3, seed=0, halves=False, rows=3, shift=0.0)
+@example(size=40, finite=0, m=5, seed=1, halves=True, rows=1, shift=0.0)
+@example(size=60, finite=45, m=12, seed=3, halves=True, rows=6, shift=0.0)
+@example(size=60, finite=45, m=12, seed=3, halves=True, rows=6, shift=50.0)
+def test_widest_is_the_largest_count_of_a_rows_ranks_below_k(
+    size, finite, m, seed, halves, rows, shift
+):
+    # +inf tails, ranks equal to a k (halves) and rows with no rank below
+    # the low k's (shift) or none at all (size 0, or finite 0 in one row)
+    rx, ypos, w, taus, ks = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
+    rx = rx + shift
+    seen = []
+    real = _kernels._runs
+
+    def recorded(R, widest):
+        seen.append(widest.copy())
+        return real(R, widest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_runs", recorded)
+        _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)
+    kf = ks.astype(np.float64)
+    want = np.max([np.searchsorted(row, kf, "left") for row in rx], axis=0)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():

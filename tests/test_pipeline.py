@@ -370,6 +370,22 @@ def test_materialize_kgrid_bound_validation():
     assert AnalysisConfig().materialize_kgrid(100) == default_kgrid(100)
 
 
+def test_materialize_kgrid_rejects_bounds_that_are_not_integers():
+    # bounds are integers: no silent truncation of a float, no string or bool
+    for bad in (
+        {"k_min": 10.7, "k_max": 20.2, "k_step": 5},
+        {"k_min": "10", "k_max": 20, "k_step": 5},
+        {"k_min": 10, "k_max": 20, "k_step": 5.0},
+        {"k_min": True, "k_max": 20, "k_step": 5},
+        {"k_min": 10, "k_max": 20, "k_step": True},
+    ):
+        with pytest.raises(errors.KOutOfRange, match="must be an integer"):
+            AnalysisConfig(**bad).materialize_kgrid(100)
+    assert AnalysisConfig(
+        k_min=np.int64(10), k_max=20, k_step=np.int32(5)
+    ).materialize_kgrid(100) == [10, 15, 20]
+
+
 # --- full analyses ---------------------------------------------------------------------
 
 
