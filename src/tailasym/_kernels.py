@@ -14,20 +14,22 @@ Python integers.
 The weighted kernel takes a stack of replicates: each 2-D input holds one
 replicate per row, the cutoffs one row of tau(k) per replicate, and the
 result one row of sums per replicate.  It works on 3-D blocks, a run of grid
-rows over every replicate of the stack at a time, each row covering the
-first ``width`` sorted elements; a mask keeps row k's entries with a weighted
-rank below k whose conditioning position is below tau(k).  Each row of
-ranks is sorted, so the entries kept at k are a prefix of the row, and the
-stack's widest prefix at k is the count of the column-wise minimum below k:
-that minimum of sorted rows is itself sorted.  ``width`` is that count at
-the run's last grid row, the widest of the run, since the count never
-decreases along the grid.  A run holds as many grid rows as keep each
-temporary within ``_BLOCK`` elements, and at least one; a single grid row
-is at most the size of the kernel's own input.  The running included
-weight is a cumsum along each row of the weights with the dropped entries
-set to 0.0; the two factors of each term are formed on the whole block and
-compressed with the mask, row after row, so that the kept terms of each
-(replicate, k) sit in one contiguous slice.
+rows over every replicate of the stack at a time; a mask keeps row k's
+entries with a weighted rank below k whose conditioning position is below
+tau(k).  Each row of ranks is sorted, so the entries with a rank below k are
+a prefix of the row, and the stack's widest such prefix at k is the count of
+the column-wise minimum below k: that minimum of sorted rows is itself
+sorted.  ``width`` is that count at the run's last grid row, the widest of
+the run, since the count never decreases along the grid.  Of the first
+``width`` columns, the block spans only those that some row can keep: the
+columns whose smallest position is below the largest cutoff up to the run's
+last grid row, taken in their order.  A run is sized by ``width``, so it
+holds as many grid rows as keep each temporary within ``_BLOCK`` elements,
+and at least one; a single grid row is at most the size of the kernel's own
+input.  The running included weight is a cumsum along each row of the
+weights with the dropped entries set to 0.0; the two factors of each term
+are formed on the whole block and compressed with the mask, row after row,
+so that the kept terms of each (replicate, k) sit in one contiguous slice.
 
 Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
 and 2 W_a - w_a, W_a being the included weight up to and including a, in
@@ -39,9 +41,12 @@ adding +0.0 leaves a positive running sum unchanged, and the dot receives
 the same values with the same length and stride, so it makes the same BLAS
 call.  ``a.dot(b)`` and ``np.dot(a, b)`` reach the same ``ddot`` on the same
 operands; the method form skips the ``__array_function__`` dispatch.
-How grid rows are grouped into runs changes none of this.  Padding the
-vectors with zeros would move terms between the BLAS accumulator lanes and
-change the last bits.  The BLAS ``ddot`` order itself
+How grid rows are grouped into runs changes none of this, nor do the
+columns a block leaves out: each is masked in every row at every grid row
+of its run, so in the block it would only add +0.0 to a running sum and
+never reach the compressed terms, and the columns kept stay in order.
+Padding the vectors with zeros would move terms between the BLAS
+accumulator lanes and change the last bits.  The BLAS ``ddot`` order itself
 depends on the thread count (OpenBLAS splits sums above 10,000 terms
 between its threads), so S(k) repeats bit for bit only under the same BLAS
 build and thread count (ROADMAP Open item 1).
@@ -94,20 +99,26 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     bootstrap passes only for ranks past its weight prefix, at the end of a
     row: the mask drops every rank that is not below k.
     ``ks`` is increasing, as every caller's grid is.
-    Returns the sums in the shape of ``taus``, one row per replicate.  The
-    module docstring gives the block layout and the summation contract.
+    Returns the sums in the shape of ``taus``, one row per replicate.  Each
+    block spans only the columns that some row can keep in its run, chosen
+    by ``_columns``; the dropped ones would add only +0.0.  The module
+    docstring gives the block layout and the summation contract.
     """
     kf = np.asarray(ks, dtype=np.float64)
     out = np.empty(taus.shape, dtype=np.float64)
     # The largest count of a row's ranks below each k, nondecreasing along the
     # increasing grid, so a run's last grid row is its widest.
     widest = np.searchsorted(rx_sorted.min(axis=0), kf, side="left")
+    ymin = ypos_sorted.min(axis=0)
+    tmax = np.maximum.accumulate(taus.max(axis=0))
     for t0, t1 in _runs(len(rx_sorted), widest):
-        width = int(widest[t1 - 1])
-        rx = rx_sorted[:, None, :width]
-        w = w_sorted[:, None, :width]
+        cols = _columns(ymin, tmax[t1 - 1], int(widest[t1 - 1]))
+        # take() keeps each block C-ordered; rx_sorted[:, None, cols] would
+        # put the gathered axis outermost in memory.
+        rx = rx_sorted.take(cols, axis=1)[:, None]
+        w = w_sorted.take(cols, axis=1)[:, None]
         keep = rx < kf[t0:t1, None]
-        keep &= ypos_sorted[:, None, :width] < taus[:, t0:t1, None]
+        keep &= ypos_sorted.take(cols, axis=1)[:, None] < taus[:, t0:t1, None]
         cw = np.where(keep, w, 0.0)
         np.cumsum(cw, axis=2, out=cw)
         cw *= 2.0
@@ -122,6 +133,16 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
             tail[a:b].dot(cw[a:b]) for a, b in zip([0] + ends, ends)
         ]
     return out
+
+
+def _columns(ymin, tmax, width):
+    """The columns below ``width`` whose smallest position is below ``tmax``.
+
+    ``ymin`` is the column-wise minimum of the positions and ``tmax`` the
+    largest cutoff of any row at or before the run's last grid row: every
+    other column is masked in every row of the run.
+    """
+    return np.flatnonzero(ymin[:width] < tmax)
 
 
 def _runs(R, widest):

@@ -64,7 +64,9 @@ R * n <= 2**17 elements (1 MB of multipliers).  So a sample of more than
 per stack in place of a few per replicate; the kernel cuts the grid into
 runs of rows over the whole stack and never splits a grid row, so each of
 its temporaries stays within its own budget or, for a single grid row past
-that budget, within the size of the stack.  A stack changes no replicate's
+that budget, within the size of the stack.  Each block spans only the
+columns whose position is below some replicate's largest cutoff in the run;
+every other column would add only +0.0.  A stack changes no replicate's
 value.  Each row's mean is the same pairwise sum as that replicate's own.  The stack's prefixes run to the first length at which
 every row's sum reaches the bound, which may be longer than one row needs;
 that changes none of the row's earlier entries and only turns +inf ranks

@@ -348,28 +348,39 @@ class AnalysisConfig:
     acf_lags: int = 50
     output_format: str = "json"
 
-    def materialize_kgrid(self, n):
+    def _k_bounds(self):
+        """The explicit (k_min, k_max, k_step) as ints, or None for the default grid.
+
+        Runs every check that does not need the sample size.
+        """
         given = (self.k_min, self.k_max, self.k_step)
-        if any(g is not None for g in given):
-            if any(g is None for g in given):
-                raise DomainError("k_min, k_max and k_step must be given together")
-            for name, g in zip(("k_min", "k_max", "k_step"), given):
-                if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
-                    raise KOutOfRange(f"{name} must be an integer, got {g!r}")
-            k_min, k_max, k_step = (int(g) for g in given)
-            if k_step < 1:
-                raise KOutOfRange(f"k_step must be >= 1, got {k_step}")
-            if k_min < 2:
-                raise KOutOfRange(f"k_min must be >= 2, got {k_min}")
-            if k_max < k_min:
-                raise KOutOfRange(f"k_max {k_max} is below k_min {k_min}")
-            if k_max > n - 1:
-                raise KOutOfRange(
-                    f"k_max {k_max} exceeds n-1 = {n - 1}; tail sizes must leave"
-                    " at least one observation out"
-                )
-            return list(range(k_min, k_max + 1, k_step))
-        return default_kgrid(n)
+        if all(g is None for g in given):
+            return None
+        if any(g is None for g in given):
+            raise DomainError("k_min, k_max and k_step must be given together")
+        for name, g in zip(("k_min", "k_max", "k_step"), given):
+            if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
+                raise KOutOfRange(f"{name} must be an integer, got {g!r}")
+        k_min, k_max, k_step = (int(g) for g in given)
+        if k_step < 1:
+            raise KOutOfRange(f"k_step must be >= 1, got {k_step}")
+        if k_min < 2:
+            raise KOutOfRange(f"k_min must be >= 2, got {k_min}")
+        if k_max < k_min:
+            raise KOutOfRange(f"k_max {k_max} is below k_min {k_min}")
+        return k_min, k_max, k_step
+
+    def materialize_kgrid(self, n):
+        bounds = self._k_bounds()
+        if bounds is None:
+            return default_kgrid(n)
+        k_min, k_max, k_step = bounds
+        if k_max > n - 1:
+            raise KOutOfRange(
+                f"k_max {k_max} exceeds n-1 = {n - 1}; tail sizes must leave"
+                " at least one observation out"
+            )
+        return list(range(k_min, k_max + 1, k_step))
 
 
 def _echo_config(config, kgrid):
@@ -458,14 +469,16 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     diagnostics).  All three tests come from one shared replicate pass.  When
     the eta gate is active, the asymmetry test is only reported if at least
     one directional sweep rejects tail independence: asymmetry of an empty
-    tail is meaningless.  The config's B, seed, alpha, rejection_fraction
-    and acf_lags are checked before any work, with or without the tests.
+    tail is meaningless.  The config's B, seed, alpha, rejection_fraction,
+    acf_lags and k bounds are checked before any work, with or without the
+    tests; only k_max <= n - 1 waits for the sample.
     """
     _check_B(config.B)
     _check_seed(config.seed)
     _check_alpha(config.alpha)
     _check_threshold(config.rejection_fraction, "rejection_fraction")
     _check_lags(config.acf_lags, "acf_lags")
+    config._k_bounds()
     for col in (col_x, col_y):
         if col not in table.columns:
             raise MissingColumn(f"table has no column {col!r}")

@@ -156,6 +156,11 @@ def test_analyze_partial_k_flags_exit_2(tmp_path, capsys):
         (["--acf-lags", "-3"], "acf_lags must be an integer >= 1"),
         (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         (["--seed", "-1", "--skip-tests"], "seed must be a non-negative integer"),
+        (["--k-min", "1", "--k-max", "20", "--k-step", "5"], "k_min must be >= 2, got 1"),
+        (["--k-min", "30", "--k-max", "20", "--k-step", "5"], "k_max 20 is below k_min 30"),
+        (["--k-min", "10", "--k-max", "20", "--k-step", "0", "--skip-tests"],
+         "k_step must be >= 1, got 0"),
+        (["--k-min", "10", "--k-step", "5"], "k_min, k_max and k_step must be given together"),
     ],
 )
 def test_analyze_invalid_config_exits_2_before_the_bootstrap(

@@ -9,10 +9,11 @@ at once, and must give, for every row of the stack, bit for bit what the
 literal loop over k, ``per_k_weighted_sums`` below, gives: same terms, same
 running sums and the same ``np.dot`` call per k.  The runs the kernel cuts a
 grid into must cover each grid row once, within the block budget, and its
-width at each k must be the largest count of a row's ranks below k.  These
-tests are derandomized; CI runs them a second time with two BLAS threads,
-where ``np.dot`` splits every sum of more than 10,000 terms between the
-threads.
+width at each k must be the largest count of a row's ranks below k.  The
+columns a run's block spans must hold every entry kept in the run and pass
+some row's position test.  These tests are derandomized; CI runs them a
+second time with two BLAS threads, where ``np.dot`` splits every sum of
+more than 10,000 terms between the threads.
 """
 
 import numpy as np
@@ -207,6 +208,91 @@ def test_widest_is_the_largest_count_of_a_rows_ranks_below_k(
     kf = ks.astype(np.float64)
     want = np.max([np.searchsorted(row, kf, "left") for row in rx], axis=0)
     assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
+def _record_columns(monkeypatch):
+    """Record each kernel call's runs, each paired with the columns its block spans."""
+    seen = []
+    real_runs, real_columns = _kernels._runs, _kernels._columns
+
+    def runs(R, widest):
+        seen.append((widest.copy(), list(real_runs(R, widest)), []))
+        return seen[-1][1]
+
+    def columns(ymin, tmax, width):
+        cols = real_columns(ymin, tmax, width)
+        seen[-1][2].append(cols.copy())
+        return cols
+
+    monkeypatch.setattr(_kernels, "_runs", runs)
+    monkeypatch.setattr(_kernels, "_columns", columns)
+    return seen
+
+
+def _shared_positions(ypos):
+    """One read-only position row broadcast over the stack, as the bootstrap passes it."""
+    return np.broadcast_to(ypos[0], ypos.shape)
+
+
+@pytest.mark.parametrize("block", [40, _kernels._BLOCK])
+def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_bit(
+    monkeypatch, block
+):
+    # cutoffs of at most a quarter of the row: most columns are masked in
+    # every row at every tail size, and the blocks leave them out
+    rx, ypos, w, taus, ks = _weighted_inputs(400, 300, 25, seed=5, rows=6)
+    ypos = _shared_positions(ypos)
+    assert not ypos.flags.writeable
+    taus = taus // 4
+    seen = _record_columns(monkeypatch)
+    _check_weighted((rx, ypos, w, taus, ks), block)
+    ((widest, runs, cols),) = seen
+    assert len(runs) == len(cols) > (1 if block == 40 else 0)
+    spanned = sum(c.size for c in cols)
+    assert spanned <= sum(int(widest[t1 - 1]) for _, t1 in runs) // 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    size=st.integers(0, 300),
+    finite=st.integers(0, 300),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    shared=st.booleans(),
+    cut=st.sampled_from([1, 4, 50]),
+    block=st.sampled_from([1, 64, _kernels._BLOCK]),
+)
+@example(size=0, finite=0, m=3, seed=0, rows=3, shared=True, cut=1, block=1)
+@example(size=60, finite=45, m=12, seed=3, rows=6, shared=True, cut=4, block=64)
+@example(size=60, finite=45, m=12, seed=3, rows=6, shared=False, cut=4, block=64)
+def test_columns_hold_every_kept_entry_and_only_keepable_ones(
+    size, finite, m, seed, rows, shared, cut, block
+):
+    # a shared broadcast row, as the bootstrap passes, or one position row
+    # per replicate, as its lexsort fallback does; cut shrinks the cutoffs
+    rx, ypos, w, taus, ks = _weighted_inputs(size, min(finite, size), m, seed, rows=rows)
+    if shared:
+        ypos = _shared_positions(ypos)
+    taus = taus // cut
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", block)
+        seen = _record_columns(mp)
+        _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)
+    ((widest, runs, columns),) = seen
+    assert len(columns) == len(runs)
+    kf = ks.astype(np.float64)
+    for (t0, t1), cols in zip(runs, columns):
+        # in order, within the run's width
+        assert np.all(np.diff(cols) > 0)
+        assert cols.size == 0 or 0 <= cols[0] and cols[-1] < widest[t1 - 1]
+        # every entry any row keeps at any grid row of the run
+        for t in range(t0, t1):
+            for r in range(rows):
+                kept = np.flatnonzero((rx[r] < kf[t]) & (ypos[r] < taus[r, t]))
+                assert np.isin(kept, cols).all()
+        # each column passes some row's position test at the run's last grid row
+        assert np.all(ypos[:, cols].min(axis=0) < taus[:, t1 - 1].max())
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():

@@ -523,6 +523,12 @@ def test_analysis_missing_column():
         ("seed", -1, errors.DomainError),
         ("seed", True, errors.DomainError),
         ("seed", 1.0, errors.DomainError),
+        ("k_min", 1, errors.KOutOfRange),
+        ("k_min", 10.5, errors.KOutOfRange),
+        ("k_max", 5, errors.KOutOfRange),
+        ("k_max", None, errors.DomainError),
+        ("k_step", 0, errors.KOutOfRange),
+        ("k_step", True, errors.KOutOfRange),
     ],
 )
 @pytest.mark.parametrize("skip", [False, True])
@@ -534,7 +540,9 @@ def test_analysis_rejects_an_invalid_config_before_any_work(
 
     for name in ("acf", "make_sample", "test_pair", "delta_sweep"):
         monkeypatch.setattr(pipeline, name, no_work)
-    cfg = AnalysisConfig(**{"B": 5, "skip_tests": skip, field: value})
+    # valid k bounds, unless the case replaces one of them
+    k = {"k_min": 10, "k_max": 20, "k_step": 5}
+    cfg = AnalysisConfig(**{"B": 5, "skip_tests": skip, **k, field: value})
     with pytest.raises(error, match=field):
         run_pair_analysis(_dependent_table(), "a", "b", cfg)
 
