@@ -90,7 +90,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InvalidB, LengthMismatch, NonFinite
+from .errors import (
+    DomainError,
+    InvalidB,
+    LengthMismatch,
+    NonFinite,
+    check_int,
+    check_real,
+)
 from .estimators import (
     Direction,
     _check_k,
@@ -99,7 +106,6 @@ from .estimators import (
     _eta_values,
     _oriented_ranks,
 )
-from .ranks import _check_seed
 
 
 def _draw(seed, b, out):
@@ -232,26 +238,6 @@ class SweepVerdict:
     n_k: int
 
 
-def _check_B(B):
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-        raise InvalidB(f"B must be a positive integer, got {B!r}")
-    return int(B)
-
-
-def _check_alpha(alpha):
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    return float(alpha)
-
-
-def _check_threshold(threshold, name):
-    if isinstance(threshold, bool) or not (
-        isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0
-    ):
-        raise DomainError(f"{name} must lie in (0, 1], got {threshold!r}")
-    return float(threshold)
-
-
 _BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
 # Multipliers per stack (1 MB of float64), unless one replicate alone has more.
 _STACK_ELEMS = 1 << 17
@@ -284,9 +270,9 @@ def _engine(sample, kgrid, B, alpha, seed, directions):
     the (B, grid) matrix of replicate values.
     """
     ks = _check_kgrid(kgrid, sample.n)
-    B = _check_B(B)
-    seed = _check_seed(seed)
-    alpha = _check_alpha(alpha)
+    B = check_int(B, "B", 1, InvalidB)
+    seed = check_int(seed, "seed", 0)
+    alpha = check_real(alpha, "alpha", "(0, 1)")
     ranks = {d: _oriented_ranks(sample, d) for d in directions}
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
     boot = _replicate_matrices(ranks, sample.n, ks, B, seed)
@@ -391,7 +377,7 @@ def summarize_rejection(results, threshold=0.75) -> SweepVerdict:
     """Fraction of grid points with p < alpha, and the reject/accept verdict."""
     if not results:
         raise DomainError("cannot summarize an empty result list")
-    threshold = _check_threshold(threshold, "threshold")
+    threshold = check_real(threshold, "threshold", "(0, 1]")
     frac = sum(1 for r in results if r.p_value < r.alpha) / len(results)
     return SweepVerdict(
         fraction_below_alpha=frac,
@@ -407,8 +393,7 @@ def normal_quantile(p) -> float:
     normal_quantile(0.5) is 0; normal_quantile(0.025) is 1.95996...;
     p must lie strictly in (0, 1).
     """
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DomainError(f"p must lie strictly between 0 and 1, got {p!r}")
+    p = check_real(p, "p", "(0, 1)")
     # Imported on first use, so that importing tailasym does not load scipy.
     from scipy.special import ndtri
 

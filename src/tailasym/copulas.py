@@ -16,18 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelSpec, InvalidN, QuadratureFailure
+from .errors import (
+    DomainError,
+    InvalidModelSpec,
+    InvalidN,
+    QuadratureFailure,
+    check_int,
+    check_real,
+)
 from .estimators import Direction, _coerce_direction
-from .ranks import PairedSample, _check_seed, make_sample
-
-
-def _is_real(val):
-    """A finite int or float parameter; a bool is not a number here."""
-    return (
-        isinstance(val, (int, float))
-        and not isinstance(val, bool)
-        and math.isfinite(val)
-    )
+from .ranks import PairedSample, make_sample
 
 
 def _check_unit_args(u, v):
@@ -69,10 +67,7 @@ class NelsenCopula:
     theta: float
 
     def __post_init__(self):
-        t = self.theta
-        if not (_is_real(t) and 0.0 <= t <= 1.0):
-            raise DomainError(f"theta must lie in [0, 1], got {t!r}")
-        object.__setattr__(self, "theta", float(t))
+        object.__setattr__(self, "theta", check_real(self.theta, "theta", "[0, 1]"))
 
     def cdf(self, u, v):
         ua, va = _check_unit_args(u, v)
@@ -128,15 +123,10 @@ class KhoudrajiGumbelCopula:
     delta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            val = getattr(self, name)
-            if not (_is_real(val) and 0.0 <= val <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
-            object.__setattr__(self, name, float(val))
-        d = self.delta
-        if not (_is_real(d) and d >= 1.0):
-            raise DomainError(f"delta must be >= 1, got {d!r}")
-        object.__setattr__(self, "delta", float(d))
+        bounds = (("alpha", "[0, 1]"), ("beta", "[0, 1]"), ("delta", "[1, inf)"))
+        for name, interval in bounds:
+            val = check_real(getattr(self, name), name, interval)
+            object.__setattr__(self, name, val)
 
     def _gumbel_exponent(self, a, b):
         """(a^delta + b^delta)^(1/delta) for a, b >= 0, overflow-safe."""
@@ -212,10 +202,7 @@ class MaxFactorCopula:
     m: int
 
     def __post_init__(self):
-        m = self.m
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {m!r}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", check_int(self.m, "m", 2))
 
     def cdf(self, u, v):
         ua, va = _check_unit_args(u, v)
@@ -347,10 +334,8 @@ def khoudraji_gumbel_delta_closed_form(alpha, beta):
     alpha, beta in (0, 1].  Useful because the direct difference of the two
     quadrature values loses half its digits to cancellation.
     """
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if not (_is_real(val) and 0.0 < val <= 1.0):
-            raise DomainError(f"{name} must lie in (0, 1], got {val!r}")
-    a, b = float(alpha), float(beta)
+    a = check_real(alpha, "alpha", "(0, 1]")
+    b = check_real(beta, "beta", "(0, 1]")
     r = math.hypot(a, b)
     return (
         3.0 * a**3 * math.asinh(b / a) / b
@@ -376,9 +361,7 @@ def population_values(model, integration_tol=1e-8):
     closed form (away from degenerate weights), which is immune to the
     cancellation the subtraction of two quadratures would suffer.
     """
-    if not (_is_real(integration_tol) and integration_tol > 0.0):
-        raise DomainError(f"integration_tol must be positive, got {integration_tol!r}")
-    tol = float(integration_tol)
+    tol = check_real(integration_tol, "integration_tol", "(0, inf)")
 
     closed = model.population_etas()
     if closed is not None:
@@ -403,10 +386,9 @@ def population_values(model, integration_tol=1e-8):
 
 def sample(model, n, seed) -> PairedSample:
     """Draw n pairs from the model's exact sampler, seeded and reproducible."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"need n >= 2, got {n!r}")
-    rng = np.random.default_rng(_check_seed(seed))
-    x, y = model._draw(rng, int(n))
+    n = check_int(n, "n", 2, InvalidN)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
+    x, y = model._draw(rng, n)
     return make_sample(x, y, tie_policy="reject")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, KOutOfRange
+from .errors import DomainError, KOutOfRange, check_int
 from .ranks import ConcomitantRanks, PairedSample, concomitant_ranks
 
 
@@ -48,11 +48,7 @@ def _oriented_ranks(sample: PairedSample, direction: Direction) -> ConcomitantRa
 
 
 def _check_k(k, n) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise KOutOfRange(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 2:
-        raise KOutOfRange(f"k must be at least 2, got {k}")
+    k = check_int(k, "k", 2, KOutOfRange)
     if k > n:
         raise KOutOfRange(f"k must not exceed the sample size {n}, got {k}")
     return k
@@ -96,11 +92,7 @@ def eta_upper_bound(k) -> float:
     exact integers so that a perfectly concordant sample reproduces it bit for
     bit.  The bound is below 9/8 for every k and tends to 1 from above.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise KOutOfRange(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 2:
-        raise KOutOfRange(f"k must be at least 2, got {k}")
+    k = check_int(k, "k", 2, KOutOfRange)
     return (k - 1) * (2 * k * k + 5 * k - 6) / (2 * k**3)
 
 

@@ -23,25 +23,26 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import (
-    _check_alpha,
-    _check_B,
-    _check_threshold,
-    summarize_rejection,
-    test_pair,
-)
+from .bootstrap import summarize_rejection, test_pair
 from .errors import (
     DomainError,
     EmptyIntersection,
+    InvalidB,
     IoError,
     KOutOfRange,
     MissingColumn,
     NonPositivePrice,
     SeriesTooShort,
     UnparsableValue,
+    check_choice,
+    check_int,
+    check_real,
 )
 from .estimators import delta_sweep
-from .ranks import _check_seed, make_sample
+from .ranks import _TIE_POLICIES, _as_checked_array, make_sample
+
+_TAILS = ("upper", "lower")
+_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,11 +254,9 @@ def log_returns(prices):
 def tail_view(values, tail):
     """Orient the requested tail upward: identity for 'upper', negation for 'lower'."""
     v = np.asarray(values, dtype=np.float64)
-    if tail == "upper":
+    if check_choice(tail, "tail", _TAILS) == "upper":
         return v.copy()
-    if tail == "lower":
-        return -v
-    raise DomainError(f"tail must be 'upper' or 'lower', got {tail!r}")
+    return -v
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,22 +276,14 @@ class AcfSummary:
         return [int(l) for l, v in zip(self.lags, self.values) if abs(v) > self.band]
 
 
-def _check_lags(lags, name):
-    if isinstance(lags, bool) or not isinstance(lags, (int, np.integer)) or lags < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {lags!r}")
-    return int(lags)
-
-
 def acf(values, max_lag) -> AcfSummary:
     """Biased (divide-by-n) sample autocorrelation at lags 1..max_lag.
 
     The reported band +/- 1.96/sqrt(n) is the usual asymptotic white-noise
-    yardstick.  Requires n > max_lag >= 1 and a non-constant series.
+    yardstick.  Requires n > max_lag >= 1 and a finite, non-constant series.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DomainError(f"values must be one-dimensional, got shape {v.shape}")
-    max_lag = _check_lags(max_lag, "max_lag")
+    v = _as_checked_array(values, "values")
+    max_lag = check_int(max_lag, "max_lag", 1)
     n = v.size
     if n <= max_lag:
         raise SeriesTooShort(f"need more than {max_lag} observations, got {n}")
@@ -313,9 +304,7 @@ def default_kgrid(n):
     Large samples (n >= 2500) use the fixed grid 100, 110, ..., 500; smaller
     ones spread up to 20 points between ceil(5% of n) and floor(20% of n).
     """
-    if not (isinstance(n, (int, np.integer))) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = check_int(n, "n", 0)
     if n >= 2500:
         return list(range(100, 501, 10))
     lo = max(2, -(-n // 20))
@@ -358,16 +347,9 @@ class AnalysisConfig:
             return None
         if any(g is None for g in given):
             raise DomainError("k_min, k_max and k_step must be given together")
-        for name, g in zip(("k_min", "k_max", "k_step"), given):
-            if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
-                raise KOutOfRange(f"{name} must be an integer, got {g!r}")
-        k_min, k_max, k_step = (int(g) for g in given)
-        if k_step < 1:
-            raise KOutOfRange(f"k_step must be >= 1, got {k_step}")
-        if k_min < 2:
-            raise KOutOfRange(f"k_min must be >= 2, got {k_min}")
-        if k_max < k_min:
-            raise KOutOfRange(f"k_max {k_max} is below k_min {k_min}")
+        k_min = check_int(self.k_min, "k_min", 2, KOutOfRange)
+        k_max = check_int(self.k_max, "k_max", k_min, KOutOfRange)
+        k_step = check_int(self.k_step, "k_step", 1, KOutOfRange)
         return k_min, k_max, k_step
 
     def materialize_kgrid(self, n):
@@ -470,14 +452,18 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     the eta gate is active, the asymmetry test is only reported if at least
     one directional sweep rejects tail independence: asymmetry of an empty
     tail is meaningless.  The config's B, seed, alpha, rejection_fraction,
-    acf_lags and k bounds are checked before any work, with or without the
-    tests; only k_max <= n - 1 waits for the sample.
+    acf_lags, tail, tie_policy, output_format and k bounds are checked before
+    any work, with or without the tests; only k_max <= n - 1 waits for the
+    sample.
     """
-    _check_B(config.B)
-    _check_seed(config.seed)
-    _check_alpha(config.alpha)
-    _check_threshold(config.rejection_fraction, "rejection_fraction")
-    _check_lags(config.acf_lags, "acf_lags")
+    check_int(config.B, "B", 1, InvalidB)
+    check_int(config.seed, "seed", 0)
+    check_real(config.alpha, "alpha", "(0, 1)")
+    check_real(config.rejection_fraction, "rejection_fraction", "(0, 1]")
+    check_int(config.acf_lags, "acf_lags", 1)
+    check_choice(config.tail, "tail", _TAILS)
+    check_choice(config.tie_policy, "tie_policy", _TIE_POLICIES)
+    check_choice(config.output_format, "output_format", _FORMATS)
     config._k_bounds()
     for col in (col_x, col_y):
         if col not in table.columns:
@@ -595,17 +581,15 @@ def _format_cell(value):
 
 def render_report(report: Report, format="json") -> str:
     """Serialize a report deterministically to the requested text format."""
-    if format == "json":
+    if check_choice(format, "format", _FORMATS) == "json":
         return json.dumps(report.to_document(), indent=2) + "\n"
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        n = len(report.per_k["k"])
-        for i in range(n):
-            lines.append(
-                ",".join(_format_cell(report.per_k[c][i]) for c in CSV_COLUMNS)
-            )
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"format must be 'json' or 'csv', got {format!r}")
+    lines = [",".join(CSV_COLUMNS)]
+    n = len(report.per_k["k"])
+    for i in range(n):
+        lines.append(
+            ",".join(_format_cell(report.per_k[c][i]) for c in CSV_COLUMNS)
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(text, path):

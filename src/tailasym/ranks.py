@@ -13,13 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidN, LengthMismatch, NonFinite, TiesPresent
+from .errors import (
+    DomainError,
+    InvalidN,
+    LengthMismatch,
+    NonFinite,
+    TiesPresent,
+    check_choice,
+    check_int,
+)
 
-
-def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+_TIE_POLICIES = ("reject", "jitter")
 
 
 def _as_checked_array(values, name):
@@ -48,6 +52,13 @@ def _tied_pair(arr, ordered=None):
     ascending = arr[order]
     eq = np.flatnonzero(ascending[1:] == ascending[:-1])
     return int(order[eq[0]]), int(order[eq[0] + 1])
+
+
+def _reject_ties(arr, name, ordered=None):
+    """Raise TiesPresent naming one tied pair of arr, if it has one."""
+    t = _tied_pair(arr, ordered)
+    if t is not None:
+        raise TiesPresent(f"{name} has equal values at indices {t[0]} and {t[1]}")
 
 
 def _jitter(arr, rng):
@@ -94,14 +105,14 @@ def make_sample(x, y, tie_policy="reject", seed=None):
     if xa.size < 2:
         raise InvalidN(f"need at least 2 paired observations, got {xa.size}")
 
-    if tie_policy not in ("reject", "jitter"):
-        raise DomainError(f"unknown tie policy: {tie_policy!r}")
+    check_choice(tie_policy, "tie_policy", _TIE_POLICIES)
 
     jittered = False
     if tie_policy == "jitter":
         if seed is None:
             raise DomainError("tie policy 'jitter' requires a seed")
-        seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(1,))
+        seed = check_int(seed, "seed", 0)
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
         rng = np.random.Generator(np.random.Philox(seq))
         # x first, then y, so the random stream layout is data-independent.
         if _tied_pair(xa) is not None:
@@ -111,10 +122,8 @@ def make_sample(x, y, tie_policy="reject", seed=None):
             ya = _jitter(ya, rng)
             jittered = True
 
-    for name, arr in (("x", xa), ("y", ya)):
-        t = _tied_pair(arr)
-        if t is not None:
-            raise TiesPresent(f"{name} has equal values at indices {t[0]} and {t[1]}")
+    _reject_ties(xa, "x")
+    _reject_ties(ya, "y")
 
     xa = xa.copy()
     ya = ya.copy()
@@ -134,9 +143,7 @@ def reverse_ranks(values):
         raise InvalidN("cannot rank an empty sequence")
     # On tie-free values every sort gives the one ascending permutation.
     order = np.argsort(arr)
-    t = _tied_pair(arr, arr[order])
-    if t is not None:
-        raise TiesPresent(f"values has equal entries at indices {t[0]} and {t[1]}")
+    _reject_ties(arr, "values", arr[order])
     out = np.empty(arr.size, dtype=np.int64)
     out[order] = np.arange(arr.size, 0, -1, dtype=np.int64)
     return out
@@ -180,13 +187,9 @@ def concomitant_ranks(sample: PairedSample) -> ConcomitantRanks:
     # Both series must be tie-free, and then every sort gives the one
     # permutation a stable sort would; a tie raises whatever the order.
     value_order = np.argsort(sample.x).astype(np.int64, copy=False)
-    t = _tied_pair(sample.x, sample.x[value_order])
-    if t is not None:
-        raise TiesPresent(f"x has equal values at indices {t[0]} and {t[1]}")
+    _reject_ties(sample.x, "x", sample.x[value_order])
     y_order = np.argsort(-sample.y).astype(np.int64, copy=False)
-    t = _tied_pair(sample.y, sample.y[y_order])
-    if t is not None:
-        raise TiesPresent(f"y has equal values at indices {t[0]} and {t[1]}")
+    _reject_ties(sample.y, "y", sample.y[y_order])
     reverse = np.empty(n, dtype=np.int64)
     reverse[value_order] = np.arange(n, 0, -1, dtype=np.int64)
     rho = reverse[y_order]

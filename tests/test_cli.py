@@ -81,7 +81,7 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert err.startswith("error: seed must be an integer >= 0, got -1")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -146,25 +146,37 @@ def test_analyze_partial_k_flags_exit_2(tmp_path, capsys):
     assert "k_min, k_max and k_step" in capsys.readouterr().err
 
 
+# fault names each case in plain words and so keeps its test id; message is
+# the exact error text, with the argument, its bound and the offending value.
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, fault, message",
     [
-        (["--rejection-fraction", "2"], "rejection_fraction must lie in (0, 1]"),
-        (["--rejection-fraction", "2", "--skip-tests"], "rejection_fraction must lie"),
-        (["--B", "0", "--skip-tests"], "B must be a positive integer"),
-        (["--alpha", "7", "--skip-tests"], "alpha must lie strictly between 0 and 1"),
-        (["--acf-lags", "-3"], "acf_lags must be an integer >= 1"),
-        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        (["--seed", "-1", "--skip-tests"], "seed must be a non-negative integer"),
-        (["--k-min", "1", "--k-max", "20", "--k-step", "5"], "k_min must be >= 2, got 1"),
-        (["--k-min", "30", "--k-max", "20", "--k-step", "5"], "k_max 20 is below k_min 30"),
+        (["--rejection-fraction", "2"], "rejection_fraction must lie in (0, 1]",
+         "rejection_fraction must lie in (0, 1], got 2.0"),
+        (["--rejection-fraction", "2", "--skip-tests"], "rejection_fraction must lie",
+         "rejection_fraction must lie in (0, 1], got 2.0"),
+        (["--B", "0", "--skip-tests"], "B must be a positive integer",
+         "B must be an integer >= 1, got 0"),
+        (["--alpha", "7", "--skip-tests"], "alpha must lie strictly between 0 and 1",
+         "alpha must lie in (0, 1), got 7.0"),
+        (["--acf-lags", "-3"], "acf_lags must be an integer >= 1",
+         "acf_lags must be an integer >= 1, got -3"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1",
+         "seed must be an integer >= 0, got -1"),
+        (["--seed", "-1", "--skip-tests"], "seed must be a non-negative integer",
+         "seed must be an integer >= 0, got -1"),
+        (["--k-min", "1", "--k-max", "20", "--k-step", "5"], "k_min must be >= 2, got 1",
+         "k_min must be an integer >= 2, got 1"),
+        (["--k-min", "30", "--k-max", "20", "--k-step", "5"], "k_max 20 is below k_min 30",
+         "k_max must be an integer >= 30, got 20"),
         (["--k-min", "10", "--k-max", "20", "--k-step", "0", "--skip-tests"],
-         "k_step must be >= 1, got 0"),
-        (["--k-min", "10", "--k-step", "5"], "k_min, k_max and k_step must be given together"),
+         "k_step must be >= 1, got 0", "k_step must be an integer >= 1, got 0"),
+        (["--k-min", "10", "--k-step", "5"], "k_min, k_max and k_step must be given together",
+         "k_min, k_max and k_step must be given together"),
     ],
 )
 def test_analyze_invalid_config_exits_2_before_the_bootstrap(
-    tmp_path, capsys, monkeypatch, flags, message
+    tmp_path, capsys, monkeypatch, flags, fault, message
 ):
     data = _simulate(tmp_path, n=3000, seed=1)
     out = tmp_path / "report.json"

@@ -118,9 +118,9 @@ def test_k_validation():
     with pytest.raises(errors.KOutOfRange):
         eta_upper_bound(1)
     # both statistics are one-point sweeps with the sweep's messages and k type
-    with pytest.raises(errors.KOutOfRange, match="k must be at least 2, got 1"):
+    with pytest.raises(errors.KOutOfRange, match="k must be an integer >= 2, got 1"):
         delta_kn(s, 1)
-    with pytest.raises(errors.KOutOfRange, match="k must be an integer, got 2.0"):
+    with pytest.raises(errors.KOutOfRange, match="k must be an integer >= 2, got 2.0"):
         delta_kn(s, 2.0)
     assert type(eta_kn(s, np.int64(3)).k) is int
     assert type(delta_kn(s, np.int64(3)).k) is int

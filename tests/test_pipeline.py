@@ -312,6 +312,22 @@ def test_acf_validation():
         acf(np.ones((4, 4)), 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_acf_rejects_non_finite_values(monkeypatch, bad):
+    with pytest.raises(errors.NonFinite, match=r"values\[1\] is not finite"):
+        acf([1.0, bad, 3.0, 2.0], 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ranked a series holding a non-finite value")
+
+    # the ACF block runs first and does not swallow it
+    monkeypatch.setattr(pipeline, "make_sample", no_work)
+    x = np.arange(50.0)
+    x[7] = bad
+    with pytest.raises(errors.NonFinite):
+        run_pair_analysis(_table(x, np.arange(50.0)), "a", "b", AnalysisConfig(B=5))
+
+
 # --- tail-size grids -----------------------------------------------------------------
 
 
@@ -529,6 +545,9 @@ def test_analysis_missing_column():
         ("k_max", None, errors.DomainError),
         ("k_step", 0, errors.KOutOfRange),
         ("k_step", True, errors.KOutOfRange),
+        ("tail", "middle", errors.DomainError),
+        ("tie_policy", "bogus", errors.DomainError),
+        ("output_format", "xml", errors.DomainError),
     ],
 )
 @pytest.mark.parametrize("skip", [False, True])
