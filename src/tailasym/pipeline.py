@@ -375,8 +375,8 @@ def _echo_config(config, kgrid):
         "tail": config.tail,
         "tie_policy": config.tie_policy,
         "rejection_fraction": config.rejection_fraction,
-        "eta_gate": config.eta_gate,
-        "prices_as_log_returns": config.prices,
+        "eta_gate": bool(config.eta_gate),
+        "prices_as_log_returns": bool(config.prices),
         "tests": not config.skip_tests,
         "multiplier_scheme": "unit_exponential",
         "output_format": config.output_format,
@@ -452,9 +452,9 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     the eta gate is active, the asymmetry test is only reported if at least
     one directional sweep rejects tail independence: asymmetry of an empty
     tail is meaningless.  The config's B, seed, alpha, rejection_fraction,
-    acf_lags, tail, tie_policy, output_format and k bounds are checked before
-    any work, with or without the tests; only k_max <= n - 1 waits for the
-    sample.
+    acf_lags, tail, tie_policy, output_format, eta_gate, prices, skip_tests
+    and k bounds are checked before any work, with or without the tests; only
+    k_max <= n - 1 waits for the sample.
     """
     check_int(config.B, "B", 1, InvalidB)
     check_int(config.seed, "seed", 0)
@@ -464,13 +464,18 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     check_choice(config.tail, "tail", _TAILS)
     check_choice(config.tie_policy, "tie_policy", _TIE_POLICIES)
     check_choice(config.output_format, "output_format", _FORMATS)
+    check_choice(config.eta_gate, "eta_gate", (True, False))
+    check_choice(config.prices, "prices", (True, False))
+    check_choice(config.skip_tests, "skip_tests", (True, False))
     config._k_bounds()
     for col in (col_x, col_y):
         if col not in table.columns:
             raise MissingColumn(f"table has no column {col!r}")
 
-    x = np.asarray(table.columns[col_x], dtype=np.float64)
-    y = np.asarray(table.columns[col_y], dtype=np.float64)
+    # Checked as read, so that a non-finite value is named by its column, row
+    # and value in the table rather than in a derived series.
+    x = _as_checked_array(table.columns[col_x], col_x)
+    y = _as_checked_array(table.columns[col_y], col_y)
     if config.prices:
         x = log_returns(x)
         y = log_returns(y)

@@ -32,7 +32,7 @@ def _as_checked_array(values, name):
         raise DomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise NonFinite(f"{name}[{bad[0]}] is not finite: {arr[bad[0]]!r}")
+        raise NonFinite(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
     return arr
 
 

@@ -10,6 +10,7 @@ must reproduce every field of a TestResult exactly.
 
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -585,6 +586,80 @@ def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypat
     engine = seen[: 2 * 2]
     assert all((R, len(widest)) == (1, len(kgrid)) for R, widest, _ in engine)
     assert all(len(runs) > 1 for _, _, runs in engine)
+
+
+def _record_draw_threads(monkeypatch, fail_at=None):
+    """Record (b, thread ident) of every draw; raise the returned error at b == fail_at."""
+    drawn = []
+    error = RuntimeError(f"draw {fail_at} failed")
+    real = bt._draw
+
+    def draw(seed, b, out):
+        drawn.append((b, threading.get_ident()))
+        if b == fail_at:
+            raise error
+        real(seed, b, out)
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    return drawn, error
+
+
+def _record_thread_starts(monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_one_replicate_stacks_draw_ahead_on_one_helper_thread(monkeypatch):
+    rng = np.random.default_rng(53)
+    s = _random_sample(rng, 300)
+    # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    drawn, _ = _record_draw_threads(monkeypatch)
+    started = _record_thread_starts(monkeypatch)
+    before = threading.active_count()
+    B = 7
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18)
+    # the engine's draws come first, then the reference's, all on this thread
+    engine, reference = drawn[:B], drawn[B:]
+    assert [b for b, _ in engine] == list(range(1, B + 1))
+    main = threading.get_ident()
+    helpers = {ident for b, ident in engine if b >= 2}
+    assert len(helpers) == 1 and main not in helpers
+    assert all(ident == main for _, ident in reference)
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
+    rng = np.random.default_rng(54)
+    s = _random_sample(rng, 300)
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    drawn, error = _record_draw_threads(monkeypatch, fail_at=3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        bt.test_pair(s, [5, 10, 20], B=7, seed=19)
+    assert exc.value is error
+    # draw 3 was the last one asked for
+    assert [b for b, _ in drawn] == [1, 2, 3]
+    assert threading.active_count() == before
+
+
+def test_a_single_replicate_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(55)
+    s = _random_sample(rng, 300)
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    drawn, _ = _record_draw_threads(monkeypatch)
+    started = _record_thread_starts(monkeypatch)
+    _assert_engine_equals_full_sort(s, [5, 10, 20], B=1, seed=20)
+    assert started == []
+    assert all(ident == threading.get_ident() for _, ident in drawn)
 
 
 @pytest.mark.parametrize("block", [1, 50, 400, 1500])

@@ -281,6 +281,19 @@ def test_analyze_reads_a_header_behind_a_utf8_byte_order_mark(tmp_path):
     assert len(set(reports)) == 1
 
 
+def test_import_loads_neither_scipy_nor_the_draw_ahead_pool():
+    # both are imported on first use, so that they stay out of the import time
+    script = (
+        "import sys, tailasym\n"
+        "print(*(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path):
     # scipy serves only the bootstrap's normal quantile and the population
     # quadrature, and loading it takes longer than the rest of the package

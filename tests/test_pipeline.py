@@ -320,12 +320,19 @@ def test_acf_rejects_non_finite_values(monkeypatch, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("ranked a series holding a non-finite value")
 
-    # the ACF block runs first and does not swallow it
+    # the columns are checked as read, before the ACF block or any ranking,
+    # and the message names the column, the table row and the value
+    monkeypatch.setattr(pipeline, "acf", no_work)
     monkeypatch.setattr(pipeline, "make_sample", no_work)
     x = np.arange(50.0)
     x[7] = bad
-    with pytest.raises(errors.NonFinite):
-        run_pair_analysis(_table(x, np.arange(50.0)), "a", "b", AnalysisConfig(B=5))
+    # the row and value as held, not as negated for the lower tail or as one
+    # of the log returns (whose first price, 0.0, is not even positive)
+    for flags in ({}, {"tail": "lower"}, {"prices": True}):
+        cfg = AnalysisConfig(B=5, **flags)
+        with pytest.raises(errors.NonFinite) as exc:
+            run_pair_analysis(_table(x, np.arange(50.0)), "a", "b", cfg)
+        assert str(exc.value) == f"a[7] is not finite: {bad!r}"
 
 
 # --- tail-size grids -----------------------------------------------------------------
@@ -548,6 +555,9 @@ def test_analysis_missing_column():
         ("tail", "middle", errors.DomainError),
         ("tie_policy", "bogus", errors.DomainError),
         ("output_format", "xml", errors.DomainError),
+        ("eta_gate", "no", errors.DomainError),
+        ("prices", "yes", errors.DomainError),
+        ("skip_tests", "false", errors.DomainError),
     ],
 )
 @pytest.mark.parametrize("skip", [False, True])
@@ -564,6 +574,14 @@ def test_analysis_rejects_an_invalid_config_before_any_work(
     cfg = AnalysisConfig(**{"B": 5, "skip_tests": skip, **k, field: value})
     with pytest.raises(error, match=field):
         run_pair_analysis(_dependent_table(), "a", "b", cfg)
+
+
+def test_analysis_flags_equal_to_a_bool_act_and_echo_as_that_bool():
+    t = _dependent_table()
+    alike = AnalysisConfig(B=5, seed=1, eta_gate=1, prices=0.0, skip_tests=np.True_)
+    plain = AnalysisConfig(B=5, seed=1, eta_gate=True, prices=False, skip_tests=True)
+    docs = [render_report(run_pair_analysis(t, "a", "b", c), "json") for c in (alike, plain)]
+    assert docs[0] == docs[1]
 
 
 def test_analysis_constant_series_reports_acf_skip():

@@ -105,8 +105,10 @@ def test_make_sample_validation():
         ranks.make_sample([1, 1, 2], [1, 2, 3])
     with pytest.raises(errors.TiesPresent):
         ranks.make_sample([1, 3, 2], [5, 5, 6])
-    with pytest.raises(errors.NonFinite):
+    with pytest.raises(errors.NonFinite, match=r"^x\[2\] is not finite: inf$"):
         ranks.make_sample([1, 2, np.inf], [1, 2, 3])
+    with pytest.raises(errors.NonFinite, match=r"^y\[1\] is not finite: nan$"):
+        ranks.make_sample([1, 2, 3], [1, np.nan, 3])
     with pytest.raises(errors.DomainError):
         ranks.make_sample([1, 2], [3, 4], tie_policy="drop")
 
