@@ -11,25 +11,28 @@ leaves the int64 range once k is above about 3.03e6, so the sum is taken as
 int64 partial dots over chunks short enough not to overflow, added up as
 Python integers.
 
-The weighted kernel takes a stack of replicates: each 2-D input holds one
-replicate per row, the cutoffs one row of tau(k) per replicate, and the
-result one row of sums per replicate.  It works on 3-D blocks, a run of grid
-rows over every replicate of the stack at a time; a mask keeps row k's
-entries with a weighted rank below k whose conditioning position is below
-tau(k).  Each row of ranks is sorted, so the entries with a rank below k are
-a prefix of the row, and the stack's widest such prefix at k is the count of
-the column-wise minimum below k: that minimum of sorted rows is itself
-sorted.  ``width`` is that count at the run's last grid row, the widest of
-the run, since the count never decreases along the grid.  Of the first
-``width`` columns, the block spans only those that some row can keep: the
-columns whose smallest position is below the largest cutoff up to the run's
-last grid row, taken in their order.  A run is sized by ``width``, so it
-holds as many grid rows as keep each temporary within ``_BLOCK`` elements,
-and at least one; a single grid row is at most the size of the kernel's own
-input.  The running included weight is a cumsum along each row of the
-weights with the dropped entries set to 0.0; the two factors of each term
-are formed on the whole block and compressed with the mask, row after row,
-so that the kept terms of each (replicate, k) sit in one contiguous slice.
+The weighted kernel takes a stack of replicates: the ranks and the weights
+hold one replicate per row, in one order of the elements that every
+replicate shares, given as one row of positions; the cutoffs hold one row of
+tau(k) per replicate, and the result one row of sums per replicate.  It
+works on 3-D blocks, a run of grid rows over every replicate of the stack at
+a time; a mask keeps row k's entries with a weighted rank below k whose
+conditioning position is below tau(k).  Each row of ranks is sorted, so the
+entries with a rank below k are a prefix of the row, and the stack's widest
+such prefix at k is the count of the column-wise minimum below k: that
+minimum of sorted rows is itself sorted.  ``width`` is that count at the
+run's last grid row, the widest of the run, since the count never decreases
+along the grid.  Of the first ``width`` columns, the block spans only those
+that some row can keep: the columns whose position is below the largest
+cutoff up to the run's last grid row, taken in their order.  A run is sized
+by ``width``, so it holds as many grid rows as keep each temporary within
+``_BLOCK`` elements, and at least one; a single grid row is at most the size
+of the kernel's own input.  The running included weight is a cumsum along
+each row of the weights with the dropped entries set to 0.0; each factor of
+the terms is formed on the whole block and compressed with the mask, row
+after row, before the next is formed, so that the kept terms of each
+(replicate, k) sit in one contiguous slice and one full block of floats is
+alive at a time.
 
 Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
 and 2 W_a - w_a, W_a being the included weight up to and including a, in
@@ -87,17 +90,14 @@ def eta_grid_sums(pos, ks):
 def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     """Weighted sums S(k) = sum_{i,j <= tau(k)} w_i w_j (k - max(R_i, R_j))_+.
 
-    Each row of the three 2-D inputs is one replicate, pre-sorted by
-    ascending weighted rank ``rx_sorted``; ``ypos_sorted`` holds each
-    element's 0-based position in the ordering by decreasing second
-    coordinate, and row r of ``taus`` replicate r's cutoff at each tail size
-    in ``ks``.  ``ypos_sorted`` may be one read-only row broadcast over the
-    stack, when every replicate shares the order.  Only elements with
+    Each row of ``rx_sorted`` and ``w_sorted`` is one replicate, its
+    weighted ranks nondecreasing along it; the one row ``ypos_sorted`` holds
+    each element's 0-based position in the ordering by decreasing second
+    coordinate, the same for every replicate, and row r of ``taus``
+    replicate r's cutoff at each tail size in ``ks``.  Only elements with
     ypos < tau(k) and R < k contribute; with W the running included weight,
-    the a-th included element adds (k - R_a) w_a (2W + w_a).  Entries of
-    ``rx_sorted`` at or above the largest k may be ``+inf``, which the
-    bootstrap passes only for ranks past its weight prefix, at the end of a
-    row: the mask drops every rank that is not below k.
+    the a-th included element adds (k - R_a) w_a (2W + w_a).  A rank of any
+    size, +inf included, counts only below k.
     ``ks`` is increasing, as every caller's grid is.
     Returns the sums in the shape of ``taus``, one row per replicate.  Each
     block spans only the columns that some row can keep in its run, chosen
@@ -109,25 +109,25 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     # The largest count of a row's ranks below each k, nondecreasing along the
     # increasing grid, so a run's last grid row is its widest.
     widest = np.searchsorted(rx_sorted.min(axis=0), kf, side="left")
-    ymin = ypos_sorted.min(axis=0)
     tmax = np.maximum.accumulate(taus.max(axis=0))
     for t0, t1 in _runs(len(rx_sorted), widest):
-        cols = _columns(ymin, tmax[t1 - 1], int(widest[t1 - 1]))
+        cols = _columns(ypos_sorted, tmax[t1 - 1], int(widest[t1 - 1]))
         # take() keeps each block C-ordered; rx_sorted[:, None, cols] would
         # put the gathered axis outermost in memory.
         rx = rx_sorted.take(cols, axis=1)[:, None]
         w = w_sorted.take(cols, axis=1)[:, None]
         keep = rx < kf[t0:t1, None]
-        keep &= ypos_sorted.take(cols, axis=1)[:, None] < taus[:, t0:t1, None]
+        keep &= ypos_sorted[cols] < taus[:, t0:t1, None]
         cw = np.where(keep, w, 0.0)
         np.cumsum(cw, axis=2, out=cw)
         cw *= 2.0
         cw -= w
-        tail = kf[t0:t1, None] - rx
-        tail *= w
         # Boolean indexing is row-major: the kept terms of each (replicate,
         # k) cell land end to end, replicate by replicate in grid order.
-        tail, cw = tail[keep], cw[keep]
+        cw = cw[keep]
+        tail = kf[t0:t1, None] - rx
+        tail *= w
+        tail = tail[keep]
         ends = np.cumsum(keep.sum(axis=2)).tolist()
         out[:, t0:t1].flat = [
             tail[a:b].dot(cw[a:b]) for a, b in zip([0] + ends, ends)
@@ -135,14 +135,14 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     return out
 
 
-def _columns(ymin, tmax, width):
-    """The columns below ``width`` whose smallest position is below ``tmax``.
+def _columns(ypos, tmax, width):
+    """The columns below ``width`` whose position is below ``tmax``.
 
-    ``ymin`` is the column-wise minimum of the positions and ``tmax`` the
-    largest cutoff of any row at or before the run's last grid row: every
-    other column is masked in every row of the run.
+    ``ypos`` is the stack's row of positions and ``tmax`` the largest cutoff
+    of any replicate at or before the run's last grid row: every other column
+    is masked in every replicate of the run.
     """
-    return np.flatnonzero(ymin[:width] < tmax)
+    return np.flatnonzero(ypos[:width] < tmax)
 
 
 def _runs(R, widest):

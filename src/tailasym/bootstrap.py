@@ -27,68 +27,67 @@ Each evaluation only touches the top of the two orders.  The element at
 position i of the conditioning order (by decreasing conditioning value) can
 enter the sum at tail size k only if i < tau(k), the weighted cutoff, and
 every tau(k) on the grid is at most T = tau(k_max); it also needs a weighted
-rank below k.  The cutoffs come from the running sum of the normalized
-weights along the conditioning order, and the weighted rank of reverse rank
-r is the running sum along decreasing values up to r minus its own weight.
-Each running sum is taken over a prefix whose sum must reach a bound, k_max
-(cutoffs) or 2 k_max (ranks).  The first prefix has bound + 6 sqrt(bound)
-entries, six standard deviations of a sum of unit-mean multipliers past the
-bound, and is doubled until every sum reaches the bound or it covers all n.
-Every prefix entry is bit-identical to the same entry over the full sample:
-np.cumsum adds left to right, and normalizing divides each weight by the
-mean of all n.  What lies past a prefix cannot matter.  The running sums
-never decrease, so no cutoff lies past a sum of k_max, and a rank past a sum
-of 2 k_max stays at or above k_max even after the one rounding in "sum
-minus own weight", so it is set to +inf, which the kernel never reads.
+rank below k.  Both are exclusive running sums of the normalized weights:
+the cutoffs along the conditioning order, and the weighted rank of an
+element, the total weight of the larger values, along decreasing values.
+So one running sum per order serves both directions: the one along
+decreasing x gives X|Y's ranks and Y|X's cutoffs, the one along decreasing y
+the other two.  Each is taken over a prefix whose total must reach k_max.
+The first prefix has k_max + 6 sqrt(k_max) entries, six standard deviations
+of a sum of unit-mean multipliers past k_max, and is doubled until every
+total reaches k_max or it covers all n.  Every prefix entry is bit-identical
+to the same entry over the full sample: np.cumsum adds left to right, and
+normalizing divides each weight by the mean of all n.  What lies past a
+prefix cannot matter.  The running sums never decrease, so no cutoff lies
+past a total of k_max, and a rank past the prefix is at least its total, so
+it reads the total, which the kernel drops like every rank not below k.
 
 The kernel takes the first T conditioning positions in ascending weighted
-rank, and no replicate is sorted to get them.  Every weight is positive, so
-a weighted rank can only stay level or rise as the unweighted reverse rank
-rises: one order serves every replicate, the T positions sorted by their
-reverse rank.  The full computation sorts all n weighted ranks stably, by
-weighted rank and then by conditioning position.  On a row whose finite
-weighted ranks strictly increase along the shared order, the two orders are
-the same, so the kernel adds the same terms in the same order and the sums
-are bit-identical to the full computation.  Rounding can break the strict
-increase: a weight too small to move a running sum gives two elements the
-same weighted rank.  One comparison per stack checks every row, and a stack
-where it fails sorts each row by weighted rank, ties by conditioning
-position, which is the full computation's tie rule.
+rank, and no replicate is sorted to get them.  A running sum of positive
+weights never decreases in floating point, so along the unweighted reverse
+rank every row's weighted ranks never decrease: one order serves every
+replicate, the T positions sorted by their reverse rank, passed to the
+kernel as one row.  The full computation sorts all n weighted ranks by
+weighted rank, ties by unweighted reverse rank, which is that same order, so
+the kernel adds the same terms in the same order and the sums are
+bit-identical to the full computation.  Ties occur: a weight too small to
+move a running sum gives the next element the same weighted rank.
 
 Replicates are drawn and evaluated in stacks: R replicates at a time fill
 the rows of one (R, n) array, each drawn in place from its own stream, and
 each direction makes one kernel call per stack.  R is sized by the
-multipliers alone: the largest count, and at least 1, with R <= B and
-R * n <= 2**17 elements (1 MB of multipliers).  So a sample of more than
-2**16 gets one replicate per stack, and smaller ones pay a few array calls
-per stack in place of a few per replicate; the kernel cuts the grid into
-runs of rows over the whole stack and never splits a grid row, so each of
-its temporaries stays within its own budget or, for a single grid row past
-that budget, within the size of the stack.  Each block spans only the
-columns whose position is below some replicate's largest cutoff in the run;
-every other column would add only +0.0.  A stack changes no replicate's
-value.  Each row's mean is the same pairwise sum as that replicate's own.  The stack's prefixes run to the first length at which
-every row's sum reaches the bound, which may be longer than one row needs;
-that changes none of the row's earlier entries and only turns +inf ranks
-into finite ones at or above k_max, which the kernel drops as well.  The
-kernel input is as wide as the stack's largest tau(k_max); a row's entries
-at or past its own tau(k_max) keep their finite ranks and their place in
-the rank order, and the kernel drops them, since their position is at or
-past every tau(k) of that row.  When each stack holds one replicate and more
-follow (R = 1 < B, so n > 2**16), one helper thread draws the next replicate
-into a second buffer while the current one is evaluated: the draw and the
-row mean release the GIL, and every replicate still comes from its own
-stream, so no value changes.  At n = 200,000 a draw takes about 3 ms against
-about 1.8 ms to evaluate both directions, so hiding it saves about a tenth
-of an analyze run.  Stacks of several replicates stay sequential: their
-short draws each take the GIL twice, and drawing them ahead slowed 100 tests
-on samples of 2,000 by 8%.  Drawing only the O(k_max) weights a replicate
-reads (ROADMAP Open item 4) would leave nothing worth hiding, and the helper
-could go.
+multipliers alone: the largest count, and at least 1, with R <= B and R * n
+<= 2**17 elements (1 MB of multipliers).  So a sample of more than 2**16
+gets one replicate per stack, and smaller ones pay a few array calls per
+stack in place of a few per replicate; the kernel cuts the grid into runs of
+rows over the whole stack and never splits a grid row, so each of its
+temporaries stays within its own budget or, for a single grid row past that
+budget, within the size of the stack.  Each block spans only the columns
+whose position is below some replicate's largest cutoff in the run; every
+other column would add only +0.0.  A stack changes no replicate's value.
+Each row's mean is the same pairwise sum as that replicate's own.  The
+stack's prefixes run to the first length at which every row's total reaches
+k_max, which may be longer than one row needs; that changes none of the
+row's earlier entries, and the ranks it adds are at or above k_max, which
+the kernel drops as well.  The kernel input is as wide as the stack's
+largest tau(k_max); a row's entries at or past its own tau(k_max) keep their
+ranks and their place in the rank order, and the kernel drops them, since
+their position is at or past every tau(k) of that row.  When each stack
+holds one replicate and more follow (R = 1 < B, so n > 2**16), one helper
+thread draws the next replicate while the current one is evaluated: the draw
+and the row mean release the GIL, and every replicate still comes from its
+own stream, so no value changes.  At n = 200,000 a draw takes about 3 ms
+against about 1.8 ms to evaluate both directions, so hiding it saves about a
+tenth of an analyze run.  Stacks of several replicates stay sequential:
+their short draws each take the GIL twice, and drawing them ahead slowed 100
+tests on samples of 2,000 by 8%.  Drawing only the O(k_max) weights a
+replicate reads (ROADMAP Open item 4) would leave nothing worth hiding, and
+the helper could go.
 
-Each direction is ranked once per test call (ranks.concomitant_ranks returns
-the value order, conditioning order and rank positions together), and the
-plain statistics and every replicate read those arrays.
+Both directions are ranked once per test call from one pair of sorts:
+ranks.concomitant_ranks returns the value order, conditioning order and rank
+positions together, and ConcomitantRanks.swapped gives the other direction's
+from them.  The plain statistics and every replicate read those arrays.
 """
 
 from __future__ import annotations
@@ -115,6 +114,7 @@ from .estimators import (
     _check_k,
     _check_kgrid,
     _coerce_direction,
+    _directed_ranks,
     _eta_values,
     _oriented_ranks,
 )
@@ -125,8 +125,10 @@ def _draw(seed, b, out):
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
     np.random.Generator(np.random.Philox(seq)).standard_exponential(out=out)
     # The ziggurat sampler can return an exact 0.0, which would break the
-    # positivity of the weights, so nudge it to the smallest normal.
-    out[out == 0.0] = np.finfo(np.float64).tiny
+    # positivity of the weights, so nudge any, found by the minimum without a
+    # mask, to the smallest normal.
+    if out.min() == 0.0:
+        out[out == 0.0] = np.finfo(np.float64).tiny
 
 
 def _checked_weights(weights, n):
@@ -141,71 +143,62 @@ def _checked_weights(weights, n):
 
 
 def _prefix_weights(order, W, means, bound):
-    """Normalized weights along order, cut to a prefix whose running sums reach bound.
+    """Normalized weights along order and their exclusive running sums, over a prefix.
 
     W holds one replicate's multipliers per row and means their row means.
-    Returns W[:, order[:m]] / means and its cumulative sum along each row for
-    the first m of m0, 2 * m0, 4 * m0, ... at which every row's sum reaches
-    bound, or m = n.  m0 = bound + 6 sqrt(bound) lies six standard deviations
-    of a sum of unit-mean multipliers above bound, so it rarely has to grow.
+    Returns W[:, order[:m]] / means and, in m + 1 columns, the sum of each
+    row's first j weights for j = 0..m, for the first m of m0, 2 * m0, ... at
+    which every row's total reaches bound, or m = n.  m0 = bound + 6 sqrt(bound)
+    lies six standard deviations of a sum of unit-mean multipliers above bound.
     """
     n = order.size
     m = min(n, int(bound + 6.0 * math.sqrt(bound)))
     while True:
         part = W.take(order[:m], axis=1)
         part /= means[:, None]
-        run = np.cumsum(part, axis=1)
-        if m == n or run[:, -1].min() >= bound:
-            return part, run
+        sums = np.empty((len(W), m + 1))
+        sums[:, 0] = 0.0
+        np.cumsum(part, axis=1, out=sums[:, 1:])
+        if m == n or sums[:, -1].min() >= bound:
+            return part, sums
         m = min(n, 2 * m)
 
 
-def _replicate_inputs(ranks, W, means, kf):
-    """Kernel arguments of a stack of weighted evaluations in one direction.
+def _replicate_inputs(ranks, W, means, ks):
+    """Kernel arguments of a stack of weighted evaluations, for each direction in ranks.
 
-    ranks is the direction's ConcomitantRanks, W the stack of multipliers
-    (one replicate per row), means their row means over all n and kf the
-    increasing float k-grid.  Returns the weighted ranks of the first T
-    conditioning positions, T the stack's largest tau(k_max), with their
-    positions and weights, each row in ascending weighted rank; plus the
-    cutoffs tau(k) of every row.  A rank past its row's prefix reads +inf.
-
-    The rows share one order, the T positions by unweighted reverse rank,
-    and the positions come back as one read-only row broadcast over the
-    stack.  A stack in which some row's finite weighted ranks do not strictly
-    increase along it sorts each row by weighted rank, ties by position.
+    ranks maps each direction to its ConcomitantRanks, W is the stack of
+    multipliers (one replicate per row), means their row means over all n
+    and ks the increasing k-grid.  Returns, per direction, the weighted ranks
+    of the first T conditioning positions, T the stack's largest tau(k_max),
+    in unweighted reverse-rank order; that order as one row of positions;
+    their weights; and the cutoffs tau(k) of every row.  The prefix along the
+    first direction's value order gives its ranks and the second direction's
+    cutoffs, and the one along its conditioning order the other two.
     """
-    k_max = float(kf[-1])
-    # The margin of 2 * k_max keeps every rank past the prefix at or above
-    # k_max after the rounding of "running sum minus own weight".
-    wd, above = _prefix_weights(ranks.value_order[::-1], W, means, 2.0 * k_max)
-    greater = np.full((len(W), wd.shape[1] + 1), np.inf)
-    np.subtract(above, wd, out=greater[:, :-1])
-    wy, upto = _prefix_weights(ranks.y_order, W, means, k_max)
-    excl = np.concatenate((np.zeros((len(W), 1)), upto[:, :-1]), axis=1)
-    taus = np.stack([np.searchsorted(row, kf, side="left") for row in excl])
-    taus = taus.astype(np.int64, copy=False)
-    top = int(taus[:, -1].max())
-    rho = ranks.rho[:top]
-    p = np.argsort(rho)
-    rx = greater.take(np.minimum(rho[p] - 1, wd.shape[1]), axis=1)
-    ypos = np.broadcast_to(p, rx.shape)
-    wy = wy.take(p, axis=1)
-    # Along p the finite ranks come first; +inf (past the prefix) ends a row.
-    if not np.all((rx[:, 1:] > rx[:, :-1]) | (rx[:, 1:] == np.inf)):
-        order = np.lexsort((ypos, rx))
-        rx = np.take_along_axis(rx, order, axis=1)
-        ypos = p.take(order)
-        wy = np.take_along_axis(wy, order, axis=1)
-    return rx, ypos, wy, taus
-
-
-def _weighted_values(ranks, W, means, ks):
-    """(rows of W, grid) replicate values in one direction."""
     kf = ks.astype(np.float64)
-    rx_s, ypos_s, w_s, taus = _replicate_inputs(ranks, W, means, kf)
-    sums = _kernels.weighted_eta_grid_sums(rx_s, ypos_s, w_s, taus, ks)
-    return (3.0 * sums) / kf**3
+    k_max = float(kf[-1])
+    first = next(iter(ranks.values()))
+    pair = [
+        _prefix_weights(order, W, means, k_max)
+        for order in (first.value_order[::-1], first.y_order)
+    ]
+    out = {}
+    for (d, r), ((_, greater), (wy, excl)) in zip(ranks.items(), (pair, pair[::-1])):
+        taus = np.stack([np.searchsorted(row, kf, side="left") for row in excl[:, :-1]])
+        taus = taus.astype(np.int64, copy=False)
+        rho = r.rho[: int(taus[:, -1].max())]
+        p = np.argsort(rho)
+        # A rank past the prefix reads the prefix total, at least k_max.
+        rx = greater.take(np.minimum(rho[p] - 1, greater.shape[1] - 1), axis=1)
+        out[d] = rx, p, wy.take(p, axis=1), taus
+    return out
+
+
+def _weighted_values(rx, ypos, w, taus, ks):
+    """(replicates, grid) values in one direction from its kernel arguments."""
+    kf = ks.astype(np.float64)
+    return (3.0 * _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)) / kf**3
 
 
 def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
@@ -214,9 +207,10 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     k = _check_k(k, sample.n)
     w = _checked_weights(weights, sample.n)
     ks = np.asarray([k], dtype=np.int64)
-    ranks = _oriented_ranks(sample, direction)
+    ranks = {direction: _oriented_ranks(sample, direction)}
     W = w[None, :]
-    return float(_weighted_values(ranks, W, W.mean(axis=1), ks)[0, 0])
+    args = _replicate_inputs(ranks, W, W.mean(axis=1), ks)[direction]
+    return float(_weighted_values(*args, ks)[0, 0])
 
 
 def bootstrap_delta(sample, k, weights) -> float:
@@ -263,13 +257,15 @@ def _replicate_matrices(ranks, n, ks, B, seed):
     """
     R = max(1, min(B, _STACK_ELEMS // n))
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
-    # One replicate per stack and more to come: the helper fills one buffer
-    # while the other is evaluated.
+    # One replicate per stack and more to come: the helper draws into one of
+    # two buffers while the other is evaluated (buffers it allocated itself
+    # would stay in its own malloc arena).  Otherwise each stack gets a buffer
+    # of its own, freed before its kernel calls.
     overlap = R == 1 < B
-    stacks = np.empty((2 if overlap else 1, R, n), dtype=np.float64)
+    buffers = np.empty((2, 1, n), dtype=np.float64) if overlap else None
 
     def fill(b0):
-        W = stacks[(b0 // R) % len(stacks), : min(R, B - b0)]
+        W = buffers[b0 % 2] if overlap else np.empty((min(R, B - b0), n))
         for i, row in enumerate(W):
             _draw(seed, b0 + i + 1, row)
         return W, W.mean(axis=1)
@@ -290,8 +286,12 @@ def _replicate_matrices(ranks, n, ks, B, seed):
             if b0 + R < B:
                 # Drawn now by the helper, or inline once this stack is evaluated.
                 pending = ahead(b0 + R)
-            for d, r in ranks.items():
-                out[d][b0 : b0 + len(W)] = _weighted_values(r, W, means, ks)
+            inputs = _replicate_inputs(ranks, W, means, ks)
+            # The kernel's blocks get the memory of a stack's own buffer and,
+            # once a direction is evaluated, of its arguments.
+            del W
+            for d in ranks:
+                out[d][b0 : b0 + len(means)] = _weighted_values(*inputs.pop(d), ks)
     return out
 
 
@@ -306,7 +306,7 @@ def _engine(sample, kgrid, B, alpha, seed, directions):
     B = check_int(B, "B", 1, InvalidB)
     seed = check_int(seed, "seed", 0)
     alpha = check_real(alpha, "alpha", "(0, 1)")
-    ranks = {d: _oriented_ranks(sample, d) for d in directions}
+    ranks = _directed_ranks(sample, directions)
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
     boot = _replicate_matrices(ranks, sample.n, ks, B, seed)
     return ks, B, alpha, plain, boot

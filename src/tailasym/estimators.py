@@ -47,6 +47,12 @@ def _oriented_ranks(sample: PairedSample, direction: Direction) -> ConcomitantRa
     return concomitant_ranks(sample)
 
 
+def _directed_ranks(sample: PairedSample, directions) -> dict:
+    """Concomitant ranks of each direction, all from the first one's two sorts."""
+    first = _oriented_ranks(sample, directions[0])
+    return {d: first if d is directions[0] else first.swapped() for d in directions}
+
+
 def _check_k(k, n) -> int:
     k = check_int(k, "k", 2, KOutOfRange)
     if k > n:
@@ -127,14 +133,13 @@ def delta_kn(sample: PairedSample, k) -> DeltaEstimate:
 
 
 def delta_sweep(sample: PairedSample, kgrid):
-    """delta_kn over a strictly increasing grid of tail sizes."""
-    exy = eta_sweep(sample, kgrid, Direction.X_GIVEN_Y)
-    eyx = eta_sweep(sample, kgrid, Direction.Y_GIVEN_X)
+    """delta_kn over a strictly increasing grid of tail sizes (one pair of sorts)."""
+    ks = _check_kgrid(kgrid, sample.n)
+    ranks = _directed_ranks(sample, tuple(Direction))
+    exy, eyx = (_eta_values(r, ks) for r in ranks.values())
     return [
-        DeltaEstimate(
-            value=a.value - b.value, k=a.k, n=a.n, eta_xy=a.value, eta_yx=b.value
-        )
-        for a, b in zip(exy, eyx)
+        DeltaEstimate(value=a - b, k=int(k), n=sample.n, eta_xy=a, eta_yx=b)
+        for a, b, k in zip(exy, eyx, ks)
     ]
 
 

@@ -169,6 +169,19 @@ class ConcomitantRanks:
     def n(self) -> int:
         return int(self.rho.size)
 
+    def swapped(self) -> "ConcomitantRanks":
+        """The ranks of the swapped sample, with no sort of its own.
+
+        On tie-free series its two orders are these two reversed, its rho is
+        pos + 1 and its pos is rho - 1.
+        """
+        return ConcomitantRanks(
+            rho=_frozen(self.pos + 1),
+            y_order=self.value_order[::-1],
+            value_order=self.y_order[::-1],
+            pos=_frozen(self.rho - 1),
+        )
+
 
 def _frozen(arr):
     arr.flags.writeable = False

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from tailasym import _kernels
@@ -269,9 +271,11 @@ def test_argument_validation():
 def _count_weighted_calls(monkeypatch):
     """Record (rows, width, each row's tau(k_max)) of every weighted-kernel call.
 
-    The engine's stacks here are tie-free, so every row comes in one shared
-    order of the conditioning positions, each row's finite weighted ranks
-    strictly increase along it, and the +inf ranks come last.
+    Every row of a stack comes in one shared order of the conditioning
+    positions, passed as one row, and its weighted ranks never decrease along
+    it.  The engine's stacks here are tie-free, so they strictly increase up
+    to the rank past the weight prefix, which repeats the prefix total, at
+    least k_max.
     """
     calls = []
     real = _kernels.weighted_eta_grid_sums
@@ -279,11 +283,11 @@ def _count_weighted_calls(monkeypatch):
     def counted(rx_sorted, ypos_sorted, w_sorted, taus, ks):
         tau_max = taus[:, -1]
         width = rx_sorted.shape[1]
-        assert np.array_equal(np.sort(ypos_sorted[0]), np.arange(width))
-        assert np.all(ypos_sorted == ypos_sorted[0])
-        inf = rx_sorted == np.inf
-        assert not np.any(inf[:, :-1] & ~inf[:, 1:])
-        assert np.all((rx_sorted[:, 1:] > rx_sorted[:, :-1]) | inf[:, 1:])
+        assert np.array_equal(np.sort(ypos_sorted), np.arange(width))
+        assert np.all(np.isfinite(rx_sorted))
+        step = np.diff(rx_sorted, axis=1)
+        assert np.all(step >= 0.0)
+        assert np.all((step > 0.0) | (rx_sorted[:, :-1] >= ks[-1]))
         calls.append((len(rx_sorted), width, tau_max.tolist()))
         return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
 
@@ -310,22 +314,28 @@ _kernel = _kernels.weighted_eta_grid_sums
 
 
 def full_sort_replicate(ranked, conditioning, wo, ks):
-    """Reference replicate: all n weighted ranks sorted, no truncation."""
+    """Reference replicate: all n weighted ranks sorted, no truncation.
+
+    The weighted rank of an element is the exclusive running sum of the
+    weights along decreasing ranked values, the total weight of the larger
+    ones; equal weighted ranks are ordered by unweighted reverse rank.
+    """
     n = ranked.size
-    value_order = np.argsort(ranked, kind="stable")
+    value_order = np.argsort(-ranked, kind="stable")
     y_order = np.argsort(-conditioning, kind="stable")
     ws = wo[value_order]
-    greater = np.cumsum(ws[::-1])[::-1] - ws
     r = np.empty(n)
-    r[value_order] = greater
+    r[value_order] = np.concatenate(([0.0], np.cumsum(ws)[:-1]))
+    reverse = np.empty(n, dtype=np.int64)
+    reverse[value_order] = np.arange(1, n + 1)
     rx = r[y_order]
     wy = wo[y_order]
     excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
-    order = np.argsort(rx, kind="stable")
+    order = np.lexsort((reverse[y_order], rx))
     kf = ks.astype(np.float64)
     taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
     sums = _kernel(
-        rx[order][None, :], order.astype(np.int64)[None, :], wy[order][None, :],
+        rx[order][None, :], order.astype(np.int64), wy[order][None, :],
         taus[None, :], ks,
     )
     return (3.0 * sums[0]) / kf**3
@@ -431,9 +441,10 @@ def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
     s = _random_sample(rng, 5000)
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [20, 33, 47, 60], B=6, seed=8)
-    # one stack of all 6 replicates: two prefixes per direction
-    assert [rows for _, rows, _ in seen] == [6] * (2 * 2)
-    assert max(size for _, _, size in seen) <= 4 * 2 * 60 < s.n
+    # one stack of all 6 replicates: one prefix per order, both bounded by
+    # k_max, read by both directions
+    assert [(bound, rows) for bound, rows, _ in seen] == [(60.0, 6)] * 2
+    assert max(size for _, _, size in seen) <= 4 * 60 < s.n
 
 
 def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
@@ -535,12 +546,14 @@ def test_a_tie_free_stack_sorts_no_rows(monkeypatch):
     assert sorts == []
 
 
-def test_tied_weighted_ranks_sort_the_stack_like_the_full_sort_reference(monkeypatch):
+def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_reference(
+    monkeypatch,
+):
     # Elements 0..9 hold the largest x and the smallest y, so they never
     # enter the tail.  Element 10 (x reverse rank 11) weighs too little to
-    # move a running sum of 10, so its weighted rank is 10, the same as that
-    # of element 11 (reverse rank 12).  Element 11 comes first in the
-    # conditioning order: the reverse of their reverse-rank order.
+    # move a running sum of 10, so element 11 (reverse rank 12) gets the same
+    # weighted rank, 10.  Element 11 comes first in the conditioning order:
+    # the reverse of their reverse-rank order.
     n = 40
     x = -np.arange(n, dtype=np.float64)
     y = np.concatenate((-100.0 - np.arange(10), [99.0, 100.0], 50.0 - np.arange(n - 12)))
@@ -563,15 +576,50 @@ def test_tied_weighted_ranks_sort_the_stack_like_the_full_sort_reference(monkeyp
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
     _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16)
-    # one stack of 3 per direction, each sorted row by row
-    assert sorts == ["lexsort", "lexsort"]
+    assert sorts == []
     # the engine's first call is the X_GIVEN_Y stack: both tied elements are
-    # kept at k = 12 and reach the kernel ordered by conditioning position
+    # kept at k = 12 and reach the kernel in reverse-rank order, so the
+    # conditioning positions 1 and 0
     rx, ypos, _, taus, _ = calls[0]
     assert rx.shape[0] == 3
     assert np.all(rx[:, :3] == [10.0, 10.0, 11.0])
-    assert np.all(ypos[:, :2] == [0, 1])
+    assert ypos[:2].tolist() == [1, 0]
     assert np.all(taus[:, 0] > 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 150),
+    B=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.sampled_from([1, 3, bt._STACK_ELEMS]),
+)
+@example(n=150, B=5, seed=0, stack=bt._STACK_ELEMS)
+def test_log_uniform_weights_tie_ranks_and_equal_the_full_sort_reference(n, B, seed, stack):
+    # Weights spread over 23 decades: many are too small to move the running
+    # sum of the larger ones before them, so weighted ranks tie by rounding.
+    rng = np.random.default_rng(seed)
+    s = _random_sample(rng, n)
+    kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=3)})
+
+    def draw(seed, b, out):
+        out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
+
+    ties = []
+    real = _kernels.weighted_eta_grid_sums
+
+    def checked(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+        step = np.diff(rx_sorted, axis=1)
+        assert np.all(step >= 0.0)
+        ties.append(np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1])))
+        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bt, "_draw", draw)
+        mp.setattr(bt, "_STACK_ELEMS", stack * n)
+        mp.setattr(_kernels, "weighted_eta_grid_sums", checked)
+        _assert_engine_equals_full_sort(s, kgrid, B, seed)
+    assert n < 100 or any(ties)
 
 
 def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypatch):

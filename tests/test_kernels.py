@@ -85,9 +85,10 @@ def _weighted_inputs(size, finite, m, seed, halves=False, rows=1):
 
     The grid is m strictly increasing tail sizes from 1 to size + 2.  Each
     row's ranks are sorted, below k_max + 1 for its first few elements (finite
-    of them in row 0, a random count in later rows) and +inf past them; its
-    cutoffs are nondecreasing in 0..size, and with halves the ranks are
-    multiples of 0.5, so that some equal a k.
+    of them in row 0, a random count in later rows) and +inf, a rank no k
+    keeps, past them; its cutoffs are nondecreasing in 0..size, and with
+    halves the ranks are multiples of 0.5, so that some equal a k.  Every
+    row shares one row of positions, a permutation of 0..size-1.
     """
     rng = np.random.default_rng(seed)
     ks = np.sort(rng.choice(np.arange(1, size + 3), min(m, size + 2), replace=False))
@@ -98,16 +99,16 @@ def _weighted_inputs(size, finite, m, seed, halves=False, rows=1):
             rx = np.round(2.0 * rx) / 2.0
         rx = np.sort(rx)
         rx[finite if r == 0 else rng.integers(0, size + 1) :] = np.inf
-        ypos = rng.permutation(size).astype(np.int64)
         w = rng.exponential(size=size)
         taus = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
-        stack.append((rx, ypos, w, taus))
-    rx, ypos, w, taus = (np.array(a) for a in zip(*stack))
+        stack.append((rx, w, taus))
+    rx, w, taus = (np.array(a) for a in zip(*stack))
+    ypos = rng.permutation(size).astype(np.int64)
     return rx, ypos, w, taus, ks.astype(np.int64)
 
 
 def _one_row(rx, ypos, w, taus, ks):
-    return rx[None, :], ypos[None, :], w[None, :], taus[None, :], ks
+    return rx[None, :], ypos, w[None, :], taus[None, :], ks
 
 
 def _check_weighted(args, block):
@@ -118,7 +119,7 @@ def _check_weighted(args, block):
     rx, ypos, w, taus, ks = args
     assert got.dtype == np.float64 and got.shape == taus.shape
     for r in range(len(rx)):
-        want = per_k_weighted_sums(rx[r], ypos[r], w[r], taus[r], ks)
+        want = per_k_weighted_sums(rx[r], ypos, w[r], taus[r], ks)
         assert np.array_equal(got[r], want)
         # nothing kept at k: no cutoff, or no rank below k
         empty = (taus[r] == 0) | (np.searchsorted(rx[r], ks.astype(np.float64)) == 0)
@@ -229,11 +230,6 @@ def _record_columns(monkeypatch):
     return seen
 
 
-def _shared_positions(ypos):
-    """One read-only position row broadcast over the stack, as the bootstrap passes it."""
-    return np.broadcast_to(ypos[0], ypos.shape)
-
-
 @pytest.mark.parametrize("block", [40, _kernels._BLOCK])
 def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_bit(
     monkeypatch, block
@@ -241,8 +237,6 @@ def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_b
     # cutoffs of at most a quarter of the row: most columns are masked in
     # every row at every tail size, and the blocks leave them out
     rx, ypos, w, taus, ks = _weighted_inputs(400, 300, 25, seed=5, rows=6)
-    ypos = _shared_positions(ypos)
-    assert not ypos.flags.writeable
     taus = taus // 4
     seen = _record_columns(monkeypatch)
     _check_weighted((rx, ypos, w, taus, ks), block)
@@ -259,21 +253,16 @@ def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_b
     m=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 8),
-    shared=st.booleans(),
     cut=st.sampled_from([1, 4, 50]),
     block=st.sampled_from([1, 64, _kernels._BLOCK]),
 )
-@example(size=0, finite=0, m=3, seed=0, rows=3, shared=True, cut=1, block=1)
-@example(size=60, finite=45, m=12, seed=3, rows=6, shared=True, cut=4, block=64)
-@example(size=60, finite=45, m=12, seed=3, rows=6, shared=False, cut=4, block=64)
+@example(size=0, finite=0, m=3, seed=0, rows=3, cut=1, block=1)
+@example(size=60, finite=45, m=12, seed=3, rows=6, cut=4, block=64)
 def test_columns_hold_every_kept_entry_and_only_keepable_ones(
-    size, finite, m, seed, rows, shared, cut, block
+    size, finite, m, seed, rows, cut, block
 ):
-    # a shared broadcast row, as the bootstrap passes, or one position row
-    # per replicate, as its lexsort fallback does; cut shrinks the cutoffs
+    # cut shrinks the cutoffs, so that more columns are past every one
     rx, ypos, w, taus, ks = _weighted_inputs(size, min(finite, size), m, seed, rows=rows)
-    if shared:
-        ypos = _shared_positions(ypos)
     taus = taus // cut
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK", block)
@@ -289,10 +278,10 @@ def test_columns_hold_every_kept_entry_and_only_keepable_ones(
         # every entry any row keeps at any grid row of the run
         for t in range(t0, t1):
             for r in range(rows):
-                kept = np.flatnonzero((rx[r] < kf[t]) & (ypos[r] < taus[r, t]))
+                kept = np.flatnonzero((rx[r] < kf[t]) & (ypos < taus[r, t]))
                 assert np.isin(kept, cols).all()
         # each column passes some row's position test at the run's last grid row
-        assert np.all(ypos[:, cols].min(axis=0) < taus[:, t1 - 1].max())
+        assert np.all(ypos[cols] < taus[:, t1 - 1].max())
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():

@@ -220,3 +220,16 @@ def test_concomitant_ranks_carry_their_sort_orders():
     for field in ("rho", "y_order", "value_order", "pos"):
         assert getattr(cr, field).dtype == np.int64
         assert not getattr(cr, field).flags.writeable
+
+
+def test_swapped_ranks_equal_the_ranks_of_the_swapped_sample():
+    rng = np.random.default_rng(9)
+    samples = [ranks.make_sample(rng.standard_normal(n), rng.standard_normal(n)) for n in (2, 3, 50, 1000)]
+    samples.append(ranks.make_sample(np.arange(40.0), np.arange(40.0)))
+    for s in samples:
+        got = ranks.concomitant_ranks(s).swapped()
+        want = ranks.concomitant_ranks(s.swapped())
+        for field in ("rho", "y_order", "value_order", "pos"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert getattr(got, field).dtype == np.int64
+            assert not getattr(got, field).flags.writeable
