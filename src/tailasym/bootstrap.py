@@ -73,16 +73,20 @@ the kernel drops as well.  The kernel input is as wide as the stack's
 largest tau(k_max); a row's entries at or past its own tau(k_max) keep their
 ranks and their place in the rank order, and the kernel drops them, since
 their position is at or past every tau(k) of that row.  When each stack
-holds one replicate and more follow (R = 1 < B, so n > 2**16), one helper
-thread draws the next replicate while the current one is evaluated: the draw
-and the row mean release the GIL, and every replicate still comes from its
-own stream, so no value changes.  At n = 200,000 a draw takes about 3 ms
-against about 1.8 ms to evaluate both directions, so hiding it saves about a
-tenth of an analyze run.  Stacks of several replicates stay sequential:
-their short draws each take the GIL twice, and drawing them ahead slowed 100
-tests on samples of 2,000 by 8%.  Drawing only the O(k_max) weights a
-replicate reads (ROADMAP Open item 4) would leave nothing worth hiding, and
-the helper could go.
+holds one replicate and more follow (R = 1 < B, so n > 2**16), two helper
+threads draw the next three replicates into a ring of three buffers while
+the current one is evaluated, and the buffer it was read from takes the
+replicate three on.  The draw and the row mean release the GIL, evaluation
+stays on the calling thread in replicate order, and every replicate still
+comes from its own stream, so no value changes.  At n = 200,000 a draw and
+its mean take about 2 ms of a core against about 0.4 ms to evaluate both
+directions on the default grid, so the draws set the pace: with one helper
+the calling thread waited on draws for 0.12-0.17 s of a 0.6-0.7 s analyze
+run, with two for 0.06-0.07 s.  Stacks of several replicates stay
+sequential: their short draws each take the GIL twice, and drawing them
+ahead slowed 100 tests on samples of 2,000 by 8%.  Drawing only the O(k_max)
+weights a replicate reads (ROADMAP Open item 4) would leave nothing worth
+hiding, and the helpers could go.
 
 Both directions are ranked once per test call from one pair of sorts:
 ranks.concomitant_ranks returns the value order, conditioning order and rank
@@ -92,7 +96,7 @@ from them.  The plain statistics and every replicate read those arrays.
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -247,51 +251,58 @@ class SweepVerdict:
 _BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)
 # Multipliers per stack (1 MB of float64), unless one replicate alone has more.
 _STACK_ELEMS = 1 << 17
+# One-replicate stacks drawn ahead of the one being evaluated, a ring buffer each.
+_AHEAD = 3
 
 
 def _replicate_matrices(ranks, n, ks, B, seed):
     """(B, grid) replicate values for each direction in ranks, one draw per replicate.
 
     Replicates are drawn and evaluated in stacks of rows; see the module
-    docstring for the stack size and for when the next stack is drawn ahead.
+    docstring for the stack size and for when stacks are drawn ahead.
     """
     R = max(1, min(B, _STACK_ELEMS // n))
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
-    # One replicate per stack and more to come: the helper draws into one of
-    # two buffers while the other is evaluated (buffers it allocated itself
-    # would stay in its own malloc arena).  Otherwise each stack gets a buffer
-    # of its own, freed before its kernel calls.
-    overlap = R == 1 < B
-    buffers = np.empty((2, 1, n), dtype=np.float64) if overlap else None
+    starts = range(0, B, R)
+    # One replicate per stack and more to come: two helper threads draw the
+    # next replicates into a ring of _AHEAD buffers while the current one is
+    # evaluated (buffers they allocated themselves would stay in their own
+    # malloc arenas).  Otherwise each stack gets a buffer of its own, drawn
+    # when it is due and freed before its kernel calls.
+    ahead = R == 1 < B
+    ring = np.empty((_AHEAD, 1, n), dtype=np.float64) if ahead else None
 
     def fill(b0):
-        W = buffers[b0 % 2] if overlap else np.empty((min(R, B - b0), n))
+        W = ring[b0 % _AHEAD] if ahead else np.empty((min(R, B - b0), n))
         for i, row in enumerate(W):
             _draw(seed, b0 + i + 1, row)
         return W, W.mean(axis=1)
 
-    if overlap:
+    if ahead:
         # Imported here, so that importing tailasym does not load it.
         from concurrent.futures import ThreadPoolExecutor
 
-        helper = ThreadPoolExecutor(max_workers=1)
-        ahead = lambda b0: helper.submit(fill, b0).result  # noqa: E731
+        helpers = ThreadPoolExecutor(max_workers=2)
+        submit = lambda b0: helpers.submit(fill, b0).result  # noqa: E731
     else:
-        helper = contextlib.nullcontext()
-        ahead = lambda b0: functools.partial(fill, b0)  # noqa: E731
-    with helper:
-        pending = functools.partial(fill, 0)
-        for b0 in range(0, B, R):
-            W, means = pending()
-            if b0 + R < B:
-                # Drawn now by the helper, or inline once this stack is evaluated.
-                pending = ahead(b0 + R)
+        submit = lambda b0: functools.partial(fill, b0)  # noqa: E731
+    try:
+        queued = collections.deque(map(submit, starts[:_AHEAD]))
+        for i, b0 in enumerate(starts):
+            W, means = queued.popleft()()
             inputs = _replicate_inputs(ranks, W, means, ks)
             # The kernel's blocks get the memory of a stack's own buffer and,
-            # once a direction is evaluated, of its arguments.
+            # once a direction is evaluated, of its arguments; a ring buffer
+            # goes to the replicate _AHEAD stacks on.
             del W
+            if i + _AHEAD < len(starts):
+                queued.append(submit(starts[i + _AHEAD]))
             for d in ranks:
                 out[d][b0 : b0 + len(means)] = _weighted_values(*inputs.pop(d), ks)
+    finally:
+        if ahead:
+            # On an error, drop the draws not yet started and wait for the rest.
+            helpers.shutdown(cancel_futures=True)
     return out
 
 
@@ -321,26 +332,33 @@ def _delta_results(ks, B, alpha, plain, boot):
 
 def _assemble(plain, boot, ks, B, alpha, two_sided):
     z = normal_quantile(alpha / 2.0)
+    dev = boot - plain
+    if two_sided:
+        exceed = np.count_nonzero(np.abs(dev) > np.abs(plain), axis=0)
+    else:
+        exceed = np.count_nonzero(dev > plain, axis=0)
+    # One replicate spread per grid point, 0.0 for a single replicate; each
+    # column taken as one contiguous row gets the same pairwise sums as
+    # np.std of that column alone.
+    if B > 1:
+        spread = np.std(np.ascontiguousarray(boot.T), axis=1, ddof=1)
+    else:
+        spread = np.zeros(ks.size)
+    rows = zip(ks.tolist(), plain.tolist(), exceed.tolist(), spread.tolist())
     results = []
-    for j, k in enumerate(ks):
-        stat = float(plain[j])
-        col = boot[:, j]
-        if two_sided:
-            exceed = int(np.count_nonzero(np.abs(col - stat) > abs(stat)))
-        else:
-            exceed = int(np.count_nonzero(col - stat > stat))
+    for k, stat, count, sd_k in rows:
         # boot_sd estimates the SD of the limit normal of sqrt(k) * (replicate
         # - statistic); the replicate values themselves fluctuate at scale
         # 1/sqrt(k), hence the sqrt(k) rescaling here and the matching /sqrt(k)
         # in the interval half-width.
-        root_k = math.sqrt(int(k))
-        sd = root_k * float(np.std(col, ddof=1)) if B > 1 else 0.0
+        root_k = math.sqrt(k)
+        sd = root_k * sd_k
         half = z * sd / root_k
         results.append(
             TestResult(
-                k=int(k),
+                k=k,
                 statistic=stat,
-                p_value=exceed / B,
+                p_value=count / B,
                 boot_sd=sd,
                 ci_low=stat - half,
                 ci_high=stat + half,

@@ -84,25 +84,43 @@ def _sorted_table(path, wanted, keys, values):
         raise EmptyIntersection(
             f"{path}: no rows with a key and values in {', '.join(map(repr, wanted))}"
         )
-    try:
-        sort_keys = list(map(int, keys))
-    except ValueError:
-        sort_keys = keys
-    if all(map(operator.le, sort_keys, islice(sort_keys, 1, None))):
+    order = _key_order(keys)
+    if order is None:
         # Already in order, as tailasym simulate writes its files: the stable
         # sort would leave every row in place.  The copies are contiguous
         # even where the reader's columns are strided views.
         keys = tuple(keys)
         values = [np.array(col) for col in values]
     else:
-        order = sorted(range(n), key=sort_keys.__getitem__)
-        keys = tuple(map(keys.__getitem__, order))
-        order = np.fromiter(order, np.intp, n)
+        keys = tuple(map(keys.__getitem__, order.tolist()))
         values = [col[order] for col in values]
 
     for col in values:
         col.flags.writeable = False
     return SeriesTable(keys=keys, columns=dict(zip(wanted, values)), source=str(path))
+
+
+def _key_order(keys):
+    """The stable order of the rows by key, or None when they are in order.
+
+    Keys compare as integers when every key parses as one, as text
+    otherwise.  numpy parses each key with int(), so it takes what int()
+    takes; keys beyond int64 compare as Python ints.
+    """
+    try:
+        ints = np.array(keys, dtype=np.int64)
+    except (OverflowError, ValueError):
+        pass
+    else:
+        return None if np.all(ints[:-1] <= ints[1:]) else np.argsort(ints, kind="stable")
+    try:
+        sort_keys = list(map(int, keys))
+    except ValueError:
+        sort_keys = keys
+    if all(map(operator.le, sort_keys, islice(sort_keys, 1, None))):
+        return None
+    n = len(keys)
+    return np.fromiter(sorted(range(n), key=sort_keys.__getitem__), np.intp, n)
 
 
 def _read_plain(path, key_column, wanted):

@@ -11,6 +11,7 @@ must reproduce every field of a TestResult exactly.
 import math
 import re
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,28 @@ def test_eta_test_fields_reconstructed_exactly():
             # one-sided: replicates whose centered value exceeds the statistic
             assert r.p_value == np.count_nonzero(col - stat > stat) / B
             assert r.boot_sd == math.sqrt(k) * float(np.std(col, ddof=1))
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 20, 129, 1000])
+def test_assembled_grid_equals_the_per_column_fields(B):
+    # the whole grid at once: every field bit for bit as from its own column
+    rng = np.random.default_rng(B)
+    ks = np.array([3, 10, 40, 41, 200], dtype=np.int64)
+    plain = rng.standard_normal(ks.size) / 10
+    plain[2] = 0.0
+    boot = rng.standard_normal((B, ks.size)) * rng.uniform(0.01, 3.0, ks.size)
+    boot[:, 3] = plain[3]
+    z = bt.normal_quantile(0.05 / 2.0)
+    for two_sided in (False, True):
+        results = bt._assemble(plain, boot, ks, B, 0.05, two_sided)
+        for j, r in enumerate(results):
+            stat, col, root_k = float(plain[j]), boot[:, j], math.sqrt(ks[j])
+            dev = np.abs(col - stat) > abs(stat) if two_sided else col - stat > stat
+            sd = root_k * float(np.std(col, ddof=1)) if B > 1 else 0.0
+            half = z * sd / root_k
+            assert type(r.k) is int and r.k == ks[j]
+            assert (r.statistic, r.p_value) == (stat, np.count_nonzero(dev) / B)
+            assert (r.boot_sd, r.ci_low, r.ci_high) == (sd, stat - half, stat + half)
 
 
 def test_eta_and_delta_tests_share_replicate_weights():
@@ -664,7 +687,7 @@ def _record_thread_starts(monkeypatch):
     return started
 
 
-def test_one_replicate_stacks_draw_ahead_on_one_helper_thread(monkeypatch):
+def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
     rng = np.random.default_rng(53)
     s = _random_sample(rng, 300)
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
@@ -674,14 +697,16 @@ def test_one_replicate_stacks_draw_ahead_on_one_helper_thread(monkeypatch):
     before = threading.active_count()
     B = 7
     _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18)
-    # the engine's draws come first, then the reference's, all on this thread
+    # the engine's draws come first, each replicate once, then the reference's
     engine, reference = drawn[:B], drawn[B:]
-    assert [b for b, _ in engine] == list(range(1, B + 1))
+    assert sorted(b for b, _ in engine) == list(range(1, B + 1))
     main = threading.get_ident()
-    helpers = {ident for b, ident in engine if b >= 2}
-    assert len(helpers) == 1 and main not in helpers
+    helpers = {ident for _, ident in engine}
+    assert len(helpers) <= 2 and main not in helpers
     assert all(ident == main for _, ident in reference)
-    assert len(started) == 1
+    # one pool, whose threads are named <pool>_<index>
+    assert 1 <= len(started) <= 2
+    assert len({name.rpartition("_")[0] for name in started}) == 1
     assert threading.active_count() == before
 
 
@@ -689,14 +714,55 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     rng = np.random.default_rng(54)
     s = _random_sample(rng, 300)
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    drawn, error = _record_draw_threads(monkeypatch, fail_at=3)
+    fail_at = 3
+    drawn, error = _record_draw_threads(monkeypatch, fail_at=fail_at)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         bt.test_pair(s, [5, 10, 20], B=7, seed=19)
     assert exc.value is error
-    # draw 3 was the last one asked for
-    assert [b for b, _ in drawn] == [1, 2, 3]
+    # each draw asked for at most once, and none past the two queued behind
+    # the failed one
+    asked = sorted(b for b, _ in drawn)
+    assert len(set(asked)) == len(asked)
+    assert asked[:fail_at] == list(range(1, fail_at + 1))
+    assert asked[-1] <= fail_at + 2
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [57, 58, 59])
+def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch, seed):
+    # seeded sleeps of 0-2 ms around every draw and before every read of a
+    # replicate's buffer, so that a buffer handed to the next draw while it is
+    # still being read would change a value; draw 1 also waits for draw 2,
+    # which the other helper runs
+    rng = np.random.default_rng(seed)
+    s = _random_sample(rng, 300)
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    B = 12
+    around = rng.uniform(0.0, 0.002, size=(B + 1, 2))
+    before_read = iter(rng.uniform(0.0, 0.002, size=B))
+    finished = []
+    second = threading.Event()
+    draw, inputs = bt._draw, bt._replicate_inputs
+
+    def slow_draw(seed, b, out):
+        if b == 1:
+            assert second.wait(timeout=60)
+        time.sleep(around[b, 0])
+        draw(seed, b, out)
+        time.sleep(around[b, 1])
+        finished.append(b)
+        if b == 2:
+            second.set()
+
+    def slow_inputs(*args):
+        time.sleep(next(before_read))
+        return inputs(*args)
+
+    monkeypatch.setattr(bt, "_draw", slow_draw)
+    monkeypatch.setattr(bt, "_replicate_inputs", slow_inputs)
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21)
+    assert finished.index(2) < finished.index(1)
 
 
 def test_a_single_replicate_starts_no_thread(monkeypatch):

@@ -216,6 +216,36 @@ def test_load_csv_sorts_integer_keys_beyond_int64_numerically(tmp_path):
     assert np.array_equal(t.columns["v"], [3.0, 4.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [" 3", "+1", "-2\t", "1_0", "\u0663", "\u0661\u0662", " -0 ", "4"],  # int() takes all
+        ["9223372036854775807", "-9223372036854775808", "0"],  # int64's ends
+        ["2", "0x10", "1"],  # not int(): text order
+        ["2", "1.0", "1"],
+        ["2", "", "1"],
+        ["2", "1__0", "1"],
+        ["18446744073709551617", "9223372036854775808", "-5", "10"],  # past int64
+        ["-9223372036854775809", "3", "1"],
+        ["99999999999999999999", "x", "1"],  # past int64, then text
+        ["1", "1", "+1", "2"],  # equal keys, in order
+        ["5", "3", "5", "03"],  # equal keys, out of order
+        [f"{(7 * i) % 5:+d}" for i in range(60)],  # long enough for an unstable sort
+    ],
+)
+def test_sorted_table_orders_keys_like_int_or_text(keys):
+    # the rows' stable order under int() when every key parses, text otherwise
+    try:
+        sort_keys = [int(k) for k in keys]
+    except ValueError:
+        sort_keys = keys
+    want = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    values = np.arange(len(keys), dtype=np.float64)
+    t = pipeline._sorted_table("mem", ["v"], keys, [values])
+    assert t.keys == tuple(keys[i] for i in want)
+    assert np.array_equal(t.columns["v"], want)
+
+
 def test_load_csv_rejects_an_oversized_field_in_any_column(tmp_path):
     # csv.reader's field size limit holds for cells that are never parsed
     # and for numbers that would parse to a finite value
