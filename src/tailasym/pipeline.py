@@ -77,14 +77,17 @@ def load_csv(path, key_column, value_columns):
     return _sorted_table(path, wanted, *read)
 
 
-def _sorted_table(path, wanted, keys, values):
-    """The SeriesTable of the parsed rows, sorted by key."""
+def _sorted_table(path, wanted, keys, values, ints=None):
+    """The SeriesTable of the parsed rows, sorted by key.
+
+    ints, when given, holds every key parsed as an int64.
+    """
     n = len(keys)
     if n == 0:
         raise EmptyIntersection(
             f"{path}: no rows with a key and values in {', '.join(map(repr, wanted))}"
         )
-    order = _key_order(keys)
+    order = _key_order(keys, ints)
     if order is None:
         # Already in order, as tailasym simulate writes its files: the stable
         # sort would leave every row in place.  The copies are contiguous
@@ -100,15 +103,21 @@ def _sorted_table(path, wanted, keys, values):
     return SeriesTable(keys=keys, columns=dict(zip(wanted, values)), source=str(path))
 
 
-def _key_order(keys):
+def _key_order(keys, ints=None):
     """The stable order of the rows by key, or None when they are in order.
 
     Keys compare as integers when every key parses as one, as text
-    otherwise.  numpy parses each key with int(), so it takes what int()
-    takes; keys beyond int64 compare as Python ints.
+    otherwise.  Without ints, numpy parses each key with int(), so it takes
+    what int() takes; keys beyond int64 compare as Python ints.  ints, from
+    _read_plain, are the keys as parsed by loadtxt's integer parser, which
+    takes a subset of what int() takes and gives int()'s value: ASCII
+    digits, one optional sign and whitespace around them.  Of that
+    whitespace int() refuses only bytes 0x1c-0x1f, which no plain file
+    holds.
     """
     try:
-        ints = np.array(keys, dtype=np.int64)
+        if ints is None:
+            ints = np.array(keys, dtype=np.int64)
     except (OverflowError, ValueError):
         pass
     else:
@@ -124,7 +133,7 @@ def _key_order(keys):
 
 
 def _read_plain(path, key_column, wanted):
-    """The keys and wanted columns of a plain file, by numpy's C parser, or None.
+    """The keys, wanted columns and int64 keys of a plain file by loadtxt, or None.
 
     A file is plain when it holds no quote, NUL, carriage return or
     information separator (bytes 0x1c-0x1f) and no line longer than csv's
@@ -135,38 +144,68 @@ def _read_plain(path, key_column, wanted):
     a header lacking a column, a short row, a blank key, a cell loadtxt
     cannot parse (float() also takes '1_000' and Unicode digits) or one that
     is not finite.
+
+    The one loadtxt pass reads the key column twice, as text for the table
+    and as int64 for the key sort (see _key_order for what the int64 parse
+    accepts); a key that parses is never blank.  When a key fails that
+    parse (text, dates, keys beyond int64, '1_000', Unicode digits) or the
+    parse warns (numpy 1.23 deprecated reading '1.0' as an integer through
+    a float, with a DeprecationWarning), loadtxt reads the file once more
+    without the int64 field, and the int64 keys are None.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return None
-    if any(byte in data for byte in b'"\0\r\x1c\x1d\x1e\x1f'):
+    if any(byte in data for byte in b'"\0\r\x1c\x1d\x1e\x1f') or _has_long_line(data):
         return None
-    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    if np.diff(breaks, prepend=-1, append=len(data)).max() > csv.field_size_limit():
-        return None
-    head = data[: breaks[0]] if breaks.size else data
-    dtype = [("key", object)] + [(f"v{j}", np.float64) for j in range(len(wanted))]
+    key = [("key", object)]
+    floats = [(f"v{j}", np.float64) for j in range(len(wanted))]
     try:
-        header = next(csv.reader([head.decode("utf-8-sig")]))
+        header = next(csv.reader([data.partition(b"\n")[0].decode("utf-8-sig")]))
         at = _column_indices(header, path, key_column, wanted)
-        with warnings.catch_warnings():
-            # A file without data rows is EmptyIntersection, not a warning.
-            warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning
-            )
-            rows = np.loadtxt(
-                path, dtype=dtype, delimiter=",", skiprows=1, usecols=at,
-                comments=None, quotechar=None, encoding="utf-8-sig", ndmin=1,
-            )
-    except (OSError, ValueError, MissingColumn):
+        try:
+            rows = _loadtxt(path, key + [("int", np.int64)] + floats, at[:1] + at)
+            ints = rows["int"]
+        except (ValueError, Warning):
+            rows, ints = _loadtxt(path, key + floats, at), None
+    except (OSError, ValueError, Warning, MissingColumn):
         return None
     keys = rows["key"].tolist()
-    values = [rows[f"v{j}"] for j in range(len(wanted))]
-    if "" in map(str.strip, keys) or not all(np.isfinite(v).all() for v in values):
+    values = [rows[name] for name, _ in floats]
+    blank = ints is None and "" in map(str.strip, keys)
+    if blank or not all(np.isfinite(v).all() for v in values):
         return None
-    return keys, values
+    return keys, values, ints
+
+
+def _has_long_line(data):
+    """Whether a line of data, newline counted, is longer than csv's field size limit.
+
+    Such a line fills one of the aligned blocks of h = (limit + 1) // 2
+    bytes, so the lines are measured only when some block holds no newline.
+    """
+    limit = csv.field_size_limit()
+    h = (limit + 1) // 2
+    if h > 0 and all(
+        data.find(b"\n", i, i + h) >= 0 for i in range(0, len(data) - h + 1, h)
+    ):
+        return False
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    return np.diff(breaks, prepend=-1, append=len(data)).max() > limit
+
+
+def _loadtxt(path, dtype, usecols):
+    """np.loadtxt of the data rows of a plain file; a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # A file without data rows is EmptyIntersection, not a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(
+            path, dtype=dtype, delimiter=",", skiprows=1, usecols=usecols,
+            comments=None, quotechar=None, encoding="utf-8-sig", ndmin=1,
+        )
 
 
 def _read_exact(path, key_column, wanted):

@@ -1,7 +1,9 @@
 """Pipeline tests: CSV loading, series preparation, diagnostics, reports."""
 
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +258,50 @@ def test_load_csv_rejects_an_oversized_field_in_any_column(tmp_path):
             load_csv(p, "k", ["v"])
 
 
+@pytest.fixture
+def field_size_limit():
+    """csv.field_size_limit, restored to its old value after the test."""
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+def _rows(size, longest):
+    """Rows and blank lines of `size` bytes in all, none longer than `longest`."""
+    out = []
+    while size >= 4:
+        n = min(size, longest)
+        out.append("1,2".ljust(n - 1) + "\n")
+        size -= n
+    return "".join(out) + "\n" * size
+
+
+@pytest.mark.parametrize("limit", [64, 65, 131_072])
+def test_plain_reader_refuses_lines_as_long_as_the_field_size_limit(
+    tmp_path, field_size_limit, limit
+):
+    # A line of limit - 2 to limit + 1 bytes (newline not counted) starting
+    # around the multiples of h, then nothing, a newline, or one more row.
+    # The plain reader must refuse the file exactly when a line, its newline
+    # counted, is longer than the limit.
+    field_size_limit(limit)
+    h = (limit + 1) // 2
+    if limit < 100:
+        starts = range(4, 3 * h + 2)
+    else:
+        starts = [s + d for s in (h, 2 * h) for d in (-1, 0, 1)]
+    p = tmp_path / "long.csv"
+    for size in range(limit - 2, limit + 2):
+        for start in starts:
+            for tail in ("", "\n", "\n1,2\n"):
+                data = ("k,v\n" + _rows(start - 4, h) + "1,2".ljust(size) + tail).encode()
+                p.write_bytes(data)
+                refused = max(map(len, data.split(b"\n"))) + 1 > limit
+                assert (pipeline._read_plain(p, "k", ["v"]) is None) == refused, (
+                    size, start, tail,
+                )
+
+
 def test_load_csv_reads_plain_files_without_the_exact_reader(tmp_path, monkeypatch):
     plain = _write(tmp_path, "plain.csv", "k,v,w\n3,1.5,x\n1,-2e-3,y\n 2 ,7,z,extra\n\n")
     quoted = _write(tmp_path, "quoted.csv", 'k,v\n"3",1.5\n')
@@ -269,6 +315,113 @@ def test_load_csv_reads_plain_files_without_the_exact_reader(tmp_path, monkeypat
     assert np.array_equal(t.columns["v"], [-2e-3, 7.0, 1.5])
     with pytest.raises(AssertionError, match="the exact reader ran"):
         load_csv(quoted, "k", ["v"])
+
+
+def _parts(table):
+    return table.keys, [(name, col.tobytes()) for name, col in table.columns.items()]
+
+
+def _fast_and_exact(monkeypatch, path, key="k", wanted=("v",)):
+    """load_csv's table with the exact reader disabled, the exact reader's
+    table, and the number of np.loadtxt calls load_csv made."""
+    wanted = list(wanted)
+    exact = pipeline._sorted_table(path, wanted, *pipeline._read_exact(path, key, wanted))
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["dtype"])
+        return loadtxt(*args, **kwargs)
+
+    def no_exact(*args):
+        raise AssertionError("the exact reader ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", counted)
+        m.setattr(pipeline, "_read_exact", no_exact)
+        fast = load_csv(path, key, wanted)
+    return fast, exact, len(calls)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [" 3", "2 ", "\t4\t", "\xa05", "1\u2003"],  # ASCII and Unicode padding
+        ["+1", "-0", "007", "-3", "+02", "7"],
+        ["9223372036854775807", "-9223372036854775808", "0"],  # int64's ends
+        ["1", "2", "3", "10"],  # already in order
+    ],
+)
+def test_load_csv_parses_integer_keys_in_its_one_loadtxt_pass(tmp_path, monkeypatch, keys):
+    rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
+    p = _write(tmp_path, "ints.csv", "k,v\n" + rows)
+    fast, exact, calls = _fast_and_exact(monkeypatch, p)
+    assert calls == 1
+    assert fast.keys == tuple(sorted(keys, key=int))
+    assert _parts(fast) == _parts(exact)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ["9223372036854775808", "-5", "10"],  # past int64
+        ["-9223372036854775809", "3", "1"],
+        ["1_000", "20", "3"],  # int() takes underscores, loadtxt does not
+        ["\u0663", "\u0661\u0662", "2"],  # Unicode digits
+        [str(i) for i in range(50, 0, -1)] + ["x"],  # one text key, in the last row
+    ],
+)
+def test_load_csv_reads_other_keys_in_a_second_loadtxt_pass(tmp_path, monkeypatch, keys):
+    rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
+    p = _write(tmp_path, "keys.csv", "k,v\n" + rows)
+    fast, exact, calls = _fast_and_exact(monkeypatch, p)
+    assert calls == 2
+    assert _parts(fast) == _parts(exact)
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t"])
+def test_plain_reader_leaves_blank_keys_to_the_exact_reader(tmp_path, blank):
+    for keys in (["2", blank, "1"], ["b", blank, "a"]):
+        rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
+        p = _write(tmp_path, "blank.csv", "k,v\n" + rows)
+        assert pipeline._read_plain(p, "k", ["v"]) is None
+        t = load_csv(p, "k", ["v"])
+        assert t.keys == tuple(sorted(keys))[1:]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in_order", "shuffled"])
+def test_load_csv_reads_iso_date_keys_in_text_order(tmp_path, monkeypatch, shuffled):
+    days = np.arange("2021-01-01", "2021-04-11", dtype="datetime64[D]").astype(str)
+    order = np.random.default_rng(7).permutation(days.size) if shuffled else range(days.size)
+    rows = "".join(f"{days[i]},{100 + i}.5\n" for i in order)
+    p = _write(tmp_path, "daily.csv", "date,close\n" + rows)
+    fast, exact, calls = _fast_and_exact(monkeypatch, p, "date", ["close"])
+    assert calls == 2  # the int64 parse fails on the first date
+    assert fast.keys == tuple(days.tolist())
+    assert np.array_equal(fast.columns["close"], np.arange(days.size) + 100.5)
+    assert _parts(fast) == _parts(exact)
+
+
+def test_a_warning_from_the_integer_key_parse_counts_as_a_failed_parse(
+    tmp_path, monkeypatch
+):
+    # numpy before 2.0 parses an int64 field's '1.0' through a float, with a
+    # DeprecationWarning; even where warnings are ignored that must not
+    # give int64 keys
+    p = _write(tmp_path, "w.csv", "k,v\n10,1\n9,2\n")
+    loadtxt, calls = np.loadtxt, []
+
+    def warns(*args, dtype, **kwargs):
+        calls.append(dtype)
+        if "int" in np.dtype(dtype).names:
+            warnings.warn("parsing an integer via a float", DeprecationWarning)
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        keys, values, ints = pipeline._read_plain(p, "k", ["v"])
+    assert len(calls) == 2 and ints is None
+    assert keys == ["10", "9"] and np.array_equal(values[0], [1.0, 2.0])
 
 
 # --- series preparation ----------------------------------------------------------

@@ -133,6 +133,18 @@ def _numbers():
     ).map(str)
 
 
+def _int_keys():
+    """Integer keys as int() reads them: signed, zero-led or padded, some past int64."""
+    return st.builds(
+        lambda pad, sign, zeros, n, end: f"{pad}{sign}{'0' * zeros}{n}{end}",
+        st.sampled_from(["", "", " ", "\t", "\xa0"]),
+        st.sampled_from(["", "", "+", "-"]),
+        st.integers(0, 2),
+        st.integers(0, 2**63) | st.integers(0, 2**70),
+        st.sampled_from(["", "", " ", "\u2003"]),
+    )
+
+
 def _sometimes(draw, common, rare):
     """common in three files of four; in the fourth, one value in eight comes from rare."""
     if draw(st.integers(0, 3)):
@@ -144,8 +156,9 @@ def _sometimes(draw, common, rare):
 def csv_files(draw, plain):
     """(bytes, key column, value columns) of a CSV file.
 
-    plain files have integer keys, numeric cells (some padded with spaces),
-    rows at least as wide as the header, blank lines and LF line ends only.
+    plain files have integer keys (some signed, zero-led, padded or past
+    int64), numeric cells (some padded with spaces), rows at least as wide
+    as the header, blank lines and LF line ends only.
     Some of the others also hold awkward cells and keys, ragged rows,
     repeated or padded header names, CRLF and CR line ends, comment-like or
     blank-looking lines and stray non-UTF-8 bytes.
@@ -153,7 +166,7 @@ def csv_files(draw, plain):
     number = _numbers() | _numbers().map(lambda c: f" {c} ")
     names = ["k", "v", "w"]
     if plain:
-        cell, key_cell = number, st.integers(-(2**70), 2**70).map(str)
+        cell, key_cell = number, _int_keys()
         end, row_size, blank = st.just("\n"), st.integers(3, 4), st.just("")
     else:
         names = draw(_sometimes(draw, st.permutations(names), st.lists(
