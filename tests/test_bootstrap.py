@@ -364,6 +364,14 @@ def full_sort_replicate(ranked, conditioning, wo, ks):
     return (3.0 * sums[0]) / kf**3
 
 
+def _batch_rows(n, kgrid, B):
+    """Rows of a full batch: whole stacks whose first prefixes fit _STACK_ELEMS floats."""
+    R = max(1, min(B, bt._STACK_ELEMS // n))
+    k_max = kgrid[-1]
+    m0 = min(n, int(k_max + 6 * math.sqrt(k_max)))
+    return R * max(1, bt._STACK_ELEMS // (R * (4 * m0 + 2)))
+
+
 def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     rng = np.random.default_rng(40)
     s = _random_sample(rng, 300)
@@ -372,12 +380,18 @@ def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     monkeypatch.setattr(bt, "_STACK_ELEMS", 4 * s.n - 1)
     calls = _count_weighted_calls(monkeypatch)
     drawn = _count_draws(monkeypatch)
+    seen = _record_prefixes(monkeypatch)
     B = 7
     bt.test_pair(s, [5, 10, 20], B=B, seed=1)
     assert drawn == list(range(1, B + 1))
-    assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
+    assert [rows for _, rows, _ in seen] == [3, 3, 3, 3, 1, 1]
+    # two stacks' first prefixes, 3 * (4 * 46 + 2) floats each, fit the
+    # budget, so the kernel is called once per direction and batch of two
+    # stacks: 6 rows, then the last stack's 1
+    assert _batch_rows(s.n, [5, 10, 20], B) == 6
+    assert [rows for rows, _, _ in calls] == [6, 6, 1, 1]
     # only the top of the conditioning order reaches the kernel: as many
-    # entries as the stack's largest tau(k_max)
+    # entries as the batch's largest tau(k_max)
     for _, width, tau_max in calls:
         assert width == max(tau_max) < s.n
 
@@ -436,8 +450,8 @@ def _record_prefixes(monkeypatch):
     seen = []
     real = bt._prefix_weights
 
-    def recorded(order, W, means, bound):
-        part, run = real(order, W, means, bound)
+    def recorded(order, W, means, bound, arrays):
+        part, run = real(order, W, means, bound, arrays)
         seen.append((bound, *part.shape))
         return part, run
 
@@ -653,10 +667,49 @@ def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypat
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     seen = _record_runs(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=2, seed=13)
-    # the replicate's grid split into runs of rows
+    # a first prefix of all n, wider than the budget, so each batch holds one
+    # stack; the replicate's grid split into runs of rows
+    assert _batch_rows(s.n, kgrid, 2) == 1
     engine = seen[: 2 * 2]
     assert all((R, len(widest)) == (1, len(kgrid)) for R, widest, _ in engine)
     assert all(len(runs) > 1 for _, _, runs in engine)
+
+
+def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_reference(
+    monkeypatch,
+):
+    # Stacks of 3 replicates and first prefixes of 12 + 6 sqrt(12) = 32
+    # entries, so three stacks, 3 * (4 * 32 + 2) floats each, fit a batch.
+    # Log-uniform weights tie weighted ranks and stop the stacks' prefixes at
+    # different lengths within a batch.
+    rng = np.random.default_rng(63)
+    s = _random_sample(rng, 400)
+    kgrid = [3, 8, 12]
+    B = 20
+
+    def draw(seed, b, out):
+        out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
+    assert _batch_rows(s.n, kgrid, B) == 9
+    seen = _record_prefixes(monkeypatch)
+    calls = []
+    real = _kernels.weighted_eta_grid_sums
+
+    def recorded(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+        step = np.diff(rx_sorted, axis=1)
+        tied = np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1]))
+        calls.append((len(rx_sorted), tied))
+        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24)
+    assert [rows for rows, _ in calls] == [9, 9, 9, 9, 2, 2]
+    assert any(tied for _, tied in calls)
+    # the first batch's three stacks, two prefixes each
+    assert [rows for _, rows, _ in seen[:6]] == [3] * 6
+    assert len({size for _, _, size in seen[:6]}) > 1
 
 
 def _record_draw_threads(monkeypatch, fail_at=None):
@@ -731,10 +784,10 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("seed", [57, 58, 59])
 def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch, seed):
-    # seeded sleeps of 0-2 ms around every draw and before every read of a
-    # replicate's buffer, so that a buffer handed to the next draw while it is
-    # still being read would change a value; draw 1 also waits for draw 2,
-    # which the other helper runs
+    # seeded sleeps of 0-2 ms around every draw and before every prefix step,
+    # the one read of a replicate's buffer, so that a buffer handed to the
+    # next draw while it is still being read would change a value; draw 1
+    # also waits for draw 2, which the other helper runs
     rng = np.random.default_rng(seed)
     s = _random_sample(rng, 300)
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
@@ -743,7 +796,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     before_read = iter(rng.uniform(0.0, 0.002, size=B))
     finished = []
     second = threading.Event()
-    draw, inputs = bt._draw, bt._replicate_inputs
+    draw, prefix_step = bt._draw, bt._prefix_step
 
     def slow_draw(seed, b, out):
         if b == 1:
@@ -755,14 +808,70 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
         if b == 2:
             second.set()
 
-    def slow_inputs(*args):
+    def slow_prefix_step(*args):
         time.sleep(next(before_read))
-        return inputs(*args)
+        return prefix_step(*args)
 
     monkeypatch.setattr(bt, "_draw", slow_draw)
-    monkeypatch.setattr(bt, "_replicate_inputs", slow_inputs)
+    monkeypatch.setattr(bt, "_prefix_step", slow_prefix_step)
     _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21)
     assert finished.index(2) < finished.index(1)
+
+
+def test_one_replicate_stacks_make_two_kernel_calls_per_batch(monkeypatch):
+    rng = np.random.default_rng(60)
+    s = _random_sample(rng, 2000)
+    kgrid = [5, 10, 20]
+    # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets;
+    # a first prefix of 20 + 6 sqrt(20) = 46 entries, so ten stacks, 4 * 46 + 2
+    # floats each, fit a batch
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    calls = _count_weighted_calls(monkeypatch)
+    drawn = _count_draws(monkeypatch)
+    B = 25
+    batch = _batch_rows(s.n, kgrid, B)
+    assert batch == 10
+    bt.test_pair(s, kgrid, B=B, seed=23)
+    # one call per direction and batch, not per replicate (2 * B)
+    assert len(calls) == 2 * math.ceil(B / batch)
+    assert [rows for rows, _, _ in calls] == [10, 10, 10, 10, 5, 5]
+    assert sorted(drawn) == list(range(1, B + 1))
+
+
+def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypatch):
+    rng = np.random.default_rng(61)
+    s = _random_sample(rng, 2000)
+    kgrid = [5, 12, 30]
+    B = 7
+    # one replicate per stack, and all 7 in one batch of first prefixes of
+    # 30 + 6 sqrt(30) = 62 entries
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    assert _batch_rows(s.n, kgrid, B) == 8
+    m0 = 62
+    # In replicates 2 and 5 the 600 largest values of each series weigh
+    # almost nothing, so only their prefixes outgrow the first guess, and the
+    # batch pads the other rows out to them.
+    light = np.zeros(s.n, dtype=bool)
+    light[np.argsort(-s.x)[:600]] = True
+    light[np.argsort(-s.y)[:600]] = True
+    light_rows = (2, 5)
+    real = bt._draw
+
+    def draw(seed, b, out):
+        real(seed, b, out)
+        if b in light_rows:
+            out[light] *= 1e-9
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    seen = _record_prefixes(monkeypatch)
+    calls = _count_weighted_calls(monkeypatch)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=22)
+    # two prefixes per replicate, one per order, read in replicate order
+    grown = [size > m0 for _, rows, size in seen]
+    assert all(rows == 1 for _, rows, _ in seen)
+    assert grown == [b in light_rows for b in range(1, B + 1) for _ in range(2)]
+    assert len({size for _, _, size in seen}) > 1
+    assert [rows for rows, _, _ in calls] == [B, B]
 
 
 def test_a_single_replicate_starts_no_thread(monkeypatch):
@@ -846,6 +955,35 @@ def test_stack_memory_is_bounded_by_the_stack_not_by_B():
     # four times the replicates add no more than the (B, grid) matrices: one
     # per direction and their difference
     assert peaks[400] - peaks[100] <= 3 * (400 - 100) * len(kgrid) * 8
+
+
+def test_batch_memory_is_bounded_by_the_batch_not_by_B(monkeypatch):
+    rng = np.random.default_rng(62)
+    z = rng.standard_normal(4000)
+    s = make_sample(z, z + rng.standard_normal(4000))
+    kgrid = [10, 20, 30, 40]
+    # one replicate per stack, drawn ahead, in batches of 12 first prefixes
+    # of 40 + 6 sqrt(40) = 77 entries
+    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    rows = _batch_rows(s.n, kgrid, 160)
+    assert rows == 12
+    bt.test_delta_zero(s, kgrid, B=2, seed=3)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for B in (40, 160):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bt.test_delta_zero(s, kgrid, B=B, seed=3)
+            peaks[B] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # four times the replicates add the (B, grid) matrices, one per direction
+    # and their difference, and less than one batch's prefixes besides; a
+    # batch of every replicate would add 120 rows of prefixes
+    matrices = 3 * (160 - 40) * len(kgrid) * 8
+    batch = rows * (4 * 77 + 2) * 8
+    assert peaks[160] - peaks[40] <= matrices + batch
 
 
 # --- sweep summaries -------------------------------------------------------------
