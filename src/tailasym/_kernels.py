@@ -11,28 +11,28 @@ leaves the int64 range once k is above about 3.03e6, so the sum is taken as
 int64 partial dots over chunks short enough not to overflow, added up as
 Python integers.
 
-The weighted kernel takes a stack of replicates: the ranks and the weights
-hold one replicate per row, in one order of the elements that every
-replicate shares, given as one row of positions; the cutoffs hold one row of
-tau(k) per replicate, and the result one row of sums per replicate.  It
-works on 3-D blocks, a run of grid rows over every replicate of the stack at
-a time; a mask keeps row k's entries with a weighted rank below k whose
-conditioning position is below tau(k).  Each row of ranks is sorted, so the
-entries with a rank below k are a prefix of the row, and the stack's widest
-such prefix at k is the count of the column-wise minimum below k: that
-minimum of sorted rows is itself sorted.  ``width`` is that count at the
-run's last grid row, the widest of the run, since the count never decreases
-along the grid.  Of the first ``width`` columns, the block spans only those
-that some row can keep: the columns whose position is below the largest
-cutoff up to the run's last grid row, taken in their order.  A run is sized
-by ``width``, so it holds as many grid rows as keep each temporary within
-``_BLOCK`` elements, and at least one; a single grid row is at most the size
-of the kernel's own input.  The running included weight is a cumsum along
-each row of the weights with the dropped entries set to 0.0; each factor of
-the terms is formed on the whole block and compressed with the mask, row
-after row, before the next is formed, so that the kept terms of each
-(replicate, k) sit in one contiguous slice and one full block of floats is
-alive at a time.
+The weighted kernel takes a batch of replicates, from one or more of the
+bootstrap's draw stacks: the ranks and the weights hold one replicate per
+row, in one order of the elements that every replicate shares, given as one
+row of positions; the cutoffs hold one row of tau(k) per replicate, and the
+result one row of sums per replicate.  It works on 3-D blocks, a run of grid
+rows over every replicate of the batch at a time; a mask keeps row k's
+entries with a weighted rank below k whose conditioning position is below
+tau(k).  Each row of ranks is sorted, so the entries with a rank below k are
+a prefix of the row, and the batch's widest such prefix at k is the count of
+the column-wise minimum below k: that minimum of sorted rows is itself
+sorted.  ``width`` is that count at the run's last grid row, the widest of
+the run, since the count never decreases along the grid.  Of the first
+``width`` columns, the block spans only those that some row can keep: the
+columns whose position is below the largest cutoff up to the run's last grid
+row, taken in their order.  A run is sized by ``width``, so it holds as many
+grid rows as keep each temporary within ``_BLOCK`` elements, and at least
+one; a single grid row is at most the size of the kernel's own input.  The
+running included weight is a cumsum along each row of the weights with the
+dropped entries set to 0.0; each factor of the terms is formed on the whole
+block and compressed with the mask, row after row, before the next is
+formed, so that the kept terms of each (replicate, k) sit in one contiguous
+slice and one full block of floats is alive at a time.
 
 Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
 and 2 W_a - w_a, W_a being the included weight up to and including a, in
@@ -59,7 +59,7 @@ import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Elements per temporary of the weighted kernel, unless one grid row of the
-# stack alone has more.
+# batch alone has more.
 _BLOCK = 1 << 16
 
 
@@ -138,7 +138,7 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
 def _columns(ypos, tmax, width):
     """The columns below ``width`` whose position is below ``tmax``.
 
-    ``ypos`` is the stack's row of positions and ``tmax`` the largest cutoff
+    ``ypos`` is the batch's row of positions and ``tmax`` the largest cutoff
     of any replicate at or before the run's last grid row: every other column
     is masked in every replicate of the run.
     """
@@ -146,7 +146,7 @@ def _columns(ypos, tmax, width):
 
 
 def _runs(R, widest):
-    """Runs (t0, t1) of grid rows over R replicates, each within _BLOCK.
+    """Runs (t0, t1) of grid rows over a batch of R replicates, each within _BLOCK.
 
     A run is as wide as ``widest`` at its last row and holds as many rows as
     fit, and at least one.  Every grid row is in exactly one run.

@@ -32,15 +32,18 @@ the cutoffs along the conditioning order, and the weighted rank of an
 element, the total weight of the larger values, along decreasing values.
 So one running sum per order serves both directions: the one along
 decreasing x gives X|Y's ranks and Y|X's cutoffs, the one along decreasing y
-the other two.  Each is taken over a prefix whose total must reach k_max.
-The first prefix has k_max + 6 sqrt(k_max) entries, six standard deviations
-of a sum of unit-mean multipliers past k_max, and is doubled until every
-total reaches k_max or it covers all n.  Every prefix entry is bit-identical
+the other two.  One prefix pass covers both orders, over one length whose
+totals along each order must reach k_max.  The first prefix has k_max + 6
+sqrt(k_max) entries, six standard deviations of a sum of unit-mean
+multipliers past k_max, and is doubled until every total along both orders
+reaches k_max or it covers all n.  Every prefix entry is bit-identical
 to the same entry over the full sample: np.cumsum adds left to right, and
 normalizing divides each weight by the mean of all n.  What lies past a
 prefix cannot matter.  The running sums never decrease, so no cutoff lies
 past a total of k_max, and a rank past the prefix is at least its total, so
 it reads the total, which the kernel drops like every rank not below k.
+An order whose totals reach k_max first gains only running sums of at least
+k_max from the longer prefix, and the kernel drops those too.
 
 The kernel takes the first T conditioning positions in ascending weighted
 rank, and no replicate is sorted to get them.  A running sum of positive
@@ -58,60 +61,52 @@ replicates filling the rows of one (R, n) array, each drawn in place from
 its own stream.  R is sized by the multipliers alone: the largest count, and
 at least 1, with R <= B and R * n <= 2**17 elements (1 MB of multipliers),
 so a sample of more than 2**16 gets one replicate per stack.  As soon as a
-stack is drawn, the calling thread reads its two weight prefixes into the
-current batch (the prefix step), and the stack's buffer is done with.  A
-batch holds as many whole stacks as keep their first prefixes, 4 m0 + 2
-floats a replicate with m0 = k_max + 6 sqrt(k_max), within the same 2**17
-elements, and at least one stack.  Once it is full, the kernel inputs of all
-its rows are formed at once (the input step), and each direction makes one
-kernel call on the whole batch.  At n = 200,000 on the default grid (m0 =
-634) a batch holds 51 replicates, so B = 100 takes 4 kernel calls where one
-call per replicate took 200; a stack that fills the budget by itself, as at
-n = 2,000 or on a grid of 399 tail sizes at n = 20,000, is a batch of its
-own.  The kernel cuts the grid into runs of rows over the whole batch and
-never splits a grid row, so each of its temporaries stays within its own
-budget or, for a single grid row past that budget, within the size of its
-input.  Each block spans only the columns whose position is below some
-replicate's largest cutoff in the run; every other column would add only
-+0.0.
+stack is drawn, the calling thread reads its prefixes along both orders into
+the current batch in one pass (the prefix step), and the stack's buffer is
+done with.  A batch holds as many whole stacks as keep their first
+prefixes, 4 m0 + 2 floats a replicate with m0 = k_max + 6 sqrt(k_max),
+within the same 2**17 elements, and at least one stack.  Once it is full,
+the kernel inputs of all its rows are formed at once (the input step), and
+each direction makes one kernel call on the whole batch.  At n = 200,000 on
+the default grid (m0 = 634) a batch holds 51 replicates, so B = 100 takes 4
+kernel calls; a stack that fills the budget by itself, as at n = 2,000 or
+on a grid of 399 tail sizes at n = 20,000, is a batch of its own.  The
+kernel cuts the grid into runs of rows over the whole batch and never
+splits a grid row, so each of its temporaries stays within its own budget
+or, for a single grid row past that budget, within the size of its input.
+Each block spans only the columns whose position is below some replicate's
+largest cutoff in the run; every other column would add only +0.0.
 
 A batch changes no replicate's value.  Each row's mean is the same pairwise
 sum as that replicate's own.  A stack's prefixes run to the first length at
-which every row's total reaches k_max, which may be longer than one row
-needs; that changes none of the row's earlier entries, and the ranks it adds
-are at or above k_max, which the kernel drops as well.  The stacks of one
-batch may stop at different lengths.  A row shorter than the batch's longest
-is padded: its running sums with its own total, which is at least k_max, and
-its weights with 1.0.  Every cutoff, the first running sum to reach its k,
-then lies where it lies in the row's own prefix, and a rank read past that
-prefix reads the total, as it does there.  The kernel input is as wide as
-the batch's largest tau(k_max); a row's entries at or past its own
-tau(k_max), padded weights included, keep their ranks and their place in the
-rank order, and the kernel drops them, since their position is at or past
-every tau(k) of that row.
+which every row's total along both orders reaches k_max, which may be longer
+than one row or one order needs; that changes none of the row's earlier
+entries, and the ranks it adds are at or above k_max, which the kernel
+drops as well.  The stacks of one batch may stop at different lengths.  A
+row shorter than the batch's longest is padded: its running sums with its
+own total, which is at least k_max, and its weights with 1.0.  Every
+cutoff, the first running sum to reach its k, then lies where it lies in
+the row's own prefix, and a rank read past that prefix reads the total, as
+it does there.  The kernel input is as wide as the batch's largest
+tau(k_max); a row's entries at or past its own tau(k_max), padded weights
+included, keep their ranks and their place in the rank order, and the
+kernel drops them, since their position is at or past every tau(k) of that
+row.
 
 When each stack holds one replicate and more follow (R = 1 < B, so n >
-2**16), two helper threads draw the next three replicates into a ring of
-three buffers while the calling thread reads prefixes and evaluates batches,
-and the buffer whose prefixes were just read takes the replicate three on.
-The draw and the row mean release the GIL, the prefix steps and the batches
-stay on the calling thread in replicate order, and every replicate still
-comes from its own stream, so no value changes.  At n = 200,000 a draw and
-its mean take about 2 ms of a core, and evaluating both directions of one
-replicate on its own took the calling thread about 0.4 ms more on the
-default grid, on one of the two cores the draws need.  Batches cut that by
-about a third: timed together on one host, a draw and its mean took 3.1 ms,
-a replicate evaluated on its own 0.68-0.77 ms, and a batched one 0.07 ms of
-prefix step and 0.39-0.41 ms of its batch.  With one helper the calling
-thread waited on draws for 0.12-0.17 s of a 0.6-0.7 s analyze run, with two
-for 0.06-0.07 s.  With batches it waits longer, having less to do between
-draws, and the bootstrap ends sooner: profiled on a busier host, 0.21-0.27 s
-of waits and 0.29-0.39 s in _replicate_matrices, against 0.14-0.20 s and
-0.45-0.56 s one replicate at a time.  Stacks of several replicates stay
-sequential: their short draws each take the GIL twice, and drawing them
-ahead slowed 100 tests on samples of 2,000 by 8%.  Drawing only the O(k_max)
-weights a replicate reads (ROADMAP Open item 4) would leave nothing worth
-hiding, and the helpers could go.
+2**16), two helper threads draw the next replicates into a ring of three
+buffers, one for each helper and one whose prefixes the calling thread
+reads before it evaluates batches, and the buffer whose prefixes were just
+read takes the replicate three on.  The draw and the row mean release the
+GIL, the prefix steps and the batches stay on the calling thread in
+replicate order, and every replicate still comes from its own stream, so no
+value changes.  At n = 200,000 a draw and its mean take about 2 ms of a
+core, several times the calling thread's work on a batched replicate, so
+the draws set the pace.  Stacks of several replicates stay sequential:
+their short draws each take the GIL twice, and drawing them ahead slowed
+100 tests on samples of 2,000 by 8%.  Drawing only the O(k_max) weights a
+replicate reads (ROADMAP Open item 4) would leave nothing worth hiding, and
+the helpers could go.
 
 Both directions are ranked once per test call from one pair of sorts:
 ranks.concomitant_ranks returns the value order, conditioning order and rank
@@ -180,109 +175,84 @@ def _first_prefix(n, bound):
     return min(n, int(bound + 6.0 * math.sqrt(bound)))
 
 
-def _prefix_weights(order, W, means, bound, arrays):
-    """Normalized weights along order and their exclusive running sums, over a prefix.
+class _Batch:
+    """Both orders' weight prefixes for a batch of replicates, one row each.
 
-    W holds one replicate's multipliers per row and means their row means.
-    Returns W[:, order[:m]] / means and, in m + 1 columns, the sum of each
-    row's first j weights for j = 0..m, for the first m of m0, 2 * m0, ... at
-    which every row's total reaches bound, or m = n; m0 is
-    _first_prefix(n, bound).  Each length m is written into arrays(m), a
-    (rows, m) and a (rows, m + 1) array.
-    """
-    n = order.size
-    m = _first_prefix(n, bound)
-    while True:
-        part, sums = arrays(m)
-        # order holds valid positions only; mode="raise" would gather into a
-        # buffer and copy it into part.
-        W.take(order[:m], axis=1, out=part, mode="clip")
-        part /= means[:, None]
-        sums[:, 0] = 0.0
-        np.cumsum(part, axis=1, out=sums[:, 1:])
-        if m == n or sums[:, -1].min() >= bound:
-            return part, sums
-        m = min(n, 2 * m)
-
-
-class _Prefixes:
-    """One order's weight prefixes for a batch of replicates, one row each.
-
-    part holds each row's normalized weights along the order and sums their
-    exclusive running sums, over the row's own prefix, whose total reaches
-    bound.  Both are as wide as the batch's longest prefix, and past its own
-    a row's weights read 1.0 and its sums its total.
+    The orders are the two that every direction in ranks reads: the first
+    direction's value order, whose running sums give its ranks and the second
+    direction's cutoffs, and its conditioning order, which gives the other
+    two.  w[o] holds each row's normalized weights along order o and sums[o]
+    their exclusive running sums, over the prefix of the row's stack.  Both
+    are as wide as the batch's longest prefix, and past its own a row's
+    weights read 1.0 and its sums its total.  The arrays are order-major, so
+    each order's rows are one contiguous block for the input step's takes.
     """
 
-    def __init__(self, order, rows, bound):
-        self.order, self.bound = order, bound
-        m0 = _first_prefix(order.size, bound)
-        self.part = np.empty((rows, m0))
-        self.sums = np.empty((rows, m0 + 1))
+    def __init__(self, ranks, rows, bound):
+        first = next(iter(ranks.values()))
+        self.orders = (first.value_order[::-1], first.y_order)
+        self.bound = bound
+        m0 = _first_prefix(first.n, bound)
+        self.w = np.empty((2, rows, m0))
+        self.sums = np.empty((2, rows, m0 + 1))
         self.filled = 0
 
     def add(self, W, means):
-        """Fill the next rows with the prefixes of W's rows, whose means are means."""
+        """Fill the next rows with the prefixes of the stack W, row means means.
+
+        The prefix is the first m of m0, 2 * m0, ... at which every row's
+        total along both orders reaches bound, or m = n; m0 is
+        _first_prefix(n, bound).  Returns m.
+        """
         rows = slice(self.filled, self.filled + len(W))
         self.filled = rows.stop
-        arrays = functools.partial(self._window, rows)
-        part, sums = _prefix_weights(self.order, W, means, self.bound, arrays)
-        m = part.shape[1]
-        self.part[rows, m:] = 1.0
-        self.sums[rows, m + 1 :] = sums[:, -1:]
+        n = W.shape[1]
+        m = _first_prefix(n, self.bound)
+        while True:
+            if m > self.w.shape[2]:
+                # The rows filled so far are padded like any short row; the
+                # others are written over.
+                grow = ((0, 0), (0, 0), (0, m - self.w.shape[2]))
+                self.w = np.pad(self.w, grow, constant_values=1.0)
+                self.sums = np.pad(self.sums, grow, mode="edge")
+            w, sums = self.w[:, rows, :m], self.sums[:, rows, : m + 1]
+            for part, order in zip(w, self.orders):
+                # order holds valid positions only; mode="raise" would gather
+                # into a buffer and copy it into part.
+                W.take(order[:m], axis=1, out=part, mode="clip")
+            w /= means[:, None]
+            sums[:, :, 0] = 0.0
+            np.cumsum(w, axis=2, out=sums[:, :, 1:])
+            if m == n or sums[:, :, -1].min() >= self.bound:
+                break
+            m = min(n, 2 * m)
+        self.w[:, rows, m:] = 1.0
+        self.sums[:, rows, m + 1 :] = sums[:, :, -1:]
+        return m
 
-    def _window(self, rows, m):
-        """The first m columns of part and m + 1 of sums in rows, widened to m first."""
-        if m > self.part.shape[1]:
-            # The rows filled so far are padded like any short row; the others
-            # are written over.
-            grow = ((0, 0), (0, m - self.part.shape[1]))
-            self.part = np.pad(self.part, grow, constant_values=1.0)
-            self.sums = np.pad(self.sums, grow, mode="edge")
-        return self.part[rows, :m], self.sums[rows, : m + 1]
+    def inputs(self, ranks, ks):
+        """Kernel arguments of the filled batch, for each direction in ranks.
 
-
-def _replicate_prefixes(ranks, rows, bound):
-    """Empty prefix batches along the two orders every direction in ranks reads.
-
-    The one along the first direction's value order gives its ranks and the
-    second direction's cutoffs, and the one along its conditioning order the
-    other two.
-    """
-    first = next(iter(ranks.values()))
-    return [
-        _Prefixes(order, rows, bound) for order in (first.value_order[::-1], first.y_order)
-    ]
-
-
-def _prefix_step(batch, W, means):
-    """Fill the next rows of each _Prefixes in batch with those of the stack W."""
-    for prefixes in batch:
-        prefixes.add(W, means)
-
-
-def _replicate_inputs(ranks, prefixes, ks):
-    """Kernel arguments of a batch of weighted evaluations, for each direction in ranks.
-
-    ranks maps each direction to its ConcomitantRanks, prefixes holds the
-    batch's two _Prefixes from _replicate_prefixes, filled, and ks is the
-    increasing k-grid.  Returns, per direction, the weighted ranks of the
-    first T conditioning positions, T the batch's largest tau(k_max), in
-    unweighted reverse-rank order; that order as one row of positions; their
-    weights; and the cutoffs tau(k) of every row.
-    """
-    kf = ks.astype(np.float64)
-    pair = [(p.part, p.sums) for p in prefixes]
-    out = {}
-    for (d, r), ((_, greater), (wy, excl)) in zip(ranks.items(), (pair, pair[::-1])):
-        taus = np.stack([np.searchsorted(row, kf, side="left") for row in excl[:, :-1]])
-        taus = taus.astype(np.int64, copy=False)
-        rho = r.rho[: int(taus[:, -1].max())]
-        p = np.argsort(rho)
-        # A rank past a row's prefix reads its total, at least k_max.
-        rx = greater.take(np.minimum(rho[p] - 1, greater.shape[1] - 1), axis=1)
-        out[d] = rx, p, wy.take(p, axis=1), taus
-    return out
+        ks is the increasing k-grid.  Returns, per direction, the weighted
+        ranks of the first T conditioning positions, T the batch's largest
+        tau(k_max), in unweighted reverse-rank order; that order as one row
+        of positions; their weights; and the cutoffs tau(k) of every row.
+        """
+        kf = ks.astype(np.float64)
+        out = {}
+        # The first direction reads its ranks along order 0 and its cutoffs
+        # and weights along order 1; the second the other way round.
+        for (d, r), (o, c) in zip(ranks.items(), ((0, 1), (1, 0))):
+            greater, excl = self.sums[o], self.sums[c]
+            taus = np.stack(
+                [np.searchsorted(row, kf, side="left") for row in excl[:, :-1]]
+            ).astype(np.int64, copy=False)
+            rho = r.rho[: int(taus[:, -1].max())]
+            p = np.argsort(rho)
+            # A rank past a row's prefix reads its total, at least k_max.
+            rx = greater.take(np.minimum(rho[p] - 1, greater.shape[1] - 1), axis=1)
+            out[d] = rx, p, self.w[c].take(p, axis=1), taus
+        return out
 
 
 def _weighted_values(rx, ypos, w, taus, ks):
@@ -299,9 +269,9 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     ks = np.asarray([k], dtype=np.int64)
     ranks = {direction: _oriented_ranks(sample, direction)}
     W = w[None, :]
-    batch = _replicate_prefixes(ranks, 1, float(k))
-    _prefix_step(batch, W, W.mean(axis=1))
-    args = _replicate_inputs(ranks, batch, ks)[direction]
+    batch = _Batch(ranks, 1, float(k))
+    batch.add(W, W.mean(axis=1))
+    args = batch.inputs(ranks, ks)[direction]
     return float(_weighted_values(*args, ks)[0, 0])
 
 
@@ -383,10 +353,10 @@ def _replicate_matrices(ranks, n, ks, B, seed):
         queued = collections.deque(map(submit, range(0, min(B, _AHEAD * R), R)))
         for c0 in range(0, B, rows):
             c1 = min(c0 + rows, B)
-            batch = _replicate_prefixes(ranks, c1 - c0, k_max)
+            batch = _Batch(ranks, c1 - c0, k_max)
             for b0 in range(c0, c1, R):
                 W, means = queued.popleft()()
-                _prefix_step(batch, W, means)
+                batch.add(W, means)
                 # A ring buffer goes to the replicate _AHEAD stacks on as soon
                 # as its prefixes are read.  A stack's own buffer is freed
                 # before the next is drawn, and the batch's last one once the
@@ -397,7 +367,7 @@ def _replicate_matrices(ranks, n, ks, B, seed):
                     del W
                 if b0 + _AHEAD * R < B:
                     queued.append(submit(b0 + _AHEAD * R))
-            inputs = _replicate_inputs(ranks, batch, ks)
+            inputs = batch.inputs(ranks, ks)
             # The kernel's blocks get the memory of the batch's prefixes, of
             # its last stack's own buffer and, once a direction is evaluated,
             # of its arguments.

@@ -40,17 +40,19 @@ def _coerce_direction(direction) -> Direction:
         raise DomainError(f"unknown direction: {direction!r}") from None
 
 
+def _directed_ranks(sample: PairedSample, directions) -> dict:
+    """Concomitant ranks of each direction, all from one pair of sorts.
+
+    X_GIVEN_Y gets concomitant_ranks(sample) and Y_GIVEN_X its swapped(),
+    which sorts nothing again.
+    """
+    xy = concomitant_ranks(sample)
+    return {d: xy if d is Direction.X_GIVEN_Y else xy.swapped() for d in directions}
+
+
 def _oriented_ranks(sample: PairedSample, direction: Direction) -> ConcomitantRanks:
     """Concomitant ranks and sort orders for one direction of the statistic."""
-    if direction is Direction.Y_GIVEN_X:
-        sample = sample.swapped()
-    return concomitant_ranks(sample)
-
-
-def _directed_ranks(sample: PairedSample, directions) -> dict:
-    """Concomitant ranks of each direction, all from the first one's two sorts."""
-    first = _oriented_ranks(sample, directions[0])
-    return {d: first if d is directions[0] else first.swapped() for d in directions}
+    return _directed_ranks(sample, (direction,))[direction]
 
 
 def _check_k(k, n) -> int:

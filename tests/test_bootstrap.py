@@ -384,7 +384,7 @@ def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     B = 7
     bt.test_pair(s, [5, 10, 20], B=B, seed=1)
     assert drawn == list(range(1, B + 1))
-    assert [rows for _, rows, _ in seen] == [3, 3, 3, 3, 1, 1]
+    assert [rows for _, rows, _ in seen] == [3, 3, 1]
     # two stacks' first prefixes, 3 * (4 * 46 + 2) floats each, fit the
     # budget, so the kernel is called once per direction and batch of two
     # stacks: 6 rows, then the last stack's 1
@@ -446,16 +446,19 @@ def test_truncated_engine_equals_full_sort_reference():
 
 
 def _record_prefixes(monkeypatch):
-    """Record (bound, rows, prefix length) of every weight prefix the engine gathers."""
+    """Record (bound, rows, prefix length) of every stack's weight prefixes.
+
+    One length serves both orders of a stack.
+    """
     seen = []
-    real = bt._prefix_weights
+    real = bt._Batch.add
 
-    def recorded(order, W, means, bound, arrays):
-        part, run = real(order, W, means, bound, arrays)
-        seen.append((bound, *part.shape))
-        return part, run
+    def recorded(self, W, means):
+        m = real(self, W, means)
+        seen.append((self.bound, len(W), m))
+        return m
 
-    monkeypatch.setattr(bt, "_prefix_weights", recorded)
+    monkeypatch.setattr(bt._Batch, "add", recorded)
     return seen
 
 
@@ -478,9 +481,9 @@ def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
     s = _random_sample(rng, 5000)
     seen = _record_prefixes(monkeypatch)
     _assert_engine_equals_full_sort(s, [20, 33, 47, 60], B=6, seed=8)
-    # one stack of all 6 replicates: one prefix per order, both bounded by
-    # k_max, read by both directions
-    assert [(bound, rows) for bound, rows, _ in seen] == [(60.0, 6)] * 2
+    # one stack of all 6 replicates: one prefix length for both orders,
+    # bounded by k_max, read by both directions
+    assert [(bound, rows) for bound, rows, _ in seen] == [(60.0, 6)]
     assert max(size for _, _, size in seen) <= 4 * 60 < s.n
 
 
@@ -707,9 +710,9 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24)
     assert [rows for rows, _ in calls] == [9, 9, 9, 9, 2, 2]
     assert any(tied for _, tied in calls)
-    # the first batch's three stacks, two prefixes each
-    assert [rows for _, rows, _ in seen[:6]] == [3] * 6
-    assert len({size for _, _, size in seen[:6]}) > 1
+    # the first batch's three stacks, one prefix length each
+    assert [rows for _, rows, _ in seen[:3]] == [3] * 3
+    assert len({size for _, _, size in seen[:3]}) > 1
 
 
 def _record_draw_threads(monkeypatch, fail_at=None):
@@ -784,10 +787,10 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("seed", [57, 58, 59])
 def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch, seed):
-    # seeded sleeps of 0-2 ms around every draw and before every prefix step,
-    # the one read of a replicate's buffer, so that a buffer handed to the
-    # next draw while it is still being read would change a value; draw 1
-    # also waits for draw 2, which the other helper runs
+    # seeded sleeps of 0-2 ms around every draw and before every
+    # _Batch.add, the one read of a replicate's buffer, so that a buffer
+    # handed to the next draw while it is still being read would change a
+    # value; draw 1 also waits for draw 2, which the other helper runs
     rng = np.random.default_rng(seed)
     s = _random_sample(rng, 300)
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
@@ -796,7 +799,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     before_read = iter(rng.uniform(0.0, 0.002, size=B))
     finished = []
     second = threading.Event()
-    draw, prefix_step = bt._draw, bt._prefix_step
+    draw, add = bt._draw, bt._Batch.add
 
     def slow_draw(seed, b, out):
         if b == 1:
@@ -808,12 +811,12 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
         if b == 2:
             second.set()
 
-    def slow_prefix_step(*args):
+    def slow_add(*args):
         time.sleep(next(before_read))
-        return prefix_step(*args)
+        return add(*args)
 
     monkeypatch.setattr(bt, "_draw", slow_draw)
-    monkeypatch.setattr(bt, "_prefix_step", slow_prefix_step)
+    monkeypatch.setattr(bt._Batch, "add", slow_add)
     _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21)
     assert finished.index(2) < finished.index(1)
 
@@ -866,12 +869,49 @@ def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypa
     seen = _record_prefixes(monkeypatch)
     calls = _count_weighted_calls(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=22)
-    # two prefixes per replicate, one per order, read in replicate order
+    # one prefix length per replicate, for both orders, read in replicate
+    # order
     grown = [size > m0 for _, rows, size in seen]
     assert all(rows == 1 for _, rows, _ in seen)
-    assert grown == [b in light_rows for b in range(1, B + 1) for _ in range(2)]
+    assert grown == [b in light_rows for b in range(1, B + 1)]
     assert len({size for _, _, size in seen}) > 1
     assert [rows for rows, _, _ in calls] == [B, B]
+
+
+@pytest.mark.parametrize("light_series", ["x", "y"])
+def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
+    monkeypatch, light_series
+):
+    rng = np.random.default_rng(64)
+    s = _random_sample(rng, 2000)
+    kgrid = [5, 12, 30]
+    B, seed = 4, 25
+    m0 = 62
+    # The 600 largest values of one series weigh almost nothing, so only the
+    # prefix along that series' order outgrows the first guess of 30 +
+    # 6 sqrt(30) = 62 entries, and the other order's prefix runs to the same
+    # length: its extra running sums are at least k_max, which the kernel
+    # drops.
+    light = np.zeros(s.n, dtype=bool)
+    light[np.argsort(-getattr(s, light_series))[:600]] = True
+    real = bt._draw
+
+    def draw(seed, b, out):
+        real(seed, b, out)
+        out[light] *= 1e-9
+
+    monkeypatch.setattr(bt, "_draw", draw)
+    # along the other series the first guess already reaches k_max
+    other = s.y if light_series == "x" else s.x
+    w = np.empty(s.n)
+    for b in range(1, B + 1):
+        draw(seed, b, w)
+        assert (w / w.mean())[np.argsort(-other)[:m0]].sum() >= kgrid[-1]
+    seen = _record_prefixes(monkeypatch)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=seed)
+    # one stack of all B replicates, whose one prefix length outgrew m0
+    assert [(bound, rows) for bound, rows, _ in seen] == [(30.0, B)]
+    assert m0 < seen[0][2] < s.n
 
 
 def test_a_single_replicate_starts_no_thread(monkeypatch):

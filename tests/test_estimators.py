@@ -22,7 +22,7 @@ from tailasym.estimators import (
     eta_sweep,
     eta_upper_bound,
 )
-from tailasym.ranks import concomitant_ranks, make_sample
+from tailasym.ranks import PairedSample, concomitant_ranks, make_sample
 
 
 def eta_literal(x, y, k):
@@ -108,6 +108,16 @@ def test_direction_accepts_strings():
     assert eta_kn(s, 2, "y_given_x").value == eta_kn(s, 2, Direction.Y_GIVEN_X).value
     with pytest.raises(errors.DomainError):
         eta_kn(s, 2, "sideways")
+
+
+def test_a_tie_is_named_by_its_series_in_either_direction():
+    # a hand-built sample skips make_sample's checks; both directions are
+    # ranked from the sorts of the sample as given, so a tie in y is named as
+    # y's whichever series is conditioned on
+    tied_y = PairedSample(x=np.array([1.0, 2.0, 3.0, 4.0]), y=np.array([6.0, 5.0, 7.0, 5.0]))
+    for direction in Direction:
+        with pytest.raises(errors.TiesPresent, match="y has equal values at indices 1 and 3"):
+            eta_kn(tied_y, 2, direction)
 
 
 def test_k_validation():
