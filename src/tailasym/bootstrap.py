@@ -517,10 +517,66 @@ def normal_quantile(p) -> float:
     """Upper-tail standard normal quantile: the z with P(Z > z) = p.
 
     normal_quantile(0.5) is 0; normal_quantile(0.025) is 1.95996...;
-    p must lie strictly in (0, 1).
+    p must lie strictly in (0, 1).  The lower-tail quantile is Cephes'
+    ndtri (S. L. Moshier, Cephes Math Library), the routine that
+    scipy.special.ndtri wraps, ported to Python floats; a test pins it to
+    scipy's value bit for bit.
     """
     p = check_real(p, "p", "(0, 1)")
-    # Imported on first use, so that importing tailasym does not load scipy.
-    from scipy.special import ndtri
+    return 0.0 - _ndtri(p)
 
-    return 0.0 - float(ndtri(p))
+
+# Cephes ndtri's rational approximations, numerators P and denominators Q
+# (leading coefficient first): in y - 0.5 for exp(-2) < y < 1 - exp(-2), and
+# in 1/x, x = sqrt(-2 log y), for 2 <= x < 8 and for x >= 8 in the tails.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coefs):
+    # Cephes' polevl; a leading 1.0 gives its p1evl, since 1.0 * x == x.
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(y):
+    """Cephes ndtri: the lower-tail standard normal quantile, 0 < y < 1."""
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
+    return x if upper else -x

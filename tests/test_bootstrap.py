@@ -1058,24 +1058,48 @@ def test_summarize_rejection_counts_and_threshold():
 # --- normal quantile --------------------------------------------------------------
 
 
+def _float_neighbours(points, width):
+    """Each point and the `width` floats on either side of it."""
+    bits = np.asarray(points, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-width, width + 1)).ravel().view(np.float64)
+
+
 def test_normal_quantile_against_scipy():
+    # Bit for bit against scipy's ndtri: both tails down to 1e-300, p within
+    # 1e-16 of 1, and the branch points exp(-2), 1 - exp(-2) and the switch
+    # at x = sqrt(-2 log p) = 8 (p = exp(-32)) with their float neighbours.
+    rng = np.random.default_rng(20261019)
+    edges = [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1.2664165549e-14, 0.5]
     ps = np.concatenate(
         [
-            [1e-12, 1e-9, 1e-6, 0.001, 0.024, 0.025, 0.026],
-            np.linspace(0.05, 0.95, 19),
-            [0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12],
+            rng.random(40_000),
+            10.0 ** rng.uniform(-300, 0, 30_000),
+            1 - 10.0 ** rng.uniform(-16, 0, 20_000),
+            1 - rng.integers(1, 2**30, 10_000) * 2.0**-53,
+            _float_neighbours(edges, 64),
+            [1e-12, 1e-9, 1e-6, 0.001, 0.024, 0.025, 0.026, 5e-324, 1 - 2**-53],
         ]
     )
-    for p in ps:
-        want = -float(ndtri(p))  # upper-tail convention
-        assert bt.normal_quantile(float(p)) == pytest.approx(want, abs=1e-9)
+    ps = ps[(ps > 0) & (ps < 1)]
+    assert ps.size >= 100_000
+    want = 0.0 - ndtri(ps)  # upper-tail convention
+    got = np.array([bt.normal_quantile(float(p)) for p in ps])
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [float(p).hex() for p in ps[bad[:5]]]
 
 
 def test_normal_quantile_known_points():
     assert bt.normal_quantile(0.5) == 0.0
     assert math.copysign(1.0, bt.normal_quantile(0.5)) == 1.0  # not -0.0
-    assert bt.normal_quantile(0.025) == pytest.approx(1.9599639845400545, abs=1e-12)
-    assert bt.normal_quantile(0.975) == pytest.approx(-1.9599639845400545, abs=1e-12)
+    # z_{alpha/2} of the reports' alpha = 0.01, 0.05, 0.1, 0.2, as scipy gives them
+    for alpha, z in [
+        (0.01, "0x1.49b4c64d69161p+1"),
+        (0.05, "0x1.f5c0331eeff86p+0"),
+        (0.1, "0x1.a515209676abep+0"),
+        (0.2, "0x1.4813c36e26d32p+0"),
+    ]:
+        assert bt.normal_quantile(alpha / 2) == float.fromhex(z)
+    assert bt.normal_quantile(0.975) == -1.959963984540054
     for bad in (0.0, 1.0, -0.5, 1.5, float("nan"), "x", None):
         with pytest.raises(errors.DomainError):
             bt.normal_quantile(bad)

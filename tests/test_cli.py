@@ -295,9 +295,11 @@ def test_import_loads_neither_scipy_nor_the_draw_ahead_pool():
 
 
 def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path):
-    # scipy serves only the bootstrap's normal quantile and the population
-    # quadrature, and loading it takes longer than the rest of the package
+    # scipy serves only the population quadrature, and loading it takes
+    # longer than the rest of the package; analyze, tests included, runs
+    # without it
     data, out = tmp_path / "sim.csv", tmp_path / "report.csv"
+    tested = tmp_path / "tested.json"
     script = (
         "import sys\n"
         "import tailasym\n"
@@ -309,12 +311,17 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
         f"assert cli.main(['analyze', {str(data)!r}, '--x-col', 'x', '--y-col', 'y',\n"
         f"                 '--key-col', 't', '--skip-tests', '--out', {str(out)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'analyze --skip-tests'\n"
+        f"assert cli.main(['analyze', {str(data)!r}, '--x-col', 'x', '--y-col', 'y',\n"
+        f"                 '--key-col', 't', '--B', '20', '--no-eta-gate',\n"
+        f"                 '--out', {str(tested)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'analyze'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8").startswith("{")
+    assert '"ci_delta_low"' in tested.read_text(encoding="utf-8")
 
 
 # --- acf -------------------------------------------------------------------------

@@ -8,6 +8,9 @@ gate 11 (two fresh runs agree with each other) cannot see a change that
 moves both runs alike.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,31 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert cli.main([*RUNS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_analyze_reproduces_golden_bytes_with_scipy_blocked(tmp_path):
+    # A None entry in sys.modules makes every scipy import raise ImportError,
+    # so each analyze run, bootstrap tests included, must need numpy alone.
+    runs = {
+        str(tmp_path / name): argv
+        for name, argv in RUNS.items()
+        if argv[0] == "analyze"
+    }
+    script = (
+        "import json, os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tailasym import cli\n"
+        "os.chdir(sys.argv[2])\n"
+        "for out, argv in json.loads(sys.argv[1]).items():\n"
+        "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(GOLDEN)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for out in runs:
+        assert Path(out).read_bytes() == (GOLDEN / Path(out).name).read_bytes()
 
 
 def test_golden_runs_cover_the_delta_gate_both_ways():
