@@ -23,6 +23,17 @@ follows the BLAS threads (ROADMAP Open item 1).  The ``_kernels`` module
 docstring states that summation contract and why evaluating the whole grid at
 once leaves it unchanged.
 
+A draw rebuilds replicate b's generator from its key alone, with no
+SeedSequence.  Philox is counter-based (Salmon et al. 2011, "Parallel Random
+Numbers: As Easy as 1, 2, 3"): a 128-bit key and a counter fix its whole
+stream, and a Philox built from a seed sequence starts at counter 0, with an
+empty buffer and the sequence's generate_state(2, np.uint64) as its key.
+_spawn_keys ports that hash from numpy's SeedSequence and computes the keys
+of 128 consecutive replicates at once in uint64 arrays; each thread keeps one
+Philox and sets it to counter 0, the key and an empty buffer before every
+draw.  So the stream contract Philox((seed, (0, b))) is unchanged, bit for
+bit, and the tests pin the keys to numpy's own.
+
 Each evaluation only touches the top of the two orders.  The element at
 position i of the conditioning order (by decreasing conditioning value) can
 enter the sum at tail size k only if i < tau(k), the weighted cutoff, and
@@ -119,6 +130,8 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,10 +157,101 @@ from .estimators import (
 )
 
 
+# SeedSequence's entropy hash, from numpy/random/bit_generator.pyx: its pool
+# size, the hashmix constants, the mix multipliers, and generate_state's.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# Replicates b >> _KEY_BLOCK_BITS share a block of keys, hashed together.
+_KEY_BLOCK_BITS = 7
+
+
+def _uint32_words(value):
+    """value's 32-bit words, least significant first; [0] for 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _spawn_keys(seed, block):
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(0, b)), b in block.
+
+    The keys of b = block << _KEY_BLOCK_BITS onwards, one [low, high] pair of
+    Python ints each: SeedSequence(...).generate_state(2, np.uint64), the key
+    that Philox takes from that seed sequence.  The hash runs in uint64
+    arithmetic masked to 32 bits.  A block starts at a multiple of its
+    2**_KEY_BLOCK_BITS replicates, so only b's low word varies within it:
+    that word is the one array in the entropy, and the run entropy and b's
+    higher words are Python ints shared by the whole block.
+    """
+    b0 = block << _KEY_BLOCK_BITS
+    run = _uint32_words(seed)
+    # With a spawn key, the run entropy is zero-padded to the pool size.
+    low = np.arange(1 << _KEY_BLOCK_BITS, dtype=np.uint64) + (b0 & _MASK32)
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [0, low] + _uint32_words(b0)[1:]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ (word >> 16))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], 1).tolist()
+
+
+def _spawn_key(seed, b):
+    """The Philox key of SeedSequence(entropy=seed, spawn_key=(0, b))."""
+    seed, b = operator.index(seed), operator.index(b)
+    return _spawn_keys(seed, b >> _KEY_BLOCK_BITS)[b & ((1 << _KEY_BLOCK_BITS) - 1)]
+
+
+_per_thread = threading.local()
+
+
 def _draw(seed, b, out):
     """Fill out with replicate b's multipliers: unit exponentials from Philox((seed, (0, b)))."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-    np.random.Generator(np.random.Philox(seq)).standard_exponential(out=out)
+    try:
+        bit_generator = _per_thread.philox
+    except AttributeError:
+        bit_generator = _per_thread.philox = np.random.Philox(0)
+    # Counter 0 and an empty buffer: the state of a Philox freshly built from
+    # the seed sequence, whose key sets the whole stream.
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _spawn_key(seed, b)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    np.random.Generator(bit_generator).standard_exponential(out=out)
     # The ziggurat sampler can return an exact 0.0, which would break the
     # positivity of the weights, so nudge any, found by the minimum without a
     # mask, to the smallest normal.

@@ -163,7 +163,10 @@ def _read_plain(path, key_column, wanted):
     key = [("key", object)]
     floats = [(f"v{j}", np.float64) for j in range(len(wanted))]
     try:
-        header = next(csv.reader([data.partition(b"\n")[0].decode("utf-8-sig")]))
+        # A slice up to the first newline, or the whole of a header-only file;
+        # partition would copy every byte after it.
+        end = data.find(b"\n")
+        header = next(csv.reader([data[: end if end >= 0 else None].decode("utf-8-sig")]))
         at = _column_indices(header, path, key_column, wanted)
         try:
             rows = _loadtxt(path, key + [("int", np.int64)] + floats, at[:1] + at)

@@ -10,6 +10,7 @@ must reproduce every field of a TestResult exactly.
 
 import math
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -137,6 +138,64 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
     w = np.empty(4)
     bt._draw(0, 1, w)
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
+
+
+# Run seeds of one to four 32-bit words and more, and a power-study replication
+# seed, the first of np.random.SeedSequence(944).generate_state(100).
+_KEY_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 10**30, 2**200 + 9, 2732714111]
+# Every b of the first three key blocks, the edges of a block past 2**32, and
+# replicate numbers of two and three 32-bit words.
+_KEY_BS = [
+    *range(1, 301),
+    2**32 - 1, 2**32, 2**32 + 127, 2**32 + 128, 2**33 + 7,
+    2**64 - 1, 2**64, 2**70, 2**70 + 129,
+]
+
+
+@pytest.mark.parametrize("seed", _KEY_SEEDS)
+def test_spawn_keys_equal_the_seed_sequence_state(seed):
+    got = [bt._spawn_key(seed, b) for b in _KEY_BS]
+    want = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
+        .generate_state(2, np.uint64)
+        .tolist()
+        for b in _KEY_BS
+    ]
+    assert got == want
+
+
+def test_draws_equal_the_documented_stream_on_every_thread():
+    n = 257
+    cases = [(seed, b) for seed in _KEY_SEEDS for b in (1, 2, 128, 300, 2**33 + 7, 2**70)]
+    want = [replicate_weights(seed, b, n).tobytes() for seed, b in cases]
+
+    def drawn():
+        w = np.empty(n)
+        got = []
+        for seed, b in cases:
+            bt._draw(seed, b, w)
+            got.append(w.tobytes())
+        return got
+
+    assert drawn() == want
+    # Four threads at once, each resetting its own generator, with frequent
+    # switches between them.
+    on_threads = []
+    threads = [threading.Thread(target=lambda: on_threads.append(drawn())) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert on_threads == [want] * 4
+    # numpy's seed sequence rejects a negative seed with the same error
+    with pytest.raises(ValueError, match="non-negative"):
+        bt._draw(-1, 1, np.empty(n))
 
 
 # --- full tests against a reconstructed replicate loop ---------------------------

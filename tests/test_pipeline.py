@@ -317,6 +317,24 @@ def test_load_csv_reads_plain_files_without_the_exact_reader(tmp_path, monkeypat
         load_csv(quoted, "k", ["v"])
 
 
+@pytest.mark.parametrize("text", ["k,v", "k,v\n"], ids=["no_newline", "newline"])
+def test_plain_reader_reads_a_header_only_file_as_no_rows(tmp_path, text):
+    p = _write(tmp_path, "header.csv", text)
+    keys, values, ints = pipeline._read_plain(p, "k", ["v"])
+    assert keys == [] and values[0].size == 0 and ints.size == 0
+    with pytest.raises(errors.EmptyIntersection):
+        load_csv(p, "k", ["v"])
+
+
+def test_plain_reader_reads_a_last_row_without_a_newline(tmp_path):
+    p = _write(tmp_path, "open.csv", "k,v\n2,3.5\n1,4")
+    keys, values, ints = pipeline._read_plain(p, "k", ["v"])
+    assert keys == ["2", "1"] and ints.tolist() == [2, 1]
+    assert np.array_equal(values[0], [3.5, 4.0])
+    t = load_csv(p, "k", ["v"])
+    assert t.keys == ("1", "2") and np.array_equal(t.columns["v"], [4.0, 3.5])
+
+
 def _parts(table):
     return table.keys, [(name, col.tobytes()) for name, col in table.columns.items()]
 
