@@ -4,163 +4,22 @@ Estimate how strongly the largest values of one series pair with the largest
 values of another, separately in each direction, and test whether the two
 directions differ -- all from ranks, with multiplier-bootstrap inference and
 exactly solvable copula models to validate against.
+
+Each module declares its public names in its own __all__; the package
+re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .bootstrap import (
-    PairTests,
-    SweepVerdict,
-    TestResult,
-    bootstrap_delta,
-    bootstrap_eta,
-    normal_quantile,
-    summarize_rejection,
-    test_delta_zero,
-    test_eta_zero,
-    test_pair,
-)
-from .copulas import (
-    KhoudrajiGumbelCopula,
-    MaxFactorCopula,
-    NelsenCopula,
-    PopulationValues,
-    copula_cdf,
-    khoudraji_gumbel_delta_closed_form,
-    parse_model_spec,
-    population_values,
-    sample,
-    stable_tail_dependence,
-    survival_copula,
-    tail_copula,
-    tail_dependence_chi,
-)
-from .errors import (
-    DomainError,
-    EmptyIntersection,
-    InvalidB,
-    InvalidModelSpec,
-    InvalidN,
-    IoError,
-    KOutOfRange,
-    LengthMismatch,
-    MissingColumn,
-    NonFinite,
-    NonPositivePrice,
-    QuadratureFailure,
-    SeriesTooShort,
-    TailAsymError,
-    TiesPresent,
-    UnparsableValue,
-)
-from .estimators import (
-    DeltaEstimate,
-    Direction,
-    EtaEstimate,
-    TailCopulaGrid,
-    delta_kn,
-    delta_sweep,
-    empirical_tail_copula_slice,
-    eta_from_tail_copula,
-    eta_kn,
-    eta_sweep,
-    eta_upper_bound,
-)
-from .pipeline import (
-    AcfSummary,
-    AnalysisConfig,
-    Report,
-    SeriesTable,
-    acf,
-    default_kgrid,
-    emit_report,
-    load_csv,
-    log_returns,
-    render_report,
-    run_pair_analysis,
-    tail_view,
-)
-from .ranks import (
-    ConcomitantRanks,
-    PairedSample,
-    concomitant_ranks,
-    make_sample,
-    reverse_ranks,
-)
+from . import bootstrap, copulas, errors, estimators, pipeline, ranks
+from .bootstrap import *  # noqa: F403
+from .copulas import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .ranks import *  # noqa: F403
 
 __all__ = [
-    "__version__",
-    # ranks
-    "PairedSample",
-    "ConcomitantRanks",
-    "make_sample",
-    "reverse_ranks",
-    "concomitant_ranks",
-    # estimators
-    "Direction",
-    "EtaEstimate",
-    "DeltaEstimate",
-    "TailCopulaGrid",
-    "eta_kn",
-    "eta_sweep",
-    "delta_kn",
-    "delta_sweep",
-    "empirical_tail_copula_slice",
-    "eta_from_tail_copula",
-    "eta_upper_bound",
-    # copulas
-    "NelsenCopula",
-    "KhoudrajiGumbelCopula",
-    "MaxFactorCopula",
-    "PopulationValues",
-    "copula_cdf",
-    "survival_copula",
-    "tail_copula",
-    "stable_tail_dependence",
-    "tail_dependence_chi",
-    "population_values",
-    "khoudraji_gumbel_delta_closed_form",
-    "sample",
-    "parse_model_spec",
-    # bootstrap
-    "bootstrap_eta",
-    "bootstrap_delta",
-    "TestResult",
-    "SweepVerdict",
-    "test_eta_zero",
-    "test_delta_zero",
-    "PairTests",
-    "test_pair",
-    "summarize_rejection",
-    "normal_quantile",
-    # pipeline
-    "SeriesTable",
-    "AcfSummary",
-    "AnalysisConfig",
-    "Report",
-    "load_csv",
-    "log_returns",
-    "tail_view",
-    "acf",
-    "default_kgrid",
-    "run_pair_analysis",
-    "render_report",
-    "emit_report",
-    # errors
-    "TailAsymError",
-    "LengthMismatch",
-    "NonFinite",
-    "TiesPresent",
-    "KOutOfRange",
-    "DomainError",
-    "InvalidN",
-    "InvalidB",
-    "SeriesTooShort",
-    "IoError",
-    "MissingColumn",
-    "UnparsableValue",
-    "EmptyIntersection",
-    "NonPositivePrice",
-    "InvalidModelSpec",
-    "QuadratureFailure",
+    "__version__", *ranks.__all__, *estimators.__all__, *copulas.__all__,
+    *bootstrap.__all__, *pipeline.__all__, *errors.__all__,
 ]

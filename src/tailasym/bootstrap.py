@@ -156,6 +156,12 @@ from .estimators import (
     _oriented_ranks,
 )
 
+__all__ = [
+    "bootstrap_eta", "bootstrap_delta", "TestResult", "SweepVerdict",
+    "test_eta_zero", "test_delta_zero", "PairTests", "test_pair",
+    "summarize_rejection", "normal_quantile",
+]
+
 
 # SeedSequence's entropy hash, from numpy/random/bit_generator.pyx: its pool
 # size, the hashmix constants, the mix multipliers, and generate_state's.

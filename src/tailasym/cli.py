@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .copulas import (
 )
 from .errors import QuadratureFailure, TailAsymError
 from .pipeline import (
+    _FORMATS,
+    _TAILS,
+    _TIE_POLICIES,
     AnalysisConfig,
     _round_floats,
     _write_text,
@@ -50,25 +54,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_analyze(args):
+    # Every AnalysisConfig field is the dest of one option.
     config = AnalysisConfig(
-        k_min=args.k_min,
-        k_max=args.k_max,
-        k_step=args.k_step,
-        B=args.B,
-        alpha=args.alpha,
-        seed=args.seed,
-        tail=args.tail,
-        tie_policy=args.tie_policy,
-        rejection_fraction=args.rejection_fraction,
-        eta_gate=not args.no_eta_gate,
-        prices=args.prices,
-        skip_tests=args.skip_tests,
-        acf_lags=args.acf_lags,
-        output_format=args.format,
+        **{f.name: getattr(args, f.name) for f in fields(AnalysisConfig)}
     )
     table = load_csv(args.file, args.key_col, [args.x_col, args.y_col])
     report = run_pair_analysis(table, args.x_col, args.y_col, config)
-    emit_report(report, format=args.format, path=args.out)
+    emit_report(report, format=config.output_format, path=args.out)
     return 0
 
 
@@ -128,18 +120,19 @@ def _build_parser():
     p.add_argument("--x-col", required=True)
     p.add_argument("--y-col", required=True)
     p.add_argument("--key-col", required=True, help="join key, e.g. a date column")
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--k-step", type=int, default=None)
-    p.add_argument("--B", type=int, default=100, help="bootstrap replicates")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", choices=("upper", "lower"), default="upper")
-    p.add_argument("--tie-policy", choices=("reject", "jitter"), default="reject")
-    p.add_argument("--rejection-fraction", type=float, default=0.75)
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-step", type=int)
+    p.add_argument("--B", type=int, help="bootstrap replicates")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tail", choices=_TAILS)
+    p.add_argument("--tie-policy", choices=_TIE_POLICIES)
+    p.add_argument("--rejection-fraction", type=float)
     p.add_argument(
         "--no-eta-gate",
-        action="store_true",
+        dest="eta_gate",
+        action="store_false",
         help="run the asymmetry test even when neither eta sweep rejects",
     )
     p.add_argument(
@@ -148,10 +141,11 @@ def _build_parser():
         help="treat the columns as price levels and analyze their log-returns",
     )
     p.add_argument("--skip-tests", action="store_true", help="estimates only")
-    p.add_argument("--acf-lags", type=int, default=50)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--acf-lags", type=int)
+    p.add_argument("--format", dest="output_format", choices=_FORMATS)
     _add_out(p)
-    p.set_defaults(func=_cmd_analyze)
+    # The defaults are AnalysisConfig's own.
+    p.set_defaults(func=_cmd_analyze, **asdict(AnalysisConfig()))
 
     p = sub.add_parser("acf", help="autocorrelation diagnostics for one column")
     p.add_argument("file", help="input CSV with a header row")

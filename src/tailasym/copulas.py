@@ -9,10 +9,8 @@ where one exists, otherwise by adaptive quadrature of the squared tail-copula
 slice.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +24,13 @@ from .errors import (
 )
 from .estimators import Direction, _coerce_direction
 from .ranks import PairedSample, make_sample
+
+__all__ = [
+    "NelsenCopula", "KhoudrajiGumbelCopula", "MaxFactorCopula", "PopulationValues",
+    "copula_cdf", "survival_copula", "tail_copula", "stable_tail_dependence",
+    "tail_dependence_chi", "population_values",
+    "khoudraji_gumbel_delta_closed_form", "sample", "parse_model_spec",
+]
 
 
 def _check_unit_args(u, v):
@@ -54,8 +59,24 @@ def _scalar_like(out, *inputs):
     return out
 
 
+class _Family:
+    """What the three model families share: describe().
+
+    Each family is a frozen dataclass whose fields are its parameters and
+    whose class attribute family names it in a model string; both
+    parse_model_spec and describe() read them from there.  parse_model_spec
+    converts each value with its field's annotation, so this module must not
+    postpone the evaluation of annotations.
+    """
+
+    def describe(self):
+        """The family name, then each parameter by name, in field order."""
+        params = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"family": self.family, **params}
+
+
 @dataclass(frozen=True)
-class NelsenCopula:
+class NelsenCopula(_Family):
     """Singular piecewise-linear copula with one asymmetry parameter.
 
     C(u, v) = min(u, theta*v + (1-theta)*(u+v-1)_+), theta in [0, 1].
@@ -64,6 +85,7 @@ class NelsenCopula:
     one-directional for intermediate theta.
     """
 
+    family = "nelsen"
     theta: float
 
     def __post_init__(self):
@@ -103,12 +125,9 @@ class NelsenCopula:
         u = np.where(v > 1.0 / (1.0 + self.theta), upper, lower)
         return u, v
 
-    def describe(self):
-        return {"family": "nelsen", "theta": self.theta}
-
 
 @dataclass(frozen=True)
-class KhoudrajiGumbelCopula:
+class KhoudrajiGumbelCopula(_Family):
     """Gumbel copula made asymmetric by per-margin power weights.
 
     C(u, v) = u^(1-alpha) v^(1-beta) G(u^alpha, v^beta) with G the Gumbel
@@ -118,6 +137,7 @@ class KhoudrajiGumbelCopula:
     delta = 1 gives the independence copula (empty upper tail).
     """
 
+    family = "kgumbel"
     alpha: float
     beta: float
     delta: float
@@ -180,17 +200,9 @@ class KhoudrajiGumbelCopula:
         y = _khoudraji_mix(w2, u2, self.beta)
         return x, y
 
-    def describe(self):
-        return {
-            "family": "kgumbel",
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "delta": self.delta,
-        }
-
 
 @dataclass(frozen=True)
-class MaxFactorCopula:
+class MaxFactorCopula(_Family):
     """Dependence of a uniform factor with the maximum of m such factors.
 
     X = Z_1 and Y = max(Z_1, ..., Z_m) for iid uniform Z_i.  The copula is
@@ -199,6 +211,7 @@ class MaxFactorCopula:
     matters.  The tail copula is min(x, y/m).
     """
 
+    family = "maxmodel"
     m: int
 
     def __post_init__(self):
@@ -227,9 +240,6 @@ class MaxFactorCopula:
     def _draw(self, rng, n):
         z = rng.random((self.m, n))
         return z[0], z.max(axis=0)
-
-    def describe(self):
-        return {"family": "maxmodel", "m": self.m}
 
 
 def _positive_stable(rng, a, size):
@@ -392,11 +402,13 @@ def sample(model, n, seed) -> PairedSample:
     return make_sample(x, y, tie_policy="reject")
 
 
-_MODEL_PARAMS = {
-    "nelsen": ("theta",),
-    "kgumbel": ("alpha", "beta", "delta"),
-    "maxmodel": ("m",),
+_FAMILIES = {
+    model.family: model
+    for model in (NelsenCopula, KhoudrajiGumbelCopula, MaxFactorCopula)
 }
+
+#: What a parse error says of a value that its parameter's type rejects.
+_COMPLAINTS = {float: "is not a number", int: "must be an integer"}
 
 
 def parse_model_spec(text):
@@ -410,10 +422,11 @@ def parse_model_spec(text):
         raise InvalidModelSpec("empty model specification")
     name, sep, rest = text.partition(":")
     name = name.strip().lower()
-    if name not in _MODEL_PARAMS:
-        known = ", ".join(sorted(_MODEL_PARAMS))
+    if name not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise InvalidModelSpec(f"unknown model family {name!r} (known: {known})")
-    required = _MODEL_PARAMS[name]
+    model = _FAMILIES[name]
+    types = {f.name: f.type for f in fields(model)}
 
     params = {}
     if sep and rest.strip():
@@ -426,32 +439,20 @@ def parse_model_spec(text):
                 raise InvalidModelSpec(f"duplicate parameter {key!r}")
             params[key] = val
 
-    missing = [p for p in required if p not in params]
-    extra = [p for p in params if p not in required]
+    missing = [p for p in types if p not in params]
+    extra = [p for p in params if p not in types]
     if missing or extra:
         raise InvalidModelSpec(
-            f"model {name!r} takes parameters {', '.join(required)};"
+            f"model {name!r} takes parameters {', '.join(types)};"
             f" missing: {missing or 'none'}, unexpected: {extra or 'none'}"
         )
 
-    def _as_float(key):
+    values = {}
+    for key, kind in types.items():
         try:
-            return float(params[key])
+            values[key] = kind(params[key])
         except ValueError:
             raise InvalidModelSpec(
-                f"parameter {key!r} is not a number: {params[key]!r}"
+                f"parameter {key!r} {_COMPLAINTS[kind]}: {params[key]!r}"
             ) from None
-
-    if name == "nelsen":
-        return NelsenCopula(theta=_as_float("theta"))
-    if name == "kgumbel":
-        return KhoudrajiGumbelCopula(
-            alpha=_as_float("alpha"), beta=_as_float("beta"), delta=_as_float("delta")
-        )
-    try:
-        m = int(params["m"])
-    except ValueError:
-        raise InvalidModelSpec(
-            f"parameter 'm' must be an integer: {params['m']!r}"
-        ) from None
-    return MaxFactorCopula(m=m)
+    return model(**values)

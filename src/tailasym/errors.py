@@ -14,6 +14,13 @@ Each caller passes the error class its argument is documented to raise.
 import math
 import numbers
 
+__all__ = [
+    "TailAsymError", "LengthMismatch", "NonFinite", "TiesPresent", "KOutOfRange",
+    "DomainError", "InvalidN", "InvalidB", "SeriesTooShort", "IoError",
+    "MissingColumn", "UnparsableValue", "EmptyIntersection", "NonPositivePrice",
+    "InvalidModelSpec", "QuadratureFailure",
+]
+
 
 class TailAsymError(Exception):
     """Base class for all errors raised by this package."""

@@ -23,6 +23,12 @@ from . import _kernels
 from .errors import DomainError, KOutOfRange, check_int
 from .ranks import ConcomitantRanks, PairedSample, concomitant_ranks
 
+__all__ = [
+    "Direction", "EtaEstimate", "DeltaEstimate", "TailCopulaGrid", "eta_kn",
+    "eta_sweep", "delta_kn", "delta_sweep", "empirical_tail_copula_slice",
+    "eta_from_tail_copula", "eta_upper_bound",
+]
+
 
 class Direction(enum.Enum):
     """Which series is conditioned on: X_GIVEN_Y ranks x along the top of y."""

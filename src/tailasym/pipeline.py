@@ -41,8 +41,29 @@ from .errors import (
 from .estimators import delta_sweep
 from .ranks import _TIE_POLICIES, _as_checked_array, make_sample
 
+__all__ = [
+    "SeriesTable", "AcfSummary", "AnalysisConfig", "Report", "load_csv",
+    "log_returns", "tail_view", "acf", "default_kgrid", "run_pair_analysis",
+    "render_report", "emit_report",
+]
+
 _TAILS = ("upper", "lower")
 _FORMATS = ("json", "csv")
+
+#: Exact column set and order of the CSV report format, and the keys of
+#: Report.per_k.
+CSV_COLUMNS = (
+    "k",
+    "eta_xy",
+    "eta_yx",
+    "delta",
+    "p_eta_xy",
+    "p_eta_yx",
+    "p_delta",
+    "ci_delta_low",
+    "ci_delta_high",
+    "boot_sd_delta",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,9 +468,6 @@ def _acf_block(series, config):
     out = {}
     for name, values in series.items():
         max_lag = min(config.acf_lags, len(values) - 1)
-        if max_lag < 1:
-            out[name] = {"skipped": "series too short"}
-            continue
         try:
             summary = acf(values, max_lag)
         except DomainError as exc:
@@ -542,8 +560,10 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     x = tail_view(x, config.tail)
     y = tail_view(y, config.tail)
 
-    acf_summary = _acf_block({col_x: x, col_y: y}, config)
     sample = make_sample(x, y, tie_policy=config.tie_policy, seed=config.seed)
+    # From the series before any jitter; make_sample leaves n >= 2, so every
+    # series has at least one lag.
+    acf_summary = _acf_block({col_x: x, col_y: y}, config)
     kgrid = config.materialize_kgrid(sample.n)
 
     if config.skip_tests:
@@ -562,18 +582,9 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
             sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed
         )
         estimates = tuple([r.statistic for r in res] for res in tests)
-    per_k = {
-        "k": [int(k) for k in kgrid],
-        "eta_xy": estimates[0],
-        "eta_yx": estimates[1],
-        "delta": estimates[2],
-        "p_eta_xy": [None] * len(kgrid),
-        "p_eta_yx": [None] * len(kgrid),
-        "p_delta": [None] * len(kgrid),
-        "ci_delta_low": [None] * len(kgrid),
-        "ci_delta_high": [None] * len(kgrid),
-        "boot_sd_delta": [None] * len(kgrid),
-    }
+    per_k = {col: [None] * len(kgrid) for col in CSV_COLUMNS}
+    per_k["k"] = [int(k) for k in kgrid]
+    per_k["eta_xy"], per_k["eta_yx"], per_k["delta"] = estimates
     verdicts = {}
 
     delta_gated = False
@@ -619,26 +630,9 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     )
 
 
-#: Exact column set and order of the CSV report format.
-CSV_COLUMNS = (
-    "k",
-    "eta_xy",
-    "eta_yx",
-    "delta",
-    "p_eta_xy",
-    "p_eta_yx",
-    "p_delta",
-    "ci_delta_low",
-    "ci_delta_high",
-    "boot_sd_delta",
-)
-
-
 def _format_cell(value):
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"

@@ -23,6 +23,11 @@ from .errors import (
     check_int,
 )
 
+__all__ = [
+    "PairedSample", "ConcomitantRanks", "make_sample", "reverse_ranks",
+    "concomitant_ranks",
+]
+
 _TIE_POLICIES = ("reject", "jitter")
 
 
@@ -107,29 +112,30 @@ def make_sample(x, y, tie_policy="reject", seed=None):
 
     check_choice(tie_policy, "tie_policy", _TIE_POLICIES)
 
-    jittered = False
+    rng = None
     if tie_policy == "jitter":
         if seed is None:
             raise DomainError("tie policy 'jitter' requires a seed")
         seed = check_int(seed, "seed", 0)
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
         rng = np.random.Generator(np.random.Philox(seq))
-        # x first, then y, so the random stream layout is data-independent.
-        if _tied_pair(xa) is not None:
-            xa = _jitter(xa, rng)
-            jittered = True
-        if _tied_pair(ya) is not None:
-            ya = _jitter(ya, rng)
-            jittered = True
 
-    _reject_ties(xa, "x")
-    _reject_ties(ya, "y")
-
-    xa = xa.copy()
-    ya = ya.copy()
-    xa.flags.writeable = False
-    ya.flags.writeable = False
-    return PairedSample(x=xa, y=ya, jittered=jittered)
+    # One tie check per series, x first, then y, so the random stream layout
+    # is data-independent.
+    jittered = False
+    series = []
+    for name, arr in (("x", xa), ("y", ya)):
+        try:
+            _reject_ties(arr, name)
+        except TiesPresent:
+            if rng is None:
+                raise
+            arr = _jitter(arr, rng)
+            jittered = True
+        else:
+            arr = arr.copy()
+        series.append(_frozen(arr))
+    return PairedSample(*series, jittered=jittered)
 
 
 def reverse_ranks(values):

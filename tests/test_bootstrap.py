@@ -121,6 +121,19 @@ def test_bootstrap_eta_validates_like_the_plain_estimator():
         bt.bootstrap_eta(s, 5, w, direction="sideways")
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [(math.nan, errors.NonFinite), (math.inf, errors.NonFinite),
+     (0.0, errors.DomainError), (-1.0, errors.DomainError)],
+)
+def test_bootstrap_eta_rejects_a_weight_that_is_not_a_positive_real(bad, error):
+    s = _random_sample(np.random.default_rng(10), 30)
+    w = np.ones(30)
+    w[7] = bad
+    with pytest.raises(error):
+        bt.bootstrap_eta(s, 5, w)
+
+
 # --- multiplier draws -----------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ installed.  The entry-point check next to it runs everywhere: it reads the
 interpreter the way a generated launcher does.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailasym import __version__, cli, pipeline
+from tailasym import __version__, cli, errors, pipeline
 from tailasym.copulas import parse_model_spec, sample
 
 
@@ -219,6 +220,47 @@ def test_analyze_no_eta_gate_flag(tmp_path):
     assert forced["per_k"]["p_delta"][0] is not None
 
 
+def test_each_analysis_config_field_is_the_dest_of_one_analyze_option():
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    dests = [a.dest for a in commands.choices["analyze"]._actions if a.option_strings]
+    fields = [f.name for f in dataclasses.fields(pipeline.AnalysisConfig)]
+    assert sorted(d for d in dests if d in fields) == sorted(fields)
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        ([], pipeline.AnalysisConfig()),
+        (
+            ["--k-min", "10", "--k-max", "20", "--k-step", "5", "--B", "7",
+             "--alpha", "0.1", "--seed", "3", "--tail", "lower",
+             "--tie-policy", "jitter", "--rejection-fraction", "0.5",
+             "--no-eta-gate", "--prices", "--skip-tests", "--acf-lags", "9",
+             "--format", "csv"],
+            pipeline.AnalysisConfig(
+                k_min=10, k_max=20, k_step=5, B=7, alpha=0.1, seed=3, tail="lower",
+                tie_policy="jitter", rejection_fraction=0.5, eta_gate=False,
+                prices=True, skip_tests=True, acf_lags=9, output_format="csv",
+            ),
+        ),
+    ],
+)
+def test_analyze_options_build_the_analysis_config(monkeypatch, flags, want):
+    seen = []
+
+    def capture(table, col_x, col_y, config):
+        seen.append(config)
+        raise errors.TailAsymError("captured")
+
+    monkeypatch.setattr(cli, "load_csv", lambda *args: None)
+    monkeypatch.setattr(cli, "run_pair_analysis", capture)
+    code = run_cli(
+        "analyze", "data.csv", "--x-col", "x", "--y-col", "y", "--key-col", "t", *flags
+    )
+    assert code == 2
+    assert seen == [want]
+
+
 def test_analyze_missing_file_and_column_exit_2(tmp_path, capsys):
     assert run_cli(
         "analyze", str(tmp_path / "nope.csv"),
@@ -391,6 +433,19 @@ def test_population_quadrature_failure_exits_3(capsys):
     )
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_population_exits_3_when_quadrature_reports_a_warning(capsys, monkeypatch):
+    from scipy import integrate
+
+    message = "The maximum number of subdivisions (200) has been achieved."
+    monkeypatch.setattr(
+        integrate, "quad", lambda *args, **kwargs: (0.1, 1e-12, {}, message)
+    )
+    assert run_cli("population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tail-coefficient integration failed: {message}\n"
 
 
 def test_population_bad_model_exits_2(capsys):

@@ -178,6 +178,16 @@ def test_survival_copula_identity_random_points():
         assert survival_copula(c, u, v) == pytest.approx(direct, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+def test_cdf_and_survival_copula_reject_arguments_outside_the_unit_square(bad):
+    c = NelsenCopula(0.5)
+    for fn in (c.cdf, lambda u, v: survival_copula(c, u, v)):
+        with pytest.raises(errors.DomainError, match="^u must lie in"):
+            fn(bad, 0.5)
+        with pytest.raises(errors.DomainError, match="^v must lie in"):
+            fn(0.5, [0.2, bad])
+
+
 # --- population values --------------------------------------------------------
 
 
@@ -240,6 +250,19 @@ def test_kgumbel_closed_form_delta():
         with pytest.raises(errors.DomainError):
             khoudraji_gumbel_delta_closed_form(*bad)
     assert khoudraji_gumbel_delta_closed_form(1, 1) == khoudraji_gumbel_delta_closed_form(1.0, 1.0)
+
+
+def test_quadrature_that_reports_a_warning_raises(monkeypatch):
+    # With full_output, quad returns a fourth element, its warning message,
+    # only when the integration did not converge.
+    from scipy import integrate
+
+    message = "The maximum number of subdivisions (200) has been achieved."
+    monkeypatch.setattr(
+        integrate, "quad", lambda *args, **kwargs: (0.1, 1e-12, {}, message)
+    )
+    with pytest.raises(errors.QuadratureFailure, match=re.escape(message)):
+        population_values(KhoudrajiGumbelCopula(1.0, 0.5, 2.0))
 
 
 def test_kgumbel_closed_delta_matches_quadrature_across_parameters():
@@ -353,6 +376,15 @@ def test_uniform_margins_of_khoudraji_sampler():
         assert np.mean(s.y <= q) == pytest.approx(q, abs=0.005)
 
 
+def test_khoudraji_sampler_with_zero_alpha_draws_x_independently():
+    # alpha = 0 gives X the weight of the independent uniform alone, so X and
+    # Y are independent; X taken from the Gumbel pair instead would give them
+    # a Spearman correlation of about 0.44 at this beta and delta.
+    s = sample(KhoudrajiGumbelCopula(0.0, 0.5, 2.0), 2000, 1)
+    ranks = [np.argsort(np.argsort(v)) for v in (s.x, s.y)]
+    assert abs(np.corrcoef(*ranks)[0, 1]) < 0.1
+
+
 @pytest.mark.parametrize("a", [0.5, 1 / 3, 0.8])
 def test_positive_stable_laplace_transform(a):
     rng = np.random.default_rng(57)
@@ -409,8 +441,18 @@ def test_parse_model_spec_propagates_domain_errors():
 
 
 def test_describe_round_trips_the_parameters():
-    assert parse_model_spec("nelsen:theta=0.25").describe() == {
-        "family": "nelsen",
-        "theta": 0.25,
-    }
-    assert parse_model_spec("maxmodel:m=6").describe() == {"family": "maxmodel", "m": 6}
+    for text, want in [
+        ("nelsen:theta=0.25", {"family": "nelsen", "theta": 0.25}),
+        (
+            "kgumbel:delta=2,beta=0.5,alpha=1",
+            {"family": "kgumbel", "alpha": 1.0, "beta": 0.5, "delta": 2.0},
+        ),
+        ("maxmodel:m=6", {"family": "maxmodel", "m": 6}),
+    ]:
+        model = parse_model_spec(text)
+        got = model.describe()
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        family = got.pop("family")
+        params = ",".join(f"{k}={v}" for k, v in got.items())
+        assert parse_model_spec(f"{family}:{params}") == model

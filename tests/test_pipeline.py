@@ -785,6 +785,21 @@ def test_analysis_flags_equal_to_a_bool_act_and_echo_as_that_bool():
     assert docs[0] == docs[1]
 
 
+def test_analysis_with_numpy_integer_settings_renders_like_python_ints():
+    # B and seed are echoed as given, so the report turns them into ints.
+    t = _dependent_table()
+    numpy_ints = AnalysisConfig(B=np.int64(5), seed=np.int64(1), acf_lags=np.int64(7))
+    plain = AnalysisConfig(B=5, seed=1, acf_lags=7)
+    docs = [render_report(run_pair_analysis(t, "a", "b", c), "json") for c in (numpy_ints, plain)]
+    assert docs[0] == docs[1]
+
+
+def test_rounding_turns_numpy_scalars_into_python_numbers():
+    # np.float64 is a float; narrower numpy floats and numpy ints are not.
+    doc = pipeline._round_floats({"a": [np.float32(0.1), np.int64(3)], "b": (np.float16(2.5),)})
+    assert json.dumps(doc) == '{"a": [0.10000000149, 3], "b": [2.5]}'
+
+
 def test_analysis_constant_series_reports_acf_skip():
     t = _table(np.arange(50.0), np.ones(50))
     cfg = AnalysisConfig(B=5, seed=1, skip_tests=True, tie_policy="jitter")
