@@ -29,10 +29,11 @@ Numbers: As Easy as 1, 2, 3"): a 128-bit key and a counter fix its whole
 stream, and a Philox built from a seed sequence starts at counter 0, with an
 empty buffer and the sequence's generate_state(2, np.uint64) as its key.
 _spawn_keys ports that hash from numpy's SeedSequence and computes the keys
-of 128 consecutive replicates at once in uint64 arrays; each thread keeps one
-Philox and sets it to counter 0, the key and an empty buffer before every
-draw.  So the stream contract Philox((seed, (0, b))) is unchanged, bit for
-bit, and the tests pin the keys to numpy's own.
+of 128 consecutive replicates at once in uint64 arrays; each thread keeps
+one Generator on one Philox and sets the Philox to counter 0, the key and an
+empty buffer before every draw.  So the stream contract
+Philox((seed, (0, b))) is unchanged, bit for bit, and the tests pin the keys
+to numpy's own.
 
 Each evaluation only touches the top of the two orders.  The element at
 position i of the conditioning order (by decreasing conditioning value) can
@@ -244,12 +245,13 @@ _per_thread = threading.local()
 def _draw(seed, b, out):
     """Fill out with replicate b's multipliers: unit exponentials from Philox((seed, (0, b)))."""
     try:
-        bit_generator = _per_thread.philox
+        generator = _per_thread.generator
     except AttributeError:
-        bit_generator = _per_thread.philox = np.random.Philox(0)
+        generator = _per_thread.generator = np.random.Generator(np.random.Philox(0))
     # Counter 0 and an empty buffer: the state of a Philox freshly built from
-    # the seed sequence, whose key sets the whole stream.
-    bit_generator.state = {
+    # the seed sequence, whose key sets the whole stream.  The Generator keeps
+    # no state of its own, so it draws from that state as a new one would.
+    generator.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": _spawn_key(seed, b)},
         "buffer": (0, 0, 0, 0),
@@ -257,7 +259,7 @@ def _draw(seed, b, out):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    np.random.Generator(bit_generator).standard_exponential(out=out)
+    generator.standard_exponential(out=out)
     # The ziggurat sampler can return an exact 0.0, which would break the
     # positivity of the weights, so nudge any, found by the minimum without a
     # mask, to the smallest normal.

@@ -11,6 +11,8 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 import operator
@@ -18,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import compress, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,17 +68,54 @@ CSV_COLUMNS = (
 )
 
 
+class _Keys:
+    """The keys field of SeriesTable: a table may hold a _PendingKeys in its
+    place, which becomes the keys tuple the first time keys is read."""
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            raise AttributeError("keys")  # a field without a default
+        keys = table.__dict__["keys"]
+        if isinstance(keys, _PendingKeys):
+            keys = table.__dict__["keys"] = keys.build()
+        return keys
+
+    def __set__(self, table, keys):
+        table.__dict__["keys"] = keys
+
+
+class _PendingKeys(NamedTuple):
+    """Keys that load_csv has not built yet: the key texts, in file order or
+    from a function that parses them, to be taken in the given row order."""
+
+    texts: object
+    order: Optional[np.ndarray]
+
+    def build(self):
+        texts = self.texts() if callable(self.texts) else self.texts
+        if self.order is None:
+            return tuple(texts)
+        return tuple(map(texts.__getitem__, self.order.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class SeriesTable:
-    """Aligned numeric columns keyed by a shared identifier column."""
+    """Aligned numeric columns keyed by a shared identifier column.
 
-    keys: tuple
+    keys holds each row's key text.  A table from load_csv builds that tuple
+    the first time keys is read.  Until then it holds the rows' sort order
+    and the key texts in file order or, for a plain file with integer keys,
+    the file's bytes, from which the key column is parsed then.  n_rows
+    counts the rows of the columns, so it never builds the keys.
+    """
+
+    keys: tuple = _Keys()
     columns: dict
     source: str
 
     @property
     def n_rows(self) -> int:
-        return len(self.keys)
+        return len(next(iter(self.columns.values()))) if self.columns else len(self.keys)
 
 
 def load_csv(path, key_column, value_columns):
@@ -90,6 +129,13 @@ def load_csv(path, key_column, value_columns):
     leading UTF-8 byte-order mark is skipped.  Rows are returned sorted by
     key: numerically when every key parses as an integer, lexicographically
     otherwise.  Duplicate keys are kept in input order.
+
+    The columns and the sort order are parsed here.  A plain file (see
+    _read_plain) whose keys all parse as int64 is parsed without their text:
+    the table keeps the file's bytes instead, and parses the key column's
+    text from them the first time its keys are read, so a file changed or
+    removed after loading still gives the keys it had.  Other keys are read
+    as text here, and the table keeps that list in file order until then.
     """
     wanted = list(dict.fromkeys(value_columns))
     read = _read_plain(path, key_column, wanted) or _read_exact(
@@ -101,9 +147,11 @@ def load_csv(path, key_column, value_columns):
 def _sorted_table(path, wanted, keys, values, ints=None):
     """The SeriesTable of the parsed rows, sorted by key.
 
-    ints, when given, holds every key parsed as an int64.
+    keys is the list of key texts, or, with ints (every key parsed as an
+    int64), a function that returns that list.  The table builds its keys
+    tuple from them the first time it is read.
     """
-    n = len(keys)
+    n = len(keys) if ints is None else ints.size
     if n == 0:
         raise EmptyIntersection(
             f"{path}: no rows with a key and values in {', '.join(map(repr, wanted))}"
@@ -113,15 +161,15 @@ def _sorted_table(path, wanted, keys, values, ints=None):
         # Already in order, as tailasym simulate writes its files: the stable
         # sort would leave every row in place.  The copies are contiguous
         # even where the reader's columns are strided views.
-        keys = tuple(keys)
         values = [np.array(col) for col in values]
     else:
-        keys = tuple(map(keys.__getitem__, order.tolist()))
         values = [col[order] for col in values]
 
     for col in values:
         col.flags.writeable = False
-    return SeriesTable(keys=keys, columns=dict(zip(wanted, values)), source=str(path))
+    return SeriesTable(
+        keys=_PendingKeys(keys, order), columns=dict(zip(wanted, values)), source=str(path)
+    )
 
 
 def _key_order(keys, ints=None):
@@ -166,13 +214,17 @@ def _read_plain(path, key_column, wanted):
     cannot parse (float() also takes '1_000' and Unicode digits) or one that
     is not finite.
 
-    The one loadtxt pass reads the key column twice, as text for the table
-    and as int64 for the key sort (see _key_order for what the int64 parse
-    accepts); a key that parses is never blank.  When a key fails that
-    parse (text, dates, keys beyond int64, '1_000', Unicode digits) or the
-    parse warns (numpy 1.23 deprecated reading '1.0' as an integer through
-    a float, with a DeprecationWarning), loadtxt reads the file once more
-    without the int64 field, and the int64 keys are None.
+    The first loadtxt pass parses the key column as int64 only, for the key
+    sort (see _key_order for what that parse accepts), and the wanted
+    columns as floats; a key that parses is never blank.  The keys returned
+    are then a function that parses the key column's text, as loadtxt's
+    object field reads it, from the bytes read here, so the file may change
+    or go before it runs.  When a key fails the int64 parse (text, dates,
+    keys beyond int64, '1_000', Unicode digits) or the parse warns (numpy
+    1.23 deprecated reading '1.0' as an integer through a float, with a
+    DeprecationWarning), loadtxt reads the file once more with the key
+    column as text, the keys are the list of those texts, and the int64
+    keys are None.
     """
     try:
         with open(path, "rb") as fh:
@@ -181,7 +233,6 @@ def _read_plain(path, key_column, wanted):
         return None
     if any(byte in data for byte in b'"\0\r\x1c\x1d\x1e\x1f') or _has_long_line(data):
         return None
-    key = [("key", object)]
     floats = [(f"v{j}", np.float64) for j in range(len(wanted))]
     try:
         # A slice up to the first newline, or the whole of a header-only file;
@@ -190,18 +241,29 @@ def _read_plain(path, key_column, wanted):
         header = next(csv.reader([data[: end if end >= 0 else None].decode("utf-8-sig")]))
         at = _column_indices(header, path, key_column, wanted)
         try:
-            rows = _loadtxt(path, key + [("int", np.int64)] + floats, at[:1] + at)
-            ints = rows["int"]
+            rows = _loadtxt(path, [("int", np.int64)] + floats, at)
         except (ValueError, Warning):
-            rows, ints = _loadtxt(path, key + floats, at), None
+            rows = _loadtxt(path, [("key", object)] + floats, at)
+            keys, ints = rows["key"].tolist(), None
+        else:
+            keys, ints = functools.partial(_key_texts, data, at[0]), rows["int"]
     except (OSError, ValueError, Warning, MissingColumn):
         return None
-    keys = rows["key"].tolist()
     values = [rows[name] for name, _ in floats]
     blank = ints is None and "" in map(str.strip, keys)
     if blank or not all(np.isfinite(v).all() for v in values):
         return None
     return keys, values, ints
+
+
+def _key_texts(data, at):
+    """The texts of column at in the data rows of a plain file's bytes.
+
+    The same loadtxt object field parse as over the file: its lines come
+    from the bytes as from the file opened in text mode with utf-8-sig.
+    """
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    return _loadtxt(lines, [("key", object)], [at])["key"].tolist()
 
 
 def _has_long_line(data):
@@ -220,14 +282,14 @@ def _has_long_line(data):
     return np.diff(breaks, prepend=-1, append=len(data)).max() > limit
 
 
-def _loadtxt(path, dtype, usecols):
-    """np.loadtxt of the data rows of a plain file; a warning raises."""
+def _loadtxt(source, dtype, usecols):
+    """np.loadtxt of the data rows of a plain file, by path or lines; a warning raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # A file without data rows is EmptyIntersection, not a warning.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(
-            path, dtype=dtype, delimiter=",", skiprows=1, usecols=usecols,
+            source, dtype=dtype, delimiter=",", skiprows=1, usecols=usecols,
             comments=None, quotechar=None, encoding="utf-8-sig", ndmin=1,
         )
 

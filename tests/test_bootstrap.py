@@ -141,13 +141,13 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
     tiny = np.finfo(np.float64).tiny
 
     class Zeros:
-        def __init__(self, bit_generator):
-            pass
+        bit_generator = np.random.Philox(0)
 
         def standard_exponential(self, out):
             out[:] = [0.0, 2.0, -0.0, 1.0]
 
-    monkeypatch.setattr(np.random, "Generator", Zeros)
+    # In place of the Generator that _draw keeps for this thread.
+    monkeypatch.setattr(bt._per_thread, "generator", Zeros(), raising=False)
     w = np.empty(4)
     bt._draw(0, 1, w)
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
@@ -175,6 +175,15 @@ def test_spawn_keys_equal_the_seed_sequence_state(seed):
         for b in _KEY_BS
     ]
     assert got == want
+
+
+def test_draws_of_any_size_on_the_reused_generator_equal_the_documented_stream():
+    # Sizes up and down on the one Generator of this thread: a draw must not
+    # depend on the draws before it.
+    for seed, b, n in [(0, 1, 2000), (7, 3, 1), (7, 3, 2000), (2**40, 129, 33), (0, 1, 5)]:
+        out = np.empty(n)
+        bt._draw(seed, b, out)
+        assert out.tobytes() == replicate_weights(seed, b, n).tobytes()
 
 
 def test_draws_equal_the_documented_stream_on_every_thread():

@@ -1,6 +1,7 @@
 """Pipeline tests: CSV loading, series preparation, diagnostics, reports."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -321,7 +322,7 @@ def test_load_csv_reads_plain_files_without_the_exact_reader(tmp_path, monkeypat
 def test_plain_reader_reads_a_header_only_file_as_no_rows(tmp_path, text):
     p = _write(tmp_path, "header.csv", text)
     keys, values, ints = pipeline._read_plain(p, "k", ["v"])
-    assert keys == [] and values[0].size == 0 and ints.size == 0
+    assert keys() == [] and values[0].size == 0 and ints.size == 0
     with pytest.raises(errors.EmptyIntersection):
         load_csv(p, "k", ["v"])
 
@@ -329,7 +330,7 @@ def test_plain_reader_reads_a_header_only_file_as_no_rows(tmp_path, text):
 def test_plain_reader_reads_a_last_row_without_a_newline(tmp_path):
     p = _write(tmp_path, "open.csv", "k,v\n2,3.5\n1,4")
     keys, values, ints = pipeline._read_plain(p, "k", ["v"])
-    assert keys == ["2", "1"] and ints.tolist() == [2, 1]
+    assert keys() == ["2", "1"] and ints.tolist() == [2, 1]
     assert np.array_equal(values[0], [3.5, 4.0])
     t = load_csv(p, "k", ["v"])
     assert t.keys == ("1", "2") and np.array_equal(t.columns["v"], [4.0, 3.5])
@@ -360,15 +361,15 @@ def _fast_and_exact(monkeypatch, path, key="k", wanted=("v",)):
     return fast, exact, len(calls)
 
 
-@pytest.mark.parametrize(
-    "keys",
-    [
-        [" 3", "2 ", "\t4\t", "\xa05", "1\u2003"],  # ASCII and Unicode padding
-        ["+1", "-0", "007", "-3", "+02", "7"],
-        ["9223372036854775807", "-9223372036854775808", "0"],  # int64's ends
-        ["1", "2", "3", "10"],  # already in order
-    ],
-)
+_INTEGER_KEYS = [
+    [" 3", "2 ", "\t4\t", "\xa05", "1\u2003"],  # ASCII and Unicode padding
+    ["+1", "-0", "007", "-3", "+02", "7"],
+    ["9223372036854775807", "-9223372036854775808", "0"],  # int64's ends
+    ["1", "2", "3", "10"],  # already in order
+]
+
+
+@pytest.mark.parametrize("keys", _INTEGER_KEYS)
 def test_load_csv_parses_integer_keys_in_its_one_loadtxt_pass(tmp_path, monkeypatch, keys):
     rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
     p = _write(tmp_path, "ints.csv", "k,v\n" + rows)
@@ -376,6 +377,65 @@ def test_load_csv_parses_integer_keys_in_its_one_loadtxt_pass(tmp_path, monkeypa
     assert calls == 1
     assert fast.keys == tuple(sorted(keys, key=int))
     assert _parts(fast) == _parts(exact)
+
+
+def _loadtxt_dtypes(monkeypatch):
+    """The dtype of every np.loadtxt call made from now on, in call order."""
+    loadtxt, dtypes = np.loadtxt, []
+
+    def recorded(*args, **kwargs):
+        dtypes.append(np.dtype(kwargs["dtype"]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("layout", ["key_first", "bom_led", "key_last"])
+@pytest.mark.parametrize("keys", _INTEGER_KEYS)
+def test_load_csv_parses_the_text_of_integer_keys_when_they_are_first_read(
+    tmp_path, monkeypatch, keys, layout
+):
+    bom, header, row = {
+        "key_first": ("", "k,v,w", "{k},{i},-{i}.5"),
+        "bom_led": ("\ufeff", "k,v,w", "{k},{i},-{i}.5"),
+        "key_last": ("", "v,w,k", "{i},-{i}.5,{k}"),
+    }[layout]
+    rows = "".join(row.format(k=k, i=i) + "\n" for i, k in enumerate(keys))
+    p = _write(tmp_path, "ints.csv", bom + header + "\n" + rows)
+    wanted = ["v", "w"]
+    exact = pipeline._sorted_table(p, wanted, *pipeline._read_exact(p, "k", wanted))
+    dtypes = _loadtxt_dtypes(monkeypatch)
+    t = load_csv(p, "k", wanted)
+    assert t.n_rows == len(keys)
+    # one pass of int64 keys and floats; n_rows parsed no key text
+    assert [dt.names for dt in dtypes] == [("int", "v0", "v1")]
+    assert not dtypes[0].hasobject
+    assert _parts(t) == _parts(exact)
+    assert len(dtypes) == 2 and dtypes[1].names == ("key",) and dtypes[1].hasobject
+    assert t.keys is t.keys and len(dtypes) == 2  # parsed once
+
+
+def test_keys_read_after_the_file_was_rewritten_and_deleted_are_the_loaded_ones(tmp_path):
+    p = _write(tmp_path, "ints.csv", "k,v\n 3,1\n+1,2\n007,3\n")
+    exact = pipeline._sorted_table(p, ["v"], *pipeline._read_exact(p, "k", ["v"]))
+    t = load_csv(p, "k", ["v"])
+    _write(tmp_path, "ints.csv", "k,v\n9,1\n8,2\n")
+    p.unlink()
+    assert t.keys == exact.keys == ("+1", " 3", "007")
+    assert np.array_equal(t.columns["v"], [2.0, 1.0, 3.0])
+
+
+def test_series_table_built_by_hand_keeps_its_keys_and_stays_frozen():
+    keys = ["b", "a"]
+    t = SeriesTable(keys=keys, columns={"v": np.zeros(2)}, source="mem")
+    assert t.keys is keys and t.n_rows == 2
+    assert SeriesTable(("a",), {}, "mem").n_rows == 1  # no columns: the keys count
+    assert [f.name for f in dataclasses.fields(SeriesTable)] == ["keys", "columns", "source"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.keys = ("c", "d")
+    with pytest.raises(TypeError):
+        SeriesTable(columns={}, source="mem")  # keys has no default
 
 
 @pytest.mark.parametrize(
