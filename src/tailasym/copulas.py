@@ -6,7 +6,10 @@ Khoudraji's device (KhoudrajiGumbelCopula), and a max-factor model
 (MaxFactorCopula).  Each exposes its CDF, its tail copula, an exact sampler,
 and population values of the directional tail coefficients -- in closed form
 where one exists, otherwise by adaptive quadrature of the squared tail-copula
-slice.
+slice.  The quadrature is QUADPACK's QAGS, ported to Python in _quadpack: on
+a slice without kinks it returns bit for bit what scipy.integrate.quad
+returns with the same tolerances; a slice with kinks is split at them and
+each piece integrated on its own.
 """
 
 import math
@@ -308,28 +311,35 @@ class PopulationValues:
 
 
 def _eta_by_quadrature(model, direction, tol):
-    # Imported on first use: loading scipy.integrate takes longer than
-    # importing the rest of tailasym.
-    from scipy import integrate
+    """3 times the integral over [0, 1] of the squared tail-copula slice.
+
+    A slice without kinks is integrated by QAGS with epsabs tol/3, epsrel
+    1e-12 and at most 200 subintervals: bit for bit what
+    scipy.integrate.quad(f, 0, 1, epsabs=tol/3, epsrel=1e-12, limit=200)
+    returns.  A slice with kinks is split at them, and each piece gets QAGS
+    with an equal share of tol/3.  An integration that reports an error, or
+    whose error estimate exceeds tol, raises QuadratureFailure.
+    """
+    # Imported on first use, so that import tailasym compiles none of it:
+    # only the Khoudraji-Gumbel family integrates.
+    from . import _quadpack
 
     if direction is Direction.X_GIVEN_Y:
-        slice_fn = lambda u: float(model.tail_copula(u, 1.0))  # noqa: E731
+        integrand = lambda u: float(model.tail_copula(u, 1.0)) ** 2  # noqa: E731
     else:
-        slice_fn = lambda u: float(model.tail_copula(1.0, u))  # noqa: E731
-    kinks = [p for p in model.slice_kinks(direction) if 0.0 < p < 1.0]
-    result = integrate.quad(
-        lambda u: slice_fn(u) ** 2,
-        0.0,
-        1.0,
-        epsabs=tol / 3.0,
-        epsrel=1e-12,
-        limit=200,
-        points=kinks or None,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureFailure(f"tail-coefficient integration failed: {result[3]}")
-    value, abserr = result[0], result[1]
+        integrand = lambda u: float(model.tail_copula(1.0, u)) ** 2  # noqa: E731
+    kinks = sorted(p for p in model.slice_kinks(direction) if 0.0 < p < 1.0)
+    edges = [0.0, *kinks, 1.0]
+    epsabs = tol / 3.0 / (len(edges) - 1)
+    value = abserr = 0.0
+    for a, b in zip(edges, edges[1:]):
+        piece = _quadpack.qags(integrand, a, b, epsabs, 1e-12, 200)
+        if piece.ier:
+            raise QuadratureFailure(
+                f"tail-coefficient integration failed: {_quadpack.MESSAGES[piece.ier]}"
+            )
+        value += piece.value
+        abserr += piece.abserr
     if 3.0 * abserr > tol:
         raise QuadratureFailure(
             f"integration error estimate {3.0 * abserr:.3e} exceeds tolerance {tol:.3e}"

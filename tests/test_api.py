@@ -1,5 +1,8 @@
 """The package's public names: each module's __all__, re-exported by tailasym."""
 
+import re
+from pathlib import Path
+
 import tailasym
 from tailasym import bootstrap, copulas, errors, estimators, pipeline, ranks
 
@@ -28,3 +31,10 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from tailasym import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(tailasym.__all__)
+
+
+def test_pyproject_declares_the_package_version():
+    # Python 3.10 has no tomllib, so the version line is read by pattern.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    [version] = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert version == tailasym.__version__

@@ -337,16 +337,16 @@ def test_import_loads_neither_scipy_nor_the_draw_ahead_pool():
 
 
 def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path):
-    # scipy serves only the population quadrature, and loading it takes
-    # longer than the rest of the package; analyze, tests included, runs
-    # without it
+    # No command needs scipy, which serves the tests as an oracle only; the
+    # QUADPACK port is imported by the first quadrature, not by the package.
     data, out = tmp_path / "sim.csv", tmp_path / "report.csv"
-    tested = tmp_path / "tested.json"
+    tested, population = tmp_path / "tested.json", tmp_path / "population.json"
     script = (
         "import sys\n"
         "import tailasym\n"
         "from tailasym import cli\n"
         "assert 'scipy' not in sys.modules, 'import tailasym'\n"
+        "assert 'tailasym._quadpack' not in sys.modules, 'import tailasym'\n"
         "assert cli.main(['simulate', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
         f"                 '--n', '300', '--out', {str(data)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'simulate'\n"
@@ -357,6 +357,11 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
         f"                 '--key-col', 't', '--B', '20', '--no-eta-gate',\n"
         f"                 '--out', {str(tested)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'analyze'\n"
+        "assert 'tailasym._quadpack' not in sys.modules, 'analyze'\n"
+        "assert cli.main(['population', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
+        f"                 '--out', {str(population)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'population'\n"
+        "assert 'tailasym._quadpack' in sys.modules, 'population'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
@@ -364,6 +369,7 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8").startswith("{")
     assert '"ci_delta_low"' in tested.read_text(encoding="utf-8")
+    assert '"method": "quadrature"' in population.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -461,20 +467,50 @@ def test_population_quadrature_failure_exits_3(capsys):
 
 
 def test_population_exits_3_when_quadrature_reports_a_warning(capsys, monkeypatch):
-    from scipy import integrate
+    # With one subinterval allowed, QAGS reports that it did not converge.
+    from tailasym import _quadpack
 
-    message = "The maximum number of subdivisions (200) has been achieved."
-    monkeypatch.setattr(
-        integrate, "quad", lambda *args, **kwargs: (0.1, 1e-12, {}, message)
-    )
+    qags = _quadpack.qags
+    monkeypatch.setattr(_quadpack, "qags", lambda *args: qags(*args[:-1], 1))
     assert run_cli("population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: tail-coefficient integration failed: {message}\n"
+    assert captured.err == (
+        "error: tail-coefficient integration failed:"
+        " the maximum number of subintervals was reached\n"
+    )
 
 
 def test_population_bad_model_exits_2(capsys):
     assert run_cli("population", "--model", "kgumbel:alpha=1") == 2
+
+
+def test_population_writes_the_same_bytes_with_scipy_blocked(tmp_path):
+    # A None entry in sys.modules makes every scipy import raise ImportError.
+    models = [
+        "nelsen:theta=0.667", "maxmodel:m=3",
+        "kgumbel:alpha=1,beta=0.5,delta=2", "kgumbel:alpha=0.3,beta=0.8,delta=1.4",
+    ]
+    runs = {}
+    for i, model in enumerate(models):
+        argv = ["population", "--model", model, "--out"]
+        assert cli.main([*argv, str(tmp_path / f"in{i}.json")]) == 0
+        runs[str(tmp_path / f"blocked{i}.json")] = argv
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tailasym import cli\n"
+        "for out, argv in json.loads(sys.argv[1]).items():\n"
+        "    assert cli.main([*argv, out]) == 0, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i in range(len(models)):
+        blocked = (tmp_path / f"blocked{i}.json").read_bytes()
+        assert blocked == (tmp_path / f"in{i}.json").read_bytes()
 
 
 # --- entry point ----------------------------------------------------------------------

@@ -253,14 +253,13 @@ def test_kgumbel_closed_form_delta():
 
 
 def test_quadrature_that_reports_a_warning_raises(monkeypatch):
-    # With full_output, quad returns a fourth element, its warning message,
-    # only when the integration did not converge.
-    from scipy import integrate
+    # With one subinterval allowed, QAGS reports that it did not converge,
+    # though its first 21-point rule meets the tolerance here.
+    from tailasym import _quadpack
 
-    message = "The maximum number of subdivisions (200) has been achieved."
-    monkeypatch.setattr(
-        integrate, "quad", lambda *args, **kwargs: (0.1, 1e-12, {}, message)
-    )
+    qags = _quadpack.qags
+    monkeypatch.setattr(_quadpack, "qags", lambda *args: qags(*args[:-1], 1))
+    message = "the maximum number of subintervals was reached"
     with pytest.raises(errors.QuadratureFailure, match=re.escape(message)):
         population_values(KhoudrajiGumbelCopula(1.0, 0.5, 2.0))
 
