@@ -12,27 +12,28 @@ int64 partial dots over chunks short enough not to overflow, added up as
 Python integers.
 
 The weighted kernel takes a batch of replicates, from one or more of the
-bootstrap's draw stacks: the ranks and the weights hold one replicate per
-row, in one order of the elements that every replicate shares, given as one
-row of positions; the cutoffs hold one row of tau(k) per replicate, and the
-result one row of sums per replicate.  It works on 3-D blocks, a run of grid
-rows over every replicate of the batch at a time; a mask keeps row k's
-entries with a weighted rank below k whose conditioning position is below
-tau(k).  Each row of ranks is sorted, so the entries with a rank below k are
-a prefix of the row, and the batch's widest such prefix at k is the count of
-the column-wise minimum below k: that minimum of sorted rows is itself
-sorted.  ``width`` is that count at the run's last grid row, the widest of
-the run, since the count never decreases along the grid.  Of the first
-``width`` columns, the block spans only those that some row can keep: the
-columns whose position is below the largest cutoff up to the run's last grid
-row, taken in their order.  A run is sized by ``width``, so it holds as many
-grid rows as keep each temporary within ``_BLOCK`` elements, and at least
-one; a single grid row is at most the size of the kernel's own input.  The
-running included weight is a cumsum along each row of the weights with the
-dropped entries set to 0.0; each factor of the terms is formed on the whole
-block and compressed with the mask, row after row, before the next is
-formed, so that the kept terms of each (replicate, k) sit in one contiguous
-slice and one full block of floats is alive at a time.
+bootstrap's draw stacks: the weighted ranks, the weighted conditioning
+ranks, the weights and the result hold one replicate per row, in one order
+of the elements that every replicate shares.  One rule picks the terms: an
+entry counts at tail size k when both of its weighted ranks are below k.
+The kernel works on 3-D blocks, a run of grid rows over every replicate of
+the batch at a time, and a mask applies that rule at each of the run's grid
+rows, as one test of the larger of the two ranks.  Each row of ranks is
+sorted, so the entries with a rank below k are a prefix of the row, and the
+batch's widest such prefix at k is the count of the column-wise minimum
+below k: that minimum of sorted rows is itself sorted.  ``width`` is that
+count at the run's last grid row, the widest of the run, since the count
+never decreases along the grid.  Of the first ``width`` columns, the block
+spans only those that some row keeps at the run's last k, taken in their
+order: an entry kept at one k is kept at every larger k.  A run is sized by
+``width``, so it holds as many grid rows as keep each temporary within
+``_BLOCK`` elements, and at least one; a single grid row is at most the size
+of the kernel's own input.  The running included weight is a cumsum along
+each row of the weights with the dropped entries set to 0.0; each factor of
+the terms is formed on the whole block and compressed with the mask, row
+after row, before the next is formed, so that the kept terms of each
+(replicate, k) sit in one contiguous slice and one full block of floats is
+alive at a time.
 
 Summation contract: S(k) is the dot product of the kept terms (k - R_a) w_a
 and 2 W_a - w_a, W_a being the included weight up to and including a, in
@@ -87,37 +88,36 @@ def eta_grid_sums(pos, ks):
     return out
 
 
-def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
-    """Weighted sums S(k) = sum_{i,j <= tau(k)} w_i w_j (k - max(R_i, R_j))_+.
+def weighted_eta_grid_sums(rx_sorted, ry_sorted, w_sorted, out, ks):
+    """Weighted sums S(k) = sum_{i,j} w_i w_j (k - max(R_i, R_j))_+ over R, Q < k.
 
-    Each row of ``rx_sorted`` and ``w_sorted`` is one replicate, its
-    weighted ranks nondecreasing along it; the one row ``ypos_sorted`` holds
-    each element's 0-based position in the ordering by decreasing second
-    coordinate, the same for every replicate, and row r of ``taus``
-    replicate r's cutoff at each tail size in ``ks``.  Only elements with
-    ypos < tau(k) and R < k contribute; with W the running included weight,
-    the a-th included element adds (k - R_a) w_a (2W + w_a).  A rank of any
-    size, +inf included, counts only below k.
-    ``ks`` is increasing, as every caller's grid is.
-    Returns the sums in the shape of ``taus``, one row per replicate.  Each
-    block spans only the columns that some row can keep in its run, chosen
-    by ``_columns``; the dropped ones would add only +0.0.  The module
-    docstring gives the block layout and the summation contract.
+    Each row of ``rx_sorted``, ``ry_sorted`` and ``w_sorted`` is one
+    replicate: the weighted ranks R, nondecreasing along the row, the
+    weighted conditioning ranks Q and the weights, column by column for the
+    same elements.  Only elements with R < k and Q < k contribute; with W
+    the running included weight, the a-th included element adds
+    (k - R_a) w_a (2W + w_a).  A rank of any size, +inf included, counts
+    only below k.  ``ks`` is increasing, as every caller's grid is.  Writes
+    the sums into ``out``, one row per replicate and one column per tail
+    size, and returns it.  Each block spans only the columns that some row
+    can keep in its run, chosen by ``_columns``; the dropped ones would add
+    only +0.0.  The module docstring gives the block layout and the
+    summation contract.
     """
     kf = np.asarray(ks, dtype=np.float64)
-    out = np.empty(taus.shape, dtype=np.float64)
     # The largest count of a row's ranks below each k, nondecreasing along the
     # increasing grid, so a run's last grid row is its widest.
     widest = np.searchsorted(rx_sorted.min(axis=0), kf, side="left")
-    tmax = np.maximum.accumulate(taus.max(axis=0))
+    # Both ranks are below k exactly when the larger of the two is.
+    larger = np.maximum(rx_sorted, ry_sorted)
+    larger_min = larger.min(axis=0)
     for t0, t1 in _runs(len(rx_sorted), widest):
-        cols = _columns(ypos_sorted, tmax[t1 - 1], int(widest[t1 - 1]))
+        cols = _columns(larger_min, kf[t1 - 1], int(widest[t1 - 1]))
         # take() keeps each block C-ordered; rx_sorted[:, None, cols] would
         # put the gathered axis outermost in memory.
         rx = rx_sorted.take(cols, axis=1)[:, None]
         w = w_sorted.take(cols, axis=1)[:, None]
-        keep = rx < kf[t0:t1, None]
-        keep &= ypos_sorted[cols] < taus[:, t0:t1, None]
+        keep = larger.take(cols, axis=1)[:, None] < kf[t0:t1, None]
         cw = np.where(keep, w, 0.0)
         np.cumsum(cw, axis=2, out=cw)
         cw *= 2.0
@@ -135,14 +135,12 @@ def weighted_eta_grid_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     return out
 
 
-def _columns(ypos, tmax, width):
-    """The columns below ``width`` whose position is below ``tmax``.
+def _columns(larger_min, k, width):
+    """The columns below ``width`` that some row keeps at ``k``.
 
-    ``ypos`` is the batch's row of positions and ``tmax`` the largest cutoff
-    of any replicate at or before the run's last grid row: every other column
-    is masked in every replicate of the run.
+    ``larger_min`` holds each column's smallest larger rank over the rows.
     """
-    return np.flatnonzero(ypos[:width] < tmax)
+    return np.flatnonzero(larger_min[:width] < k)
 
 
 def _runs(R, widest):

@@ -2,11 +2,12 @@
 
 Each replicate perturbs every observation with an i.i.d. unit exponential
 multiplier (mean 1, variance 1) and recomputes the statistic with weighted
-ranks throughout: weighted reverse ranks, a weighted cutoff in place of the
-literal top k, and multiplier products in the double sum.  Centered replicate
-deviations emulate the sampling fluctuation of the statistic itself, which
-yields p-values for "eta = 0" (one-sided) and "delta = 0" (two-sided) without
-any variance formula, plus normal-style confidence intervals from the
+ranks throughout: an observation counts at tail size k when both of its
+weighted ranks, one in each margin, are below k, in place of the literal top k
+of both, and its terms carry multiplier products in the double sum.  Centered
+replicate deviations emulate the sampling fluctuation of the statistic itself,
+which yields p-values for "eta = 0" (one-sided) and "delta = 0" (two-sided)
+without any variance formula, plus normal-style confidence intervals from the
 replicate spread.
 
 One engine serves every test.  Replicate b draws its multipliers once, as
@@ -35,38 +36,41 @@ empty buffer before every draw.  So the stream contract
 Philox((seed, (0, b))) is unchanged, bit for bit, and the tests pin the keys
 to numpy's own.
 
-Each evaluation only touches the top of the two orders.  The element at
-position i of the conditioning order (by decreasing conditioning value) can
-enter the sum at tail size k only if i < tau(k), the weighted cutoff, and
-every tau(k) on the grid is at most T = tau(k_max); it also needs a weighted
-rank below k.  Both are exclusive running sums of the normalized weights:
-the cutoffs along the conditioning order, and the weighted rank of an
-element, the total weight of the larger values, along decreasing values.
-So one running sum per order serves both directions: the one along
-decreasing x gives X|Y's ranks and Y|X's cutoffs, the one along decreasing y
-the other two.  One prefix pass covers both orders, over one length whose
+Each evaluation only touches the top of the two orders.  An element enters
+the sum at tail size k when both of its weighted ranks are below k: its rank
+and its conditioning rank.  Each is an exclusive running sum of the
+normalized weights along decreasing values of its series, the total weight
+of the larger values.  So one running sum per order serves both directions:
+the one along decreasing x gives X|Y's ranks and Y|X's conditioning ranks,
+the one along decreasing y the other two.  The conditioning ranks never
+decrease along the conditioning order (by decreasing conditioning value), so
+only its first T positions can count, T the number of conditioning ranks
+below k_max.  One prefix pass covers both orders, over one length whose
 totals along each order must reach k_max.  The first prefix has k_max + 6
 sqrt(k_max) entries, six standard deviations of a sum of unit-mean
 multipliers past k_max, and is doubled until every total along both orders
-reaches k_max or it covers all n.  Every prefix entry is bit-identical
-to the same entry over the full sample: np.cumsum adds left to right, and
+reaches k_max or it covers all n.  Every prefix entry is bit-identical to
+the same entry over the full sample: np.cumsum adds left to right, and
 normalizing divides each weight by the mean of all n.  What lies past a
-prefix cannot matter.  The running sums never decrease, so no cutoff lies
-past a total of k_max, and a rank past the prefix is at least its total, so
-it reads the total, which the kernel drops like every rank not below k.
-An order whose totals reach k_max first gains only running sums of at least
-k_max from the longer prefix, and the kernel drops those too.
+prefix cannot matter.  The running sums never decrease, so no rank past a
+total of k_max is below k_max, and a rank past the prefix is at least its
+total, so it reads the total, which the kernel drops like every rank not
+below k.  An order whose totals reach k_max first gains only running sums
+of at least k_max from the longer prefix, and the kernel drops those too.
 
 The kernel takes the first T conditioning positions in ascending weighted
 rank, and no replicate is sorted to get them.  A running sum of positive
 weights never decreases in floating point, so along the unweighted reverse
 rank every row's weighted ranks never decrease: one order serves every
-replicate, the T positions sorted by their reverse rank, passed to the
-kernel as one row.  The full computation sorts all n weighted ranks by
-weighted rank, ties by unweighted reverse rank, which is that same order, so
-the kernel adds the same terms in the same order and the sums are
-bit-identical to the full computation.  Ties occur: a weight too small to
-move a running sum gives the next element the same weighted rank.
+replicate, the T positions sorted by their reverse rank, and each row's
+ranks, conditioning ranks and weights reach the kernel in it.  So does the
+smallest rank over the rows, and the kernel input stops at the last position
+with a rank below k_max in some row: the kernel would drop every later one
+at every k.  The full computation sorts all n weighted ranks by weighted
+rank, ties by unweighted reverse rank, which is that same order, so the
+kernel adds the same terms in the same order and the sums are bit-identical
+to the full computation.  Ties occur: a weight too small to move a running
+sum gives the next element the same weighted rank.
 
 Replicates are drawn in stacks and evaluated in batches.  A draw stack is R
 replicates filling the rows of one (R, n) array, each drawn in place from
@@ -86,24 +90,22 @@ on a grid of 399 tail sizes at n = 20,000, is a batch of its own.  The
 kernel cuts the grid into runs of rows over the whole batch and never
 splits a grid row, so each of its temporaries stays within its own budget
 or, for a single grid row past that budget, within the size of its input.
-Each block spans only the columns whose position is below some replicate's
-largest cutoff in the run; every other column would add only +0.0.
+Each block spans only the columns that some replicate keeps at the run's
+last k; every other column would add only +0.0.
 
 A batch changes no replicate's value.  Each row's mean is the same pairwise
 sum as that replicate's own.  A stack's prefixes run to the first length at
 which every row's total along both orders reaches k_max, which may be longer
 than one row or one order needs; that changes none of the row's earlier
-entries, and the ranks it adds are at or above k_max, which the kernel
-drops as well.  The stacks of one batch may stop at different lengths.  A
-row shorter than the batch's longest is padded: its running sums with its
-own total, which is at least k_max, and its weights with 1.0.  Every
-cutoff, the first running sum to reach its k, then lies where it lies in
-the row's own prefix, and a rank read past that prefix reads the total, as
-it does there.  The kernel input is as wide as the batch's largest
-tau(k_max); a row's entries at or past its own tau(k_max), padded weights
-included, keep their ranks and their place in the rank order, and the
-kernel drops them, since their position is at or past every tau(k) of that
-row.
+entries, and the ranks it adds are at or above k_max, which the kernel drops
+as well.  The stacks of one batch may stop at different lengths.  A row
+shorter than the batch's longest is padded: its running sums with its own
+total, which is at least k_max, and its weights with 1.0.  A rank of either
+kind read past that prefix then reads the total, as it does there.  The
+kernel input is at most as wide as the batch's largest count of conditioning
+ranks below k_max; a row's entries past its own count, padded weights
+included, keep their ranks and their place in the rank order, and the kernel
+drops them, since their conditioning ranks are at least k_max.
 
 When each stack holds one replicate and more follow (R = 1 < B, so n >
 2**16), two helper threads draw the next replicates into a ring of three
@@ -292,10 +294,10 @@ class _Batch:
 
     The orders are the two that every direction in ranks reads: the first
     direction's value order, whose running sums give its ranks and the second
-    direction's cutoffs, and its conditioning order, which gives the other
-    two.  w[o] holds each row's normalized weights along order o and sums[o]
-    their exclusive running sums, over the prefix of the row's stack.  Both
-    are as wide as the batch's longest prefix, and past its own a row's
+    direction's conditioning ranks, and its conditioning order, which gives
+    the other two.  w[o] holds each row's normalized weights along order o and
+    sums[o] their exclusive running sums, over the prefix of the row's stack.
+    Both are as wide as the batch's longest prefix, and past its own a row's
     weights read 1.0 and its sums its total.  The arrays are order-major, so
     each order's rows are one contiguous block for the input step's takes.
     """
@@ -342,35 +344,40 @@ class _Batch:
         self.sums[:, rows, m + 1 :] = sums[:, :, -1:]
         return m
 
-    def inputs(self, ranks, ks):
+    def inputs(self, ranks):
         """Kernel arguments of the filled batch, for each direction in ranks.
 
-        ks is the increasing k-grid.  Returns, per direction, the weighted
-        ranks of the first T conditioning positions, T the batch's largest
-        tau(k_max), in unweighted reverse-rank order; that order as one row
-        of positions; their weights; and the cutoffs tau(k) of every row.
+        Returns, per direction, the weighted ranks, the weighted conditioning
+        ranks and the weights of the first T conditioning positions, T the
+        largest count of a row's conditioning ranks below bound, in
+        unweighted reverse-rank order, up to the last with a rank below bound
+        in some row.
         """
-        kf = ks.astype(np.float64)
         out = {}
-        # The first direction reads its ranks along order 0 and its cutoffs
-        # and weights along order 1; the second the other way round.
+        # The first direction reads its ranks along order 0 and its
+        # conditioning ranks and weights along order 1; the second the other
+        # way round.
         for (d, r), (o, c) in zip(ranks.items(), ((0, 1), (1, 0))):
             greater, excl = self.sums[o], self.sums[c]
-            taus = np.stack(
-                [np.searchsorted(row, kf, side="left") for row in excl[:, :-1]]
-            ).astype(np.int64, copy=False)
-            rho = r.rho[: int(taus[:, -1].max())]
+            T = np.count_nonzero(excl[:, :-1] < self.bound, axis=1).max()
+            rho = r.rho[: int(T)]
             p = np.argsort(rho)
             # A rank past a row's prefix reads its total, at least k_max.
-            rx = greater.take(np.minimum(rho[p] - 1, greater.shape[1] - 1), axis=1)
-            out[d] = rx, p, self.w[c].take(p, axis=1), taus
+            at = np.minimum(rho[p] - 1, greater.shape[1] - 1)
+            # Each row's ranks never decrease along p, nor does their minimum,
+            # so the columns with a rank below bound in some row come first.
+            width = np.count_nonzero(greater.min(axis=0)[at] < self.bound)
+            p, at = p[:width], at[:width]
+            rx = greater.take(at, axis=1)
+            out[d] = rx, excl.take(p, axis=1), self.w[c].take(p, axis=1)
         return out
 
 
-def _weighted_values(rx, ypos, w, taus, ks):
-    """(replicates, grid) values in one direction from its kernel arguments."""
-    kf = ks.astype(np.float64)
-    return (3.0 * _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)) / kf**3
+def _weighted_values(rx, ry, w, out, ks):
+    """Write the (replicates, grid) values in one direction into out."""
+    _kernels.weighted_eta_grid_sums(rx, ry, w, out, ks)
+    out *= 3.0
+    out /= ks.astype(np.float64) ** 3
 
 
 def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
@@ -383,8 +390,9 @@ def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     W = w[None, :]
     batch = _Batch(ranks, 1, float(k))
     batch.add(W, W.mean(axis=1))
-    args = batch.inputs(ranks, ks)[direction]
-    return float(_weighted_values(*args, ks)[0, 0])
+    out = np.empty((1, 1))
+    _weighted_values(*batch.inputs(ranks)[direction], out, ks)
+    return float(out[0, 0])
 
 
 def bootstrap_delta(sample, k, weights) -> float:
@@ -479,13 +487,13 @@ def _replicate_matrices(ranks, n, ks, B, seed):
                     del W
                 if b0 + _AHEAD * R < B:
                     queued.append(submit(b0 + _AHEAD * R))
-            inputs = batch.inputs(ranks, ks)
+            inputs = batch.inputs(ranks)
             # The kernel's blocks get the memory of the batch's prefixes, of
             # its last stack's own buffer and, once a direction is evaluated,
             # of its arguments.
             del batch, W
             for d in ranks:
-                out[d][c0:c1] = _weighted_values(*inputs.pop(d), ks)
+                _weighted_values(*inputs.pop(d), out[d][c0:c1], ks)
     finally:
         if ahead:
             # On an error, drop the draws not yet started and wait for the rest.

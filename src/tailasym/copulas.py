@@ -6,10 +6,9 @@ Khoudraji's device (KhoudrajiGumbelCopula), and a max-factor model
 (MaxFactorCopula).  Each exposes its CDF, its tail copula, an exact sampler,
 and population values of the directional tail coefficients -- in closed form
 where one exists, otherwise by adaptive quadrature of the squared tail-copula
-slice.  The quadrature is QUADPACK's QAGS, ported to Python in _quadpack: on
-a slice without kinks it returns bit for bit what scipy.integrate.quad
-returns with the same tolerances; a slice with kinks is split at them and
-each piece integrated on its own.
+slice.  The quadrature is QUADPACK's QAGS, ported to Python in _quadpack: it
+returns bit for bit what scipy.integrate.quad returns with the same
+tolerances.
 """
 
 import math
@@ -25,7 +24,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .estimators import Direction, _coerce_direction
+from .estimators import Direction
 from .ranks import PairedSample, make_sample
 
 __all__ = [
@@ -108,12 +107,6 @@ class NelsenCopula(_Family):
         out = np.minimum(self.theta * xa, ya)
         return _scalar_like(out, x, y)
 
-    def slice_kinks(self, direction):
-        direction = _coerce_direction(direction)
-        if direction is Direction.Y_GIVEN_X and 0.0 < self.theta < 1.0:
-            return (self.theta,)
-        return ()
-
     def population_etas(self):
         t = self.theta
         return t * t, 3.0 * t * t - 2.0 * t**3
@@ -180,10 +173,6 @@ class KhoudrajiGumbelCopula(_Family):
         out = np.where(np.isinf(np.maximum(a, b)), np.minimum(a, b), core)
         return _scalar_like(out, x, y)
 
-    def slice_kinks(self, direction):
-        _coerce_direction(direction)
-        return ()
-
     def population_etas(self):
         return None
 
@@ -229,12 +218,6 @@ class MaxFactorCopula(_Family):
         xa, ya = _check_tail_args(x, y)
         out = np.minimum(xa, ya / self.m)
         return _scalar_like(out, x, y)
-
-    def slice_kinks(self, direction):
-        direction = _coerce_direction(direction)
-        if direction is Direction.X_GIVEN_Y:
-            return (1.0 / self.m,)
-        return ()
 
     def population_etas(self):
         m = float(self.m)
@@ -313,12 +296,11 @@ class PopulationValues:
 def _eta_by_quadrature(model, direction, tol):
     """3 times the integral over [0, 1] of the squared tail-copula slice.
 
-    A slice without kinks is integrated by QAGS with epsabs tol/3, epsrel
-    1e-12 and at most 200 subintervals: bit for bit what
+    The slice is integrated by QAGS with epsabs tol/3, epsrel 1e-12 and at
+    most 200 subintervals: bit for bit what
     scipy.integrate.quad(f, 0, 1, epsabs=tol/3, epsrel=1e-12, limit=200)
-    returns.  A slice with kinks is split at them, and each piece gets QAGS
-    with an equal share of tol/3.  An integration that reports an error, or
-    whose error estimate exceeds tol, raises QuadratureFailure.
+    returns.  An integration that reports an error, or whose error estimate
+    exceeds tol, raises QuadratureFailure.
     """
     # Imported on first use, so that import tailasym compiles none of it:
     # only the Khoudraji-Gumbel family integrates.
@@ -328,23 +310,16 @@ def _eta_by_quadrature(model, direction, tol):
         integrand = lambda u: float(model.tail_copula(u, 1.0)) ** 2  # noqa: E731
     else:
         integrand = lambda u: float(model.tail_copula(1.0, u)) ** 2  # noqa: E731
-    kinks = sorted(p for p in model.slice_kinks(direction) if 0.0 < p < 1.0)
-    edges = [0.0, *kinks, 1.0]
-    epsabs = tol / 3.0 / (len(edges) - 1)
-    value = abserr = 0.0
-    for a, b in zip(edges, edges[1:]):
-        piece = _quadpack.qags(integrand, a, b, epsabs, 1e-12, 200)
-        if piece.ier:
-            raise QuadratureFailure(
-                f"tail-coefficient integration failed: {_quadpack.MESSAGES[piece.ier]}"
-            )
-        value += piece.value
-        abserr += piece.abserr
-    if 3.0 * abserr > tol:
+    result = _quadpack.qags(integrand, 0.0, 1.0, tol / 3.0, 1e-12, 200)
+    if result.ier:
         raise QuadratureFailure(
-            f"integration error estimate {3.0 * abserr:.3e} exceeds tolerance {tol:.3e}"
+            f"tail-coefficient integration failed: {_quadpack.MESSAGES[result.ier]}"
         )
-    return 3.0 * value
+    if 3.0 * result.abserr > tol:
+        raise QuadratureFailure(
+            f"integration error estimate {3.0 * result.abserr:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return 3.0 * result.value
 
 
 def khoudraji_gumbel_delta_closed_form(alpha, beta):

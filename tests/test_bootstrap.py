@@ -373,27 +373,31 @@ def test_argument_validation():
 
 
 def _count_weighted_calls(monkeypatch):
-    """Record (rows, width, each row's tau(k_max)) of every weighted-kernel call.
+    """Record (rows, width, each row's count of conditioning ranks below k_max).
 
     Every row of a stack comes in one shared order of the conditioning
-    positions, passed as one row, and its weighted ranks never decrease along
-    it.  The engine's stacks here are tie-free, so they strictly increase up
-    to the rank past the weight prefix, which repeats the prefix total, at
-    least k_max.
+    positions, and its weighted ranks never decrease along it.  Every column
+    has a conditioning rank below k_max in some row, and the last one a rank
+    below k_max too.  The engine's stacks here are tie-free, so both kinds of
+    rank are distinct up to the ones past the weight prefix, which repeat the
+    prefix total, at least k_max.
     """
     calls = []
     real = _kernels.weighted_eta_grid_sums
 
-    def counted(rx_sorted, ypos_sorted, w_sorted, taus, ks):
-        tau_max = taus[:, -1]
+    def counted(rx_sorted, ry_sorted, w_sorted, out, ks):
         width = rx_sorted.shape[1]
-        assert np.array_equal(np.sort(ypos_sorted), np.arange(width))
-        assert np.all(np.isfinite(rx_sorted))
-        step = np.diff(rx_sorted, axis=1)
-        assert np.all(step >= 0.0)
-        assert np.all((step > 0.0) | (rx_sorted[:, :-1] >= ks[-1]))
-        calls.append((len(rx_sorted), width, tau_max.tolist()))
-        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+        assert out.shape == (len(rx_sorted), len(ks))
+        for ranks in (rx_sorted, np.sort(ry_sorted, axis=1)):
+            assert np.all(np.isfinite(ranks))
+            step = np.diff(ranks, axis=1)
+            assert np.all(step >= 0.0)
+            assert np.all((step > 0.0) | (ranks[:, :-1] >= ks[-1]))
+        assert np.all(ry_sorted.min(axis=0) < ks[-1])
+        assert width == 0 or rx_sorted[:, -1].min() < ks[-1]
+        below = np.count_nonzero(ry_sorted < ks[-1], axis=1)
+        calls.append((len(rx_sorted), width, below.tolist()))
+        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", counted)
     return calls
@@ -436,13 +440,11 @@ def full_sort_replicate(ranked, conditioning, wo, ks):
     wy = wo[y_order]
     excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
     order = np.lexsort((reverse[y_order], rx))
-    kf = ks.astype(np.float64)
-    taus = np.searchsorted(excl, kf, side="left").astype(np.int64)
     sums = _kernel(
-        rx[order][None, :], order.astype(np.int64), wy[order][None, :],
-        taus[None, :], ks,
+        rx[order][None, :], excl[order][None, :], wy[order][None, :],
+        np.empty((1, ks.size)), ks,
     )
-    return (3.0 * sums[0]) / kf**3
+    return (3.0 * sums[0]) / ks.astype(np.float64) ** 3
 
 
 def _batch_rows(n, kgrid, B):
@@ -471,10 +473,33 @@ def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     # stacks: 6 rows, then the last stack's 1
     assert _batch_rows(s.n, [5, 10, 20], B) == 6
     assert [rows for rows, _, _ in calls] == [6, 6, 1, 1]
-    # only the top of the conditioning order reaches the kernel: as many
-    # entries as the batch's largest tau(k_max)
-    for _, width, tau_max in calls:
-        assert width == max(tau_max) < s.n
+    # only the top of the conditioning order reaches the kernel: at most as
+    # many entries as the batch's largest count of conditioning ranks below
+    # k_max
+    for _, width, below in calls:
+        assert 0 < width <= max(below) < s.n
+
+
+def test_kernel_calls_pass_the_batch_rows_first_and_the_grid_last(monkeypatch):
+    # perfbench's tracer counts len(args[0]) and len(args[4]) of every call
+    rng = np.random.default_rng(64)
+    s = _random_sample(rng, 300)
+    monkeypatch.setattr(bt, "_STACK_ELEMS", 4 * s.n - 1)
+    calls = []
+    real = _kernels.weighted_eta_grid_sums
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
+    kgrid = [5, 10, 20]
+    bt.test_pair(s, kgrid, B=7, seed=1)
+    # batches of two stacks of 3 replicates, then the last stack's 1
+    assert [len(args[0]) for args, _ in calls] == [6, 6, 1, 1]
+    for args, kwargs in calls:
+        assert len(args) == 5 and kwargs == {}
+        assert args[4].tolist() == kgrid
 
 
 def test_single_tests_use_the_same_engine(monkeypatch):
@@ -488,7 +513,7 @@ def test_single_tests_use_the_same_engine(monkeypatch):
     bt.test_delta_zero(s, [6, 12], B=5, seed=2)
     assert [rows for rows, _, _ in calls] == [5, 5, 5]
     assert drawn == [1, 2, 3, 4, 5] * 2
-    assert all(width == max(tau_max) < s.n for _, width, tau_max in calls)
+    assert all(0 < width <= max(below) < s.n for _, width, below in calls)
 
 
 def test_pair_equals_the_three_single_tests():
@@ -631,10 +656,10 @@ def test_stacks_equal_the_full_sort_reference(monkeypatch):
     calls = _count_weighted_calls(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=7, seed=11)
     assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
-    # rows of one stack reach different tau(k_max), so the shorter rows carry
-    # finite ranks at positions past their own tau(k_max), which the kernel
-    # drops
-    assert any(len(set(tau_max)) > 1 for _, _, tau_max in calls)
+    # rows of one stack count different numbers of conditioning ranks below
+    # k_max, so the shorter rows carry finite ranks at positions past their
+    # own count, which the kernel drops
+    assert any(len(set(below)) > 1 for _, _, below in calls)
     calls.clear()
     _assert_engine_equals_full_sort(s, kgrid, B=1, seed=12)
     assert [rows for rows, _, _ in calls] == [1, 1]
@@ -699,13 +724,13 @@ def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_ref
     _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16)
     assert sorts == []
     # the engine's first call is the X_GIVEN_Y stack: both tied elements are
-    # kept at k = 12 and reach the kernel in reverse-rank order, so the
-    # conditioning positions 1 and 0
-    rx, ypos, _, taus, _ = calls[0]
+    # kept at k = 12 and reach the kernel in reverse-rank order, so their
+    # conditioning ranks read 1.0 (position 1) and 0.0 (position 0); the
+    # third column, position 2, reads 1.0 too, as element 10 weighs 1e-20
+    rx, ry, _, _, _ = calls[0]
     assert rx.shape[0] == 3
     assert np.all(rx[:, :3] == [10.0, 10.0, 11.0])
-    assert ypos[:2].tolist() == [1, 0]
-    assert np.all(taus[:, 0] > 2)
+    assert np.all(ry[:, :3] == [1.0, 0.0, 1.0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -781,11 +806,11 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     calls = []
     real = _kernels.weighted_eta_grid_sums
 
-    def recorded(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+    def recorded(rx_sorted, ry_sorted, w_sorted, out, ks):
         step = np.diff(rx_sorted, axis=1)
         tied = np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1]))
         calls.append((len(rx_sorted), tied))
-        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24)

@@ -288,14 +288,6 @@ def test_population_values_tolerance_validation_and_failure():
         population_values(KhoudrajiGumbelCopula(1.0, 0.5, 2.0), integration_tol=1e-30)
 
 
-def test_slice_kinks_reported():
-    assert NelsenCopula(0.4).slice_kinks(Direction.Y_GIVEN_X) == (0.4,)
-    assert NelsenCopula(0.4).slice_kinks(Direction.X_GIVEN_Y) == ()
-    assert MaxFactorCopula(4).slice_kinks(Direction.X_GIVEN_Y) == (0.25,)
-    assert MaxFactorCopula(4).slice_kinks(Direction.Y_GIVEN_X) == ()
-    assert KhoudrajiGumbelCopula(1.0, 0.5, 2.0).slice_kinks(Direction.X_GIVEN_Y) == ()
-
-
 # --- samplers ------------------------------------------------------------------
 
 

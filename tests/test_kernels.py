@@ -10,10 +10,10 @@ literal loop over k, ``per_k_weighted_sums`` below, gives: same terms, same
 running sums and the same ``np.dot`` call per k.  The runs the kernel cuts a
 grid into must cover each grid row once, within the block budget, and its
 width at each k must be the largest count of a row's ranks below k.  The
-columns a run's block spans must hold every entry kept in the run and pass
-some row's position test.  These tests are derandomized; CI runs them a
-second time with two BLAS threads, where ``np.dot`` splits every sum of
-more than 10,000 terms between the threads.
+columns a run's block spans must hold every entry kept in the run and be
+kept by some row at the run's last k.  These tests are
+derandomized; CI runs them a second time with two BLAS threads, where
+``np.dot`` splits every sum of more than 10,000 terms between the threads.
 """
 
 import numpy as np
@@ -66,13 +66,13 @@ def test_integer_kernel_exact_just_above_the_int64_bound():
 # --- weighted kernel -----------------------------------------------------------
 
 
-def per_k_weighted_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+def per_k_weighted_sums(rx_sorted, ry_sorted, w_sorted, ks):
     """The weighted kernel as a loop over k: one prefix, one mask, one dot each."""
     out = np.empty(len(ks), dtype=np.float64)
     for t, k in enumerate(ks):
         kf = float(k)
         hi = int(np.searchsorted(rx_sorted, kf, side="left"))
-        keep = ypos_sorted[:hi] < taus[t]
+        keep = ry_sorted[:hi] < kf
         rx = rx_sorted[:hi][keep]
         w = w_sorted[:hi][keep]
         cw = np.cumsum(w)
@@ -80,15 +80,17 @@ def per_k_weighted_sums(rx_sorted, ypos_sorted, w_sorted, taus, ks):
     return out
 
 
-def _weighted_inputs(size, finite, m, seed, halves=False, rows=1):
-    """Kernel arguments: a stack of rows replicates of size elements each.
+def _weighted_inputs(size, finite, m, seed, halves=False, rows=1, cut=1):
+    """The kernel's arguments but out: rows replicates of size elements each.
 
     The grid is m strictly increasing tail sizes from 1 to size + 2.  Each
     row's ranks are sorted, below k_max + 1 for its first few elements (finite
     of them in row 0, a random count in later rows) and +inf, a rank no k
-    keeps, past them; its cutoffs are nondecreasing in 0..size, and with
-    halves the ranks are multiples of 0.5, so that some equal a k.  Every
-    row shares one row of positions, a permutation of 0..size-1.
+    keeps, past them; with halves they are multiples of 0.5, so that some
+    equal a k.  The conditioning ranks come as in the engine, from each
+    element's position in the conditioning order, a permutation of
+    0..size-1 that every row shares, and each row's counts of positions
+    that pass, nondecreasing in 0..size along the grid (divided by cut).
     """
     rng = np.random.default_rng(seed)
     ks = np.sort(rng.choice(np.arange(1, size + 3), min(m, size + 2), replace=False))
@@ -100,29 +102,43 @@ def _weighted_inputs(size, finite, m, seed, halves=False, rows=1):
         rx = np.sort(rx)
         rx[finite if r == 0 else rng.integers(0, size + 1) :] = np.inf
         w = rng.exponential(size=size)
-        taus = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
-        stack.append((rx, w, taus))
-    rx, w, taus = (np.array(a) for a in zip(*stack))
+        counts = np.sort(rng.integers(0, size + 1, ks.size)).astype(np.int64)
+        stack.append((rx, w, counts))
+    rx, w, counts = (np.array(a) for a in zip(*stack))
     ypos = rng.permutation(size).astype(np.int64)
-    return rx, ypos, w, taus, ks.astype(np.int64)
+    ry = _conditioning_ranks(ypos, counts // cut, ks, halves)
+    return rx, ry, w, ks.astype(np.int64)
 
 
-def _one_row(rx, ypos, w, taus, ks):
-    return rx[None, :], ypos, w[None, :], taus[None, :], ks
+def _conditioning_ranks(ypos, counts, ks, whole=False):
+    """Conditioning ranks that put position ypos[j] among the first counts[r, t] at ks[t].
+
+    ry[r, j] lies in (ks[t - 1], ks[t]) for the first t at which ypos[j] <
+    counts[r, t], or, with whole, equals ks[t] - 1, which may equal ks[t - 1];
+    it is +inf if there is no such t.  counts[r] is nondecreasing.
+    """
+    top = np.append(ks - (1.0 if whole else 0.5), np.inf)
+    return np.array([top[np.searchsorted(row, ypos, side="right")] for row in counts])
+
+
+def _one_row(rx, ry, w, ks):
+    return rx[None, :], ry[None, :], w[None, :], ks
 
 
 def _check_weighted(args, block):
     """The kernel on a stack equals the per-k loop on each row, bit for bit."""
+    rx, ry, w, ks = args
+    out = np.full((len(rx), len(ks)), np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK", block)
-        got = _kernels.weighted_eta_grid_sums(*args)
-    rx, ypos, w, taus, ks = args
-    assert got.dtype == np.float64 and got.shape == taus.shape
+        got = _kernels.weighted_eta_grid_sums(rx, ry, w, out, ks)
+    assert got is out
+    kf = ks.astype(np.float64)
     for r in range(len(rx)):
-        want = per_k_weighted_sums(rx[r], ypos, w[r], taus[r], ks)
+        want = per_k_weighted_sums(rx[r], ry[r], w[r], ks)
         assert np.array_equal(got[r], want)
-        # nothing kept at k: no cutoff, or no rank below k
-        empty = (taus[r] == 0) | (np.searchsorted(rx[r], ks.astype(np.float64)) == 0)
+        # nothing kept at k: no entry with both ranks below k
+        empty = ~((rx[r] < kf[:, None]) & (ry[r] < kf[:, None])).any(axis=1)
         assert np.all(got[r][empty] == 0.0)
     return got
 
@@ -194,7 +210,7 @@ def test_widest_is_the_largest_count_of_a_rows_ranks_below_k(
 ):
     # +inf tails, ranks equal to a k (halves) and rows with no rank below
     # the low k's (shift) or none at all (size 0, or finite 0 in one row)
-    rx, ypos, w, taus, ks = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
+    rx, ry, w, ks = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
     rx = rx + shift
     seen = []
     real = _kernels._runs
@@ -205,7 +221,7 @@ def test_widest_is_the_largest_count_of_a_rows_ranks_below_k(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_runs", recorded)
-        _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)
+        _kernels.weighted_eta_grid_sums(rx, ry, w, np.empty((rows, ks.size)), ks)
     kf = ks.astype(np.float64)
     want = np.max([np.searchsorted(row, kf, "left") for row in rx], axis=0)
     assert len(seen) == 1 and np.array_equal(seen[0], want)
@@ -220,8 +236,8 @@ def _record_columns(monkeypatch):
         seen.append((widest.copy(), list(real_runs(R, widest)), []))
         return seen[-1][1]
 
-    def columns(ymin, tmax, width):
-        cols = real_columns(ymin, tmax, width)
+    def columns(larger_min, k, width):
+        cols = real_columns(larger_min, k, width)
         seen[-1][2].append(cols.copy())
         return cols
 
@@ -234,12 +250,12 @@ def _record_columns(monkeypatch):
 def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_bit(
     monkeypatch, block
 ):
-    # cutoffs of at most a quarter of the row: most columns are masked in
-    # every row at every tail size, and the blocks leave them out
-    rx, ypos, w, taus, ks = _weighted_inputs(400, 300, 25, seed=5, rows=6)
-    taus = taus // 4
+    # conditioning ranks below k for at most a quarter of the row: most
+    # columns are masked in every row at every tail size, and the blocks
+    # leave them out
+    args = _weighted_inputs(400, 300, 25, seed=5, rows=6, cut=4)
     seen = _record_columns(monkeypatch)
-    _check_weighted((rx, ypos, w, taus, ks), block)
+    _check_weighted(args, block)
     ((widest, runs, cols),) = seen
     assert len(runs) == len(cols) > (1 if block == 40 else 0)
     spanned = sum(c.size for c in cols)
@@ -261,13 +277,13 @@ def test_shared_position_row_with_unkeepable_columns_is_the_per_k_loop_bit_for_b
 def test_columns_hold_every_kept_entry_and_only_keepable_ones(
     size, finite, m, seed, rows, cut, block
 ):
-    # cut shrinks the cutoffs, so that more columns are past every one
-    rx, ypos, w, taus, ks = _weighted_inputs(size, min(finite, size), m, seed, rows=rows)
-    taus = taus // cut
+    # cut raises the conditioning ranks, so that more columns keep none
+    # below any k
+    rx, ry, w, ks = _weighted_inputs(size, min(finite, size), m, seed, rows=rows, cut=cut)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK", block)
         seen = _record_columns(mp)
-        _kernels.weighted_eta_grid_sums(rx, ypos, w, taus, ks)
+        _kernels.weighted_eta_grid_sums(rx, ry, w, np.empty((rows, ks.size)), ks)
     ((widest, runs, columns),) = seen
     assert len(columns) == len(runs)
     kf = ks.astype(np.float64)
@@ -278,22 +294,23 @@ def test_columns_hold_every_kept_entry_and_only_keepable_ones(
         # every entry any row keeps at any grid row of the run
         for t in range(t0, t1):
             for r in range(rows):
-                kept = np.flatnonzero((rx[r] < kf[t]) & (ypos < taus[r, t]))
+                kept = np.flatnonzero((rx[r] < kf[t]) & (ry[r] < kf[t]))
                 assert np.isin(kept, cols).all()
-        # each column passes some row's position test at the run's last grid row
-        assert np.all(ypos[cols] < taus[:, t1 - 1].max())
+        # each column is kept by some row at the run's last grid row
+        k = kf[t1 - 1]
+        assert np.all(((rx[:, cols] < k) & (ry[:, cols] < k)).any(axis=0))
 
 
 def test_weighted_kernel_rows_with_nothing_kept_are_zero():
     rx = np.array([0.5, 1.5, 2.5, np.inf])
-    ypos = np.array([3, 0, 1, 2], dtype=np.int64)
+    ry = np.array([3.5, 2.0, 2.5, 0.5])
     w = np.array([1.0, 0.75, 1.25, 2.0])
     ks = np.array([1, 2, 3, 4], dtype=np.int64)
-    # k = 1: only ypos 3 ranks below 1, and tau = 3 excludes it; k = 2: tau = 0
-    taus = np.array([3, 0, 2, 4], dtype=np.int64)
-    (got,) = _check_weighted(_one_row(rx, ypos, w, taus, ks), 2)
+    # k = 1: only the first entry ranks below 1, and its conditioning rank
+    # 3.5 excludes it; k = 2: the second's conditioning rank equals 2
+    (got,) = _check_weighted(_one_row(rx, ry, w, ks), 2)
     assert got[0] == 0.0 and got[1] == 0.0 and got[2] > 0.0
-    no_rank = _check_weighted(_one_row(rx + 5.0, ypos, w, taus, ks), _kernels._BLOCK)
+    no_rank = _check_weighted(_one_row(rx + 5.0, ry, w, ks), _kernels._BLOCK)
     assert np.all(no_rank == 0.0)
 
 
@@ -307,9 +324,10 @@ def test_weighted_kernel_matches_past_the_threaded_dot_length():
     ypos = rng.permutation(size).astype(np.int64)
     w = rng.exponential(size=size)
     ks = np.array([100, 9_000, 15_000, 20_000, 25_000], dtype=np.int64)
-    taus = np.array([150, 12_000, 20_000, 28_000, 30_000], dtype=np.int64)
-    hi = np.searchsorted(rx, ks.astype(np.float64))
-    kept = [int(np.count_nonzero(ypos[:h] < tau)) for h, tau in zip(hi, taus)]
-    assert max(kept) > 10_000
+    counts = np.array([[150, 12_000, 20_000, 28_000, 30_000]], dtype=np.int64)
+    (ry,) = _conditioning_ranks(ypos, counts, ks)
+    kf = ks.astype(np.float64)
+    kept = np.count_nonzero((rx < kf[:, None]) & (ry < kf[:, None]), axis=1)
+    assert kept.max() > 10_000
     for block in (1, 3 * 25_000, _kernels._BLOCK):
-        _check_weighted(_one_row(rx, ypos, w, taus, ks), block)
+        _check_weighted(_one_row(rx, ry, w, ks), block)

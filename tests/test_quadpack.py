@@ -103,6 +103,39 @@ def test_limit_one_reports_the_first_rule_as_not_converged():
     assert got.value == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
+def _nan_near(c, width, f):
+    return lambda x: math.nan if abs(x - c) < width else f(x)
+
+
+# Integrands on which a rarely deciding threshold or comparison decides the
+# outcome, so that changing it changes the result.  The last three return NaN
+# near a point, which turns the sums NaN; there the Fortran's comparisons,
+# such as not (a > b or c < d), and their negations part ways.
+_BRANCHES = {
+    "roundoff-factor-0.99": (lambda x: 1e9 + 1e-3 / math.sqrt(x), 1e-14, 0.0, 50),
+    "wynn-1e-4-and-divergence-ratio-100": (lambda x: x**-0.9999, 1e-10, 1e-12, 50),
+    "dqpsrt-tie-and-nan-epsinf": (lambda x: 1e-306 / math.sqrt(x), 5e-324, 0.0, 50),
+    "nan-roundoff-test": (_nan_near(0.0, 1e-7, lambda x: x**-0.5), 5e-324, 0.0, 50),
+    "nan-wynn-convergence-and-acceptance": (
+        _nan_near(0.5, 1e-4, lambda x: abs(x - 0.5)), 1e-300, 0.0, 50,
+    ),
+    "nan-larger-interval-test": (
+        _nan_near(0.5, 1e-13, lambda x: 1.0 / math.sqrt(abs(x - 0.5))), 1e-10, 0.0, 200,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BRANCHES))
+def test_rarely_deciding_branches_equal_scipy_quad(name):
+    f, epsabs, epsrel, limit = _BRANCHES[name]
+    got = _quadpack.qags(f, 0.0, 1.0, epsabs, epsrel, limit)
+    want = _scipy_qags(f, 0.0, 1.0, epsabs, epsrel, limit)
+    # a NaN value or error estimate must be NaN on both sides
+    assert [v if v == v else "nan" for v in got] == [
+        v if v == v else "nan" for v in want
+    ]
+
+
 def test_invalid_tolerances_return_code_6_without_evaluating():
     # quad raises ValueError here instead of calling dqagse
     calls = []
