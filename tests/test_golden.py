@@ -45,6 +45,18 @@ RUNS = {
         "analyze", "ties_n1000.csv", *_COLS, "--B", "50", "--seed", "9",
         "--tail", "lower", "--tie-policy", "jitter",
     ],
+    "population_kg_1_05_2.json": [
+        "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2",
+    ],
+    "population_kg_03_08_14.json": [
+        "population", "--model", "kgumbel:alpha=0.3,beta=0.8,delta=1.4",
+    ],
+    "population_kg_1_05_14_tol1e-10.json": [
+        "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=1.4", "--tol", "1e-10",
+    ],
+    "population_kg_05_09_20_tol1e-10.json": [
+        "population", "--model", "kgumbel:alpha=0.5,beta=0.9,delta=20", "--tol", "1e-10",
+    ],
 }
 
 
