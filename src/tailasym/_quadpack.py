@@ -1,28 +1,24 @@
-"""QUADPACK's QAGS, ported to Python floats.
+"""Globally adaptive 21-point Gauss-Kronrod quadrature on a finite interval.
 
-qags is dqagse (R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
-D. K. Kahaner, QUADPACK, Springer 1983) with its helpers dqk21, dqpsrt and
-dqelg: the globally adaptive 21-point Gauss-Kronrod integrator with Wynn's
-epsilon extrapolation that scipy.integrate.quad runs on a finite interval
-without weight or break points.  Every operation is a scalar float operation
-in QUADPACK's own order, so the value, error estimate, evaluation count,
-subinterval count and error code equal scipy's bit for bit; a test pins
-them.  Vectorising the nodes or regrouping a sum would change the bits.
-
-Two places differ from the Fortran where Python and C arithmetic differ:
-a float power that overflows raises in Python, so dqk21's power is guarded,
-and a division by zero raises, so the divergence test's result/area is
-taken with C's infinite or NaN quotient.  The arrays are indexed from 1, as
-in the Fortran, with slot 0 unused.
+integrate is the bisection loop of QUADPACK's dqagse (R. Piessens, E. de
+Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner, QUADPACK, Springer
+1983) without its Wynn epsilon extrapolation, which serves integrands with
+end-point singularities; the squared tail-copula slices integrated here are
+bounded and continuous.  _dqk21 is QUADPACK's dqk21: every operation is a
+scalar float operation in QUADPACK's own order, so wherever
+scipy.integrate.quad with epsrel=0 converges within two subintervals, it
+returns the same value, error estimate and subinterval count, bit for bit;
+a test pins them.  Vectorising the nodes or regrouping a sum would change
+the bits.  A float power that overflows raises in Python where C's pow
+gives inf, so dqk21's power is guarded.  The node and weight tables are
+indexed from 1, as in the Fortran, with slot 0 unused.
 """
 
 import math
 import sys
-from typing import NamedTuple
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
-_OFLOW = sys.float_info.max
 
 # dqk21's abscissae of the 21-point Kronrod rule (xgk, the even entries are
 # the 10-point Gauss nodes), and the weights of both rules.
@@ -62,27 +58,6 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-
-#: What each nonzero error code of qags means.
-MESSAGES = {
-    1: "the maximum number of subintervals was reached",
-    2: "roundoff error prevents the requested tolerance",
-    3: "the integrand behaves badly inside the interval",
-    4: "the extrapolation does not converge",
-    5: "the integral is probably divergent or slowly convergent",
-    6: "the tolerances are invalid",
-}
-
-
-class QagsResult(NamedTuple):
-    """dqagse's outputs: result, abserr, neval, last and ier (0 if it converged)."""
-
-    value: float
-    abserr: float
-    neval: int
-    last: int
-    ier: int
-
 
 def _pow15(x):
     # C's pow gives inf where Python's ** raises.
@@ -139,349 +114,42 @@ def _dqk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """Keep iord descending in elist; return (maxerr, errmax, nrmax)."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        ibeg = nrmax + 1
-        # Insert errmax top-down, then errmin bottom-up.
-        for i in range(ibeg, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+def integrate(f, a, b, epsabs, limit):
+    """Integrate f over the finite [a, b] to the absolute tolerance epsabs.
 
-
-def _dqelg(n, epstab, res3la, nres):
-    """One step of Wynn's epsilon algorithm; return (n, result, abserr, nres)."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = n
-        k1 = n
-        converged = False
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to machine accuracy.
-                result = res
-                abserr = err2 + err3
-                converged = True
-                break
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 -= 2
-            error = err2 + abs(res - e2) + err3
-            if error > abserr:
-                continue
-            abserr = error
-            result = res
-        if not converged:
-            # Shift the table.
-            if n == limexp:
-                n = 2 * (limexp // 2) - 1
-            ib = 2 if num % 2 == 0 else 1
-            for _ in range(newelm + 1):
-                ib2 = ib + 2
-                epstab[ib] = epstab[ib2]
-                ib = ib2
-            if num != n:
-                indx = num - n + 1
-                for i in range(1, n + 1):
-                    epstab[i] = epstab[indx]
-                    indx += 1
-            if nres < 4:
-                res3la[nres] = result
-                abserr = _OFLOW
-            else:
-                abserr = (
-                    abs(result - res3la[3])
-                    + abs(result - res3la[2])
-                    + abs(result - res3la[1])
-                )
-                res3la[1] = res3la[2]
-                res3la[2] = res3la[3]
-                res3la[3] = result
-    abserr = max(abserr, 5.0 * _EPMACH * abs(result))
-    return n, result, abserr, nres
-
-
-def _quotient(x, y):
-    # x / y with C's infinite or NaN quotient for y == 0.
-    if y != 0.0:
-        return x / y
-    if x == 0.0 or x != x:
-        return math.nan
-    return math.copysign(math.inf, x) * math.copysign(1.0, y)
-
-
-def qags(f, a, b, epsabs, epsrel, limit):
-    """Integrate f over the finite [a, b] to max(epsabs, epsrel*|I|): dqagse.
-
-    f maps a float to a float.  Returns a QagsResult; an ier other than 0
-    names, through MESSAGES, why the tolerance was not reached.
+    f maps a float to a float.  Starting from one 21-point rule on [a, b],
+    bisect the subinterval with the largest error estimate; the half with
+    the larger estimate keeps its slot and the other is appended, as in
+    dqagse.  Stop once the estimates sum to at most epsabs, or once
+    50 eps |area| exceeds epsabs: dqk21 floors each estimate at 50 eps
+    times the integral of |f| over its subinterval, so no bisection brings
+    the sum down to epsabs.  Returns (value, abserr, last, converged): the
+    areas summed in slot order, the summed estimates, the number of
+    subintervals, and False only if all limit subintervals are in use and
+    abserr still exceeds epsabs.
     """
-    ier = 0
-    last = 0
-    result = 0.0
-    abserr = 0.0
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    alist[1] = a
-    blist[1] = b
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return QagsResult(result, abserr, 0, last, 6)
-
-    # First approximation to the integral.
-    ierro = 0
-    result, abserr, defabs, resabs = _dqk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return QagsResult(result, abserr, 42 * last - 21, last, ier)
-
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = -1
-    if dres >= (1.0 - 50.0 * _EPMACH) * defabs:
-        ksgn = 1
-
-    summed = False  # leave the loop for the plain sum of the subintervals
-    for last in range(2, limit + 1):
-        # Bisect the subinterval with the nrmax-th largest error estimate.
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, resabs, defab1 = _dqk21(f, a1, b1)
-        area2, error2, resabs, defab2 = _dqk21(f, a2, b2)
-
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (
-                abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                or erro12 < 0.99 * errmax
-            ):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-
-        # Append the two new subintervals, the larger error at maxerr.
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
-
-        if errsum <= errbnd:
-            summed = True
-            break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Go on bisecting unless the next interval is the smallest one.
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # The smallest interval has the largest error: before
-            # extrapolating, bisect the larger intervals (erlarg) first.
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-
-        # Extrapolate.
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        # Prepare bisection of the smallest interval.
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    # Choose between the extrapolated result and the plain sum.
-    if not summed:
-        summed = abserr == _OFLOW
-    if not summed and ier + ierro != 0:
-        if ierro == 3:
-            abserr = abserr + correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            summed = abserr / abs(result) > errsum / abs(area)
-        elif abserr > errsum:
-            summed = True
-        elif area == 0.0:
-            return _finish(result, abserr, last, ier)
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        return _finish(result, errsum, last, ier)
-    # Test on divergence.
-    if ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01:
-        return _finish(result, abserr, last, ier)
-    ratio = _quotient(result, area)
-    if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-        ier = 6
-    return _finish(result, abserr, last, ier)
-
-
-def _finish(result, abserr, last, ier):
-    if ier > 2:
-        ier -= 1
-    return QagsResult(result, abserr, 42 * last - 21, last, ier)
+    area, errsum, _, resasc = _dqk21(f, a, b)
+    parts = [(a, b, area, errsum)]  # (lower end, upper end, area, error)
+    # As in dqagse, a first estimate that equals resasc is not trusted.
+    untrusted = errsum == resasc != 0.0
+    while (
+        (errsum > epsabs or untrusted)
+        and len(parts) < limit
+        and 50.0 * _EPMACH * abs(area) <= epsabs
+    ):
+        untrusted = False
+        i = max(range(len(parts)), key=lambda j: parts[j][3])
+        lo, hi, area_i, error_i = parts[i]
+        mid = 0.5 * (lo + hi)
+        left = (lo, mid, *_dqk21(f, lo, mid)[:2])
+        right = (mid, hi, *_dqk21(f, mid, hi)[:2])
+        errsum = errsum + (left[3] + right[3]) - error_i
+        area = area + (left[2] + right[2]) - area_i
+        if right[3] > left[3]:
+            left, right = right, left
+        parts[i] = left
+        parts.append(right)
+    value = 0.0
+    for part in parts:
+        value = value + part[2]
+    return value, errsum, len(parts), len(parts) < limit or errsum <= epsabs

@@ -6,9 +6,10 @@ Khoudraji's device (KhoudrajiGumbelCopula), and a max-factor model
 (MaxFactorCopula).  Each exposes its CDF, its tail copula, an exact sampler,
 and population values of the directional tail coefficients -- in closed form
 where one exists, otherwise by adaptive quadrature of the squared tail-copula
-slice.  The quadrature is QUADPACK's QAGS, ported to Python in _quadpack: it
-returns bit for bit what scipy.integrate.quad returns with the same
-tolerances.
+slice.  The quadrature, in _quadpack, bisects with QUADPACK's 21-point
+Gauss-Kronrod rule (dqagse without its extrapolation): wherever
+scipy.integrate.quad with epsrel=0 converges within two subintervals it
+returns the same bits.
 """
 
 import math
@@ -296,11 +297,11 @@ class PopulationValues:
 def _eta_by_quadrature(model, direction, tol):
     """3 times the integral over [0, 1] of the squared tail-copula slice.
 
-    The slice is integrated by QAGS with epsabs tol/3, epsrel 1e-12 and at
-    most 200 subintervals: bit for bit what
-    scipy.integrate.quad(f, 0, 1, epsabs=tol/3, epsrel=1e-12, limit=200)
-    returns.  An integration that reports an error, or whose error estimate
-    exceeds tol, raises QuadratureFailure.
+    The slice is integrated by _quadpack.integrate to the absolute
+    tolerance tol/3 with at most 200 subintervals.  An integration that
+    uses them all without converging, or whose error estimate exceeds tol,
+    raises QuadratureFailure; the estimate cannot fall below the rule's
+    roundoff floor, about 1.1e-14 times the returned value.
     """
     # Imported on first use, so that import tailasym compiles none of it:
     # only the Khoudraji-Gumbel family integrates.
@@ -310,16 +311,17 @@ def _eta_by_quadrature(model, direction, tol):
         integrand = lambda u: float(model.tail_copula(u, 1.0)) ** 2  # noqa: E731
     else:
         integrand = lambda u: float(model.tail_copula(1.0, u)) ** 2  # noqa: E731
-    result = _quadpack.qags(integrand, 0.0, 1.0, tol / 3.0, 1e-12, 200)
-    if result.ier:
+    value, abserr, _, converged = _quadpack.integrate(integrand, 0.0, 1.0, tol / 3.0, 200)
+    if not converged:
         raise QuadratureFailure(
-            f"tail-coefficient integration failed: {_quadpack.MESSAGES[result.ier]}"
+            "tail-coefficient integration failed:"
+            " the maximum number of subintervals was reached"
         )
-    if 3.0 * result.abserr > tol:
+    if 3.0 * abserr > tol:
         raise QuadratureFailure(
-            f"integration error estimate {3.0 * result.abserr:.3e} exceeds tolerance {tol:.3e}"
+            f"integration error estimate {3.0 * abserr:.3e} exceeds tolerance {tol:.3e}"
         )
-    return 3.0 * result.value
+    return 3.0 * value
 
 
 def khoudraji_gumbel_delta_closed_form(alpha, beta):

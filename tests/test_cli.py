@@ -467,12 +467,15 @@ def test_population_quadrature_failure_exits_3(capsys):
 
 
 def test_population_exits_3_when_quadrature_reports_a_warning(capsys, monkeypatch):
-    # With one subinterval allowed, QAGS reports that it did not converge.
+    # With one subinterval allowed, the integration does not converge: the
+    # first 21-point rule misses the tolerance on the y|x slice here.
     from tailasym import _quadpack
 
-    qags = _quadpack.qags
-    monkeypatch.setattr(_quadpack, "qags", lambda *args: qags(*args[:-1], 1))
-    assert run_cli("population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2") == 3
+    integrate = _quadpack.integrate
+    monkeypatch.setattr(
+        _quadpack, "integrate", lambda *args: integrate(*args[:-1], 1)
+    )
+    assert run_cli("population", "--model", "kgumbel:alpha=0.3,beta=0.8,delta=1.4") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
