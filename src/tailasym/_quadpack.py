@@ -6,9 +6,9 @@ Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner, QUADPACK, Springer
 end-point singularities; the squared tail-copula slices integrated here are
 bounded and continuous.  _dqk21 is QUADPACK's dqk21: every operation is a
 scalar float operation in QUADPACK's own order, so wherever
-scipy.integrate.quad with epsrel=0 converges within two subintervals, it
-returns the same value, error estimate and subinterval count, bit for bit;
-a test pins them.  Vectorising the nodes or regrouping a sum would change
+scipy.integrate.quad with epsrel=0 converges within two subintervals,
+integrate returns the same value, error estimate and subinterval count,
+bit for bit; a test pins them.  Vectorising the nodes or regrouping a sum would change
 the bits.  A float power that overflows raises in Python where C's pow
 gives inf, so dqk21's power is guarded.  The node and weight tables are
 indexed from 1, as in the Fortran, with slot 0 unused.
