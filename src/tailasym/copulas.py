@@ -6,10 +6,13 @@ Khoudraji's device (KhoudrajiGumbelCopula), and a max-factor model
 (MaxFactorCopula).  Each exposes its CDF, its tail copula, an exact sampler,
 and population values of the directional tail coefficients -- in closed form
 where one exists, otherwise by adaptive quadrature of the squared tail-copula
-slice.  The quadrature, in _quadpack, bisects with QUADPACK's 21-point
-Gauss-Kronrod rule (dqagse without its extrapolation): wherever
-scipy.integrate.quad with epsrel=0 converges within two subintervals it
-returns the same bits.
+slice.  A family states only its formulas, _cdf and _tail; their shared base
+_Family checks the arguments once and returns a float for scalar ones.  The
+independence copula (Khoudraji-Gumbel delta = 1) has a tail copula of exactly
+0, so its population values are exactly 0.  The quadrature, in _quadpack,
+bisects with QUADPACK's 21-point Gauss-Kronrod rule (dqagse without its
+extrapolation): wherever scipy.integrate.quad with epsrel=0 converges within
+two subintervals it returns the same bits.
 """
 
 import math
@@ -63,14 +66,31 @@ def _scalar_like(out, *inputs):
 
 
 class _Family:
-    """What the three model families share: describe().
+    """What the three model families share: cdf, tail_copula and describe().
 
     Each family is a frozen dataclass whose fields are its parameters and
     whose class attribute family names it in a model string; both
     parse_model_spec and describe() read them from there.  parse_model_spec
     converts each value with its field's annotation, so this module must not
     postpone the evaluation of annotations.
+
+    A family states only its formulas: _cdf(u, v) on arguments in the unit
+    square, and _tail(x, y) on nonnegative ones, not both infinite; _tail
+    also takes Python floats.  cdf and tail_copula check the arguments,
+    call them, and return a float when every argument is a scalar.  An
+    empty upper tail (Nelsen theta = 0, Khoudraji-Gumbel delta = 1) is
+    exactly 0 in the arguments' broadcast shape.
     """
+
+    def cdf(self, u, v):
+        """C(u, v) at scalars or broadcastable arrays in [0, 1]."""
+        ua, va = _check_unit_args(u, v)
+        return _scalar_like(self._cdf(ua, va), u, v)
+
+    def tail_copula(self, x, y):
+        """Upper tail copula Lambda(x, y) at nonnegative arguments."""
+        xa, ya = _check_tail_args(x, y)
+        return _scalar_like(self._tail(xa, ya), x, y)
 
     def describe(self):
         """The family name, then each parameter by name, in field order."""
@@ -94,19 +114,14 @@ class NelsenCopula(_Family):
     def __post_init__(self):
         object.__setattr__(self, "theta", check_real(self.theta, "theta", "[0, 1]"))
 
-    def cdf(self, u, v):
-        ua, va = _check_unit_args(u, v)
-        pos = np.maximum(ua + va - 1.0, 0.0)
-        out = np.minimum(ua, self.theta * va + (1.0 - self.theta) * pos)
-        return _scalar_like(out, u, v)
+    def _cdf(self, u, v):
+        pos = np.maximum(u + v - 1.0, 0.0)
+        return np.minimum(u, self.theta * v + (1.0 - self.theta) * pos)
 
-    def tail_copula(self, x, y):
-        xa, ya = _check_tail_args(x, y)
+    def _tail(self, x, y):
         if self.theta == 0.0:
-            out = np.zeros(np.broadcast_shapes(xa.shape, ya.shape))
-            return _scalar_like(out, x, y)
-        out = np.minimum(self.theta * xa, ya)
-        return _scalar_like(out, x, y)
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return np.minimum(self.theta * x, y)
 
     def population_etas(self):
         t = self.theta
@@ -131,7 +146,7 @@ class KhoudrajiGumbelCopula(_Family):
     copula of parameter delta >= 1.  The tail copula is
     alpha*x + beta*y - ((alpha*x)^delta + (beta*y)^delta)^(1/delta);
     alpha != beta makes the two directional tail coefficients differ.
-    delta = 1 gives the independence copula (empty upper tail).
+    delta = 1 gives the independence copula, whose tail copula is exactly 0.
     """
 
     family = "kgumbel"
@@ -153,26 +168,24 @@ class KhoudrajiGumbelCopula(_Family):
             r = np.where((m > 0) & np.isfinite(m), mn / m, 0.0)
         return m * (1.0 + r**self.delta) ** (1.0 / self.delta)
 
-    def cdf(self, u, v):
-        ua, va = _check_unit_args(u, v)
+    def _cdf(self, u, v):
         a, b = self.alpha, self.beta
         with np.errstate(divide="ignore"):
-            lu = -np.log(ua)
-            lv = -np.log(va)
+            lu = -np.log(u)
+            lv = -np.log(v)
         expo = self._gumbel_exponent(a * lu, b * lv)
         with np.errstate(invalid="ignore"):
-            out = ua ** (1.0 - a) * va ** (1.0 - b) * np.exp(-expo)
-        out = np.where((ua == 0.0) | (va == 0.0), 0.0, out)
-        return _scalar_like(out, u, v)
+            out = u ** (1.0 - a) * v ** (1.0 - b) * np.exp(-expo)
+        return np.where((u == 0.0) | (v == 0.0), 0.0, out)
 
-    def tail_copula(self, x, y):
-        xa, ya = _check_tail_args(x, y)
-        a = np.zeros_like(xa) if self.alpha == 0.0 else self.alpha * xa
-        b = np.zeros_like(ya) if self.beta == 0.0 else self.beta * ya
+    def _tail(self, x, y):
+        if self.delta == 1.0:
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        a = np.zeros_like(x) if self.alpha == 0.0 else self.alpha * x
+        b = np.zeros_like(y) if self.beta == 0.0 else self.beta * y
         core = a + b - self._gumbel_exponent(a, b)
         # One argument at infinity: the limit is the finite scaled coordinate.
-        out = np.where(np.isinf(np.maximum(a, b)), np.minimum(a, b), core)
-        return _scalar_like(out, x, y)
+        return np.where(np.isinf(np.maximum(a, b)), np.minimum(a, b), core)
 
     def population_etas(self):
         return None
@@ -210,15 +223,11 @@ class MaxFactorCopula(_Family):
     def __post_init__(self):
         object.__setattr__(self, "m", check_int(self.m, "m", 2))
 
-    def cdf(self, u, v):
-        ua, va = _check_unit_args(u, v)
-        out = np.minimum(ua, va ** (1.0 / self.m)) * va ** (1.0 - 1.0 / self.m)
-        return _scalar_like(out, u, v)
+    def _cdf(self, u, v):
+        return np.minimum(u, v ** (1.0 / self.m)) * v ** (1.0 - 1.0 / self.m)
 
-    def tail_copula(self, x, y):
-        xa, ya = _check_tail_args(x, y)
-        out = np.minimum(xa, ya / self.m)
-        return _scalar_like(out, x, y)
+    def _tail(self, x, y):
+        return np.minimum(x, y / self.m)
 
     def population_etas(self):
         m = float(self.m)
@@ -263,8 +272,7 @@ def copula_cdf(model, u, v):
 def survival_copula(model, u, v):
     """Joint upper-orthant copula: P(U > 1-u, V > 1-v) = u+v-1+C(1-u, 1-v)."""
     ua, va = _check_unit_args(u, v)
-    out = ua + va - 1.0 + np.asarray(model.cdf(1.0 - ua, 1.0 - va))
-    return _scalar_like(out, u, v)
+    return _scalar_like(ua + va - 1.0 + model._cdf(1.0 - ua, 1.0 - va), u, v)
 
 
 def tail_copula(model, x, y):
@@ -275,8 +283,7 @@ def tail_copula(model, x, y):
 def stable_tail_dependence(model, x, y):
     """Stable tail dependence function l(x, y) = x + y - Lambda(x, y)."""
     xa, ya = _check_tail_args(x, y)
-    out = xa + ya - np.asarray(model.tail_copula(xa, ya))
-    return _scalar_like(out, x, y)
+    return _scalar_like(xa + ya - model._tail(xa, ya), x, y)
 
 
 def tail_dependence_chi(model):
@@ -300,17 +307,18 @@ def _eta_by_quadrature(model, direction, tol):
     The slice is integrated by _quadpack.integrate to the absolute
     tolerance tol/3 with at most 200 subintervals.  An integration that
     uses them all without converging, or whose error estimate exceeds tol,
-    raises QuadratureFailure; the estimate cannot fall below the rule's
-    roundoff floor, about 1.1e-14 times the returned value.
+    raises QuadratureFailure.  The estimate cannot fall below the rule's
+    roundoff floor, 50 eps (about 1.1e-14) times the returned value; a
+    failure with tol below that floor says so and gives the floor.
     """
     # Imported on first use, so that import tailasym compiles none of it:
     # only the Khoudraji-Gumbel family integrates.
     from . import _quadpack
 
     if direction is Direction.X_GIVEN_Y:
-        integrand = lambda u: float(model.tail_copula(u, 1.0)) ** 2  # noqa: E731
+        integrand = lambda u: float(model._tail(u, 1.0)) ** 2  # noqa: E731
     else:
-        integrand = lambda u: float(model.tail_copula(1.0, u)) ** 2  # noqa: E731
+        integrand = lambda u: float(model._tail(1.0, u)) ** 2  # noqa: E731
     value, abserr, _, converged = _quadpack.integrate(integrand, 0.0, 1.0, tol / 3.0, 200)
     if not converged:
         raise QuadratureFailure(
@@ -318,6 +326,11 @@ def _eta_by_quadrature(model, direction, tol):
             " the maximum number of subintervals was reached"
         )
     if 3.0 * abserr > tol:
+        floor = 3.0 * 50.0 * _quadpack._EPMACH * abs(value)
+        if floor > tol:
+            raise QuadratureFailure(
+                f"tolerance {tol:.3e} lies below the roundoff floor {floor:.3e}"
+            )
         raise QuadratureFailure(
             f"integration error estimate {3.0 * abserr:.3e} exceeds tolerance {tol:.3e}"
         )

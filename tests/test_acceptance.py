@@ -213,10 +213,11 @@ def test_gate_08_null_calibration():
 def test_gate_09_bootstrap_degeneracy():
     """Equal multiplier weights nearly reproduce the plain estimate.
 
-    |weighted - plain| <= 6/k on 100 random samples, and rescaling the
-    weights changes nothing: bit for bit under power-of-two factors (which
-    rescale every intermediate exactly) and to 1e-12 relative under a
-    non-dyadic factor.  Budget: 5 s.
+    |weighted - plain| <= 6/k on 100 random samples (equal weights sum
+    over the top k concomitants, eta_kn over the top k - 1), and rescaling
+    the weights changes nothing: bit for bit under power-of-two factors
+    (which rescale every intermediate exactly) and to 1e-12 relative under
+    a non-dyadic factor.  Budget: 5 s.
     """
     t0 = time.monotonic()
     rng = np.random.default_rng(909)

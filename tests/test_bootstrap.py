@@ -83,6 +83,8 @@ def test_bootstrap_eta_matches_naive_definition():
 
 
 def test_bootstrap_eta_with_equal_weights_stays_within_six_over_k():
+    # The gap is the k-th concomitant's terms: equal weights sum over the
+    # top k concomitants, eta_kn over the top k - 1 (pinned below).
     rng = np.random.default_rng(8)
     for _ in range(100):
         n = int(rng.integers(20, 200))
@@ -93,6 +95,34 @@ def test_bootstrap_eta_with_equal_weights_stays_within_six_over_k():
             plain = eta_kn(s, k, d).value
             boot = bt.bootstrap_eta(s, k, w, d)
             assert abs(boot - plain) <= 6.0 / k
+
+
+def test_equal_weights_sum_over_the_top_k_and_eta_kn_over_the_top_k_minus_one():
+    # The kernel keeps conditioning ranks Q < k, so equal weights give the
+    # literal double sum over the top k concomitants; eta_kn keeps the first
+    # k - 1 (pos[:k] < k - 1).  Every sum is an integer below 2**53, so
+    # both paths are exact.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(500)
+    y = 0.6 * x + 0.8 * rng.standard_normal(500)
+    s = make_sample(x, y)
+    ones = np.ones(500)
+    got = {}
+    for d, (ranked, given) in zip(Direction, ((x, y), (y, x))):
+        # reverse ranks of the ranked series, by decreasing conditioning value
+        order = np.argsort(-given)
+        rho = np.array([1 + np.count_nonzero(ranked > ranked[i]) for i in order])
+
+        def literal(k, top):
+            larger = np.maximum.outer(rho[:top], rho[:top])
+            return 3 * int(np.maximum(k + 1 - larger, 0).sum()) / k**3
+
+        for k in (5, 10, 50, 100, 200):
+            got[d, k] = (bt.bootstrap_eta(s, k, ones, d), eta_kn(s, k, d).value)
+            assert got[d, k] == (literal(k, k), literal(k, k - 1))
+    xy = [got[Direction.X_GIVEN_Y, k] for k in (5, 10, 50, 100, 200)]
+    assert [boot == plain for boot, plain in xy] == [True, True, True, False, False]
+    assert [round(v, 6) for v in got[Direction.X_GIVEN_Y, 100]] == [0.258948, 0.251604]
 
 
 def test_bootstrap_eta_scale_invariance_of_weights():
@@ -909,7 +939,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
 
     def slow_draw(seed, b, out):
         if b == 1:
-            assert second.wait(timeout=60)
+            assert second.wait(timeout=10)
         time.sleep(around[b, 0])
         draw(seed, b, out)
         time.sleep(around[b, 1])

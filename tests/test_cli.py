@@ -459,11 +459,24 @@ def test_population_quadrature_output(capsys):
 
 
 def test_population_quadrature_failure_exits_3(capsys):
-    code = run_cli(
-        "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2", "--tol", "1e-30"
-    )
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+    # Below the roundoff floor, 50 eps eta, the message gives the floor.
+    for model, tol, floor in [
+        ("kgumbel:alpha=1,beta=0.5,delta=2", "1e-30", "2.626e-15"),
+        ("kgumbel:alpha=0.9,beta=1,delta=100", "1e-14", "1.078e-14"),
+    ]:
+        assert run_cli("population", "--model", model, "--tol", tol) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tolerance {float(tol):.3e} lies below the roundoff floor {floor}\n"
+        )
+
+
+def test_population_of_the_independence_copula_is_exactly_zero(capsys):
+    assert run_cli("population", "--model", "kgumbel:alpha=0.05,beta=0.3,delta=1") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "quadrature"
+    assert [doc[key] for key in ("eta_xy", "eta_yx", "delta", "chi")] == [0.0] * 4
 
 
 def test_population_exits_3_when_quadrature_reports_a_warning(capsys, monkeypatch):

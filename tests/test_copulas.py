@@ -130,11 +130,22 @@ def test_kgumbel_chi_value():
 
 
 def test_kgumbel_delta_one_has_empty_tail():
+    # The independence copula: exact zeros, not rounding noise, at scalar
+    # and array arguments alike, an infinite one included.
     c = KhoudrajiGumbelCopula(0.7, 0.4, 1.0)
-    for x, y in [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1)]:
-        assert abs(tail_copula(c, x, y)) < 1e-15
+    for x, y in [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1), (np.inf, 0.4)]:
+        got = tail_copula(c, x, y)
+        assert type(got) is float and got == 0.0
+        assert stable_tail_dependence(c, x, y) == x + y
+    x = np.array([[0.3], [5.0]])
+    y = np.array([1.0, 2.0, 0.1])
+    got = tail_copula(c, x, y)
+    assert got.shape == (2, 3) and not np.any(got) and not np.any(np.signbit(got))
+    assert np.array_equal(stable_tail_dependence(c, x, y), x + y)
+    assert tail_dependence_chi(c) == 0.0
     pv = population_values(c)
-    assert abs(pv.eta_xy) < 1e-12 and abs(pv.eta_yx) < 1e-12
+    assert pv.method == "quadrature"
+    assert pv.eta_xy == pv.eta_yx == pv.delta == 0.0
 
 
 def test_cdf_bounds_and_margins_random_models():
@@ -186,6 +197,19 @@ def test_cdf_and_survival_copula_reject_arguments_outside_the_unit_square(bad):
             fn(bad, 0.5)
         with pytest.raises(errors.DomainError, match="^v must lie in"):
             fn(0.5, [0.2, bad])
+
+
+def test_stable_tail_dependence_rejects_arguments_outside_its_domain():
+    # It checks its arguments once and calls the family's formula, which at
+    # delta = 1 does not read them.
+    c = KhoudrajiGumbelCopula(0.7, 0.4, 1.0)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(errors.DomainError, match="^x must be a nonnegative real"):
+            stable_tail_dependence(c, bad, 0.5)
+        with pytest.raises(errors.DomainError, match="^y must be a nonnegative real"):
+            stable_tail_dependence(c, 0.5, [0.2, bad])
+    with pytest.raises(errors.DomainError, match="must not both be infinite"):
+        stable_tail_dependence(c, np.inf, [1.0, np.inf])
 
 
 # --- population values --------------------------------------------------------
@@ -266,6 +290,15 @@ def test_quadrature_that_reports_a_warning_raises(monkeypatch):
         population_values(KhoudrajiGumbelCopula(0.3, 0.8, 1.4))
 
 
+def test_an_error_estimate_above_the_tolerance_but_not_the_floor_says_so(monkeypatch):
+    from tailasym import _quadpack
+
+    monkeypatch.setattr(_quadpack, "integrate", lambda *args: (0.25, 1e-3, 7, True))
+    message = "integration error estimate 3.000e-03 exceeds tolerance 1.000e-08"
+    with pytest.raises(errors.QuadratureFailure, match=f"^{re.escape(message)}$"):
+        population_values(KhoudrajiGumbelCopula(0.3, 0.8, 1.4))
+
+
 def test_kgumbel_closed_delta_matches_quadrature_across_parameters():
     for a, b in [(1.0, 0.25), (0.9, 0.6), (0.33, 0.77)]:
         c = KhoudrajiGumbelCopula(a, b, 2.0)
@@ -286,7 +319,9 @@ def test_population_values_tolerance_validation_and_failure():
     with pytest.raises(errors.DomainError):
         population_values(NelsenCopula(0.5), integration_tol=True)
     assert population_values(NelsenCopula(0.5), integration_tol=1).method == "closed_form"
-    with pytest.raises(errors.QuadratureFailure):
+    # 50 eps eta: the first 21-point rule already stops at this floor.
+    message = "tolerance 1.000e-30 lies below the roundoff floor 2.626e-15"
+    with pytest.raises(errors.QuadratureFailure, match=f"^{re.escape(message)}$"):
         population_values(KhoudrajiGumbelCopula(1.0, 0.5, 2.0), integration_tol=1e-30)
 
 
