@@ -8,11 +8,13 @@ gate 11 (two fresh runs agree with each other) cannot see a change that
 moves both runs alike.
 """
 
+import datetime
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tailasym import cli
@@ -44,6 +46,14 @@ RUNS = {
     "ties_lower_jitter.json": [
         "analyze", "ties_n1000.csv", *_COLS, "--B", "50", "--seed", "9",
         "--tail", "lower", "--tie-policy", "jitter",
+    ],
+    "prices_b50.json": [
+        "analyze", "prices_crlf.csv", "--x-col", "btc", "--y-col", "eth",
+        "--key-col", "date", "--prices", "--B", "50", "--seed", "4",
+    ],
+    "prices_acf_btc.json": [
+        "acf", "prices_crlf.csv", "--col", "btc", "--key-col", "date", "--prices",
+        "--max-lag", "20",
     ],
     "population_kg_1_05_2.json": [
         "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2",
@@ -94,7 +104,25 @@ def test_analyze_reproduces_golden_bytes_with_scipy_blocked(tmp_path):
         assert Path(out).read_bytes() == (GOLDEN / Path(out).name).read_bytes()
 
 
+def test_price_input_follows_its_recipe():
+    # Rows 1-600 of kgumbel_n3000.csv turned into two price paths, dated from
+    # 2021-01-01, quoted header and CRLF line ends (see the README here).
+    rows = (GOLDEN / "kgumbel_n3000.csv").read_text().splitlines()[1:601]
+    x, y = np.array([[float(v) for v in row.split(",")[1:]] for row in rows]).T
+    btc = 100 * np.cumprod(1 + (x - 0.5) / 50)
+    eth = 20 * np.cumprod(1 + (y - 0.5) / 40)
+    start = datetime.date(2021, 1, 1)
+    lines = ['"date","btc","eth"'] + [
+        f"{start + datetime.timedelta(days=i)},{float(b)!r},{float(e)!r}"
+        for i, (b, e) in enumerate(zip(btc, eth))
+    ]
+    assert (GOLDEN / "prices_crlf.csv").read_bytes() == "".join(
+        line + "\r\n" for line in lines
+    ).encode()
+
+
 def test_golden_runs_cover_the_delta_gate_both_ways():
     assert '"skipped": "eta gate' in (GOLDEN / "independent_gated.json").read_text()
     assert '"delta_test_gated_out": false' in (GOLDEN / "kgumbel_b50.json").read_text()
     assert '"jitter_applied": true' in (GOLDEN / "ties_lower_jitter.json").read_text()
+    assert '"delta_test_gated_out": false' in (GOLDEN / "prices_b50.json").read_text()
