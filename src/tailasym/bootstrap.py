@@ -10,19 +10,23 @@ which yields p-values for "eta = 0" (one-sided) and "delta = 0" (two-sided)
 without any variance formula, plus normal-style confidence intervals from the
 replicate spread.
 
-One engine serves every test.  Replicate b draws its multipliers once, as
-standard_exponential(n) from Philox((seed, (0, b))) -- the generator of the
-SeedSequence with entropy seed and spawn key (0, b) -- and evaluates every
-direction the caller asks for on that one batch.  test_pair runs both eta
-tests and the delta test from a single pass; test_eta_zero and
-test_delta_zero are the same engine asked for one or both directions.  Tests
-that share a seed and replicate count therefore see identical weights -- in
-particular the eta and delta tests are coupled.  Results repeat bit for bit
-from run to run with the same BLAS build and thread count, not across them:
-the weighted kernel reduces each tail size with np.dot, whose summation order
-follows the BLAS threads (ROADMAP Open item 1).  The ``_kernels`` module
-docstring states that summation contract and why evaluating the whole grid at
-once leaves it unchanged.
+One path serves every replicate, drawn or given.  _replicate_matrices takes
+draw(b, row), which fills row with replicate b's multipliers, and evaluates
+every direction the caller asks for on that one batch.  The tests draw
+replicate b's multipliers once, as standard_exponential(n) from
+Philox((seed, (0, b))) -- the generator of the SeedSequence with entropy
+seed and spawn key (0, b).  bootstrap_eta and bootstrap_delta are the same
+path at B = 1, with a draw that copies the caller's weights, so given
+weights reach the kernel by the prefix and input steps of a drawn replicate.
+test_pair runs both eta tests and the delta test from a single pass;
+test_eta_zero and test_delta_zero are the same engine asked for one or both
+directions.  Tests that share a seed and replicate count therefore see
+identical weights -- in particular the eta and delta tests are coupled.
+Results repeat bit for bit from run to run with the same BLAS build and
+thread count, not across them: the weighted kernel reduces each tail size
+with np.dot, whose summation order follows the BLAS threads (ROADMAP Open
+item 1).  The ``_kernels`` module docstring states that summation contract
+and why evaluating the whole grid at once leaves it unchanged.
 
 A draw rebuilds replicate b's generator from its key alone, with no
 SeedSequence.  Philox is counter-based (Salmon et al. 2011, "Parallel Random
@@ -122,10 +126,11 @@ their short draws each take the GIL twice, and drawing them ahead slowed
 replicate reads (ROADMAP Open item 4) would leave nothing worth hiding, and
 the helpers could go.
 
-Both directions are ranked once per test call from one pair of sorts:
-ranks.concomitant_ranks returns the value order, conditioning order and rank
-positions together, and ConcomitantRanks.swapped gives the other direction's
-from them.  The plain statistics and every replicate read those arrays.
+Both directions are ranked once per call, a test's or bootstrap_delta's,
+from one pair of sorts: ranks.concomitant_ranks returns the value order,
+conditioning order and rank positions together, and ConcomitantRanks.swapped
+gives the other direction's from them.  The plain statistics and every
+replicate read those arrays.
 """
 
 from __future__ import annotations
@@ -156,7 +161,6 @@ from .estimators import (
     _coerce_direction,
     _directed_ranks,
     _eta_values,
-    _oriented_ranks,
 )
 
 __all__ = [
@@ -373,33 +377,30 @@ class _Batch:
         return out
 
 
-def _weighted_values(rx, ry, w, out, ks):
-    """Write the (replicates, grid) values in one direction into out."""
-    _kernels.weighted_eta_grid_sums(rx, ry, w, out, ks)
-    out *= 3.0
-    out /= ks.astype(np.float64) ** 3
+def _replicate_values(sample, k, weights, directions):
+    """One replicate at tail size k on the given weights, per direction.
+
+    The engine at B = 1 with a draw that copies the checked weights.
+    """
+    k = _check_k(k, sample.n)
+    w = _checked_weights(weights, sample.n)
+    ranks = _directed_ranks(sample, directions)
+    ks = np.asarray([k], dtype=np.int64)
+    boot = _replicate_matrices(ranks, sample.n, ks, 1, lambda b, row: np.copyto(row, w))
+    return {d: float(values[0, 0]) for d, values in boot.items()}
 
 
 def bootstrap_eta(sample, k, weights, direction=Direction.X_GIVEN_Y) -> float:
     """One multiplier-weighted eta replicate at tail size k."""
     direction = _coerce_direction(direction)
-    k = _check_k(k, sample.n)
-    w = _checked_weights(weights, sample.n)
-    ks = np.asarray([k], dtype=np.int64)
-    ranks = {direction: _oriented_ranks(sample, direction)}
-    W = w[None, :]
-    batch = _Batch(ranks, 1, float(k))
-    batch.add(W, W.mean(axis=1))
-    out = np.empty((1, 1))
-    _weighted_values(*batch.inputs(ranks)[direction], out, ks)
-    return float(out[0, 0])
+    return _replicate_values(sample, k, weights, (direction,))[direction]
 
 
 def bootstrap_delta(sample, k, weights) -> float:
     """One multiplier-weighted delta replicate at tail size k (shared weights)."""
-    return bootstrap_eta(sample, k, weights, Direction.X_GIVEN_Y) - bootstrap_eta(
-        sample, k, weights, Direction.Y_GIVEN_X
-    )
+    xy, yx = _BOTH
+    values = _replicate_values(sample, k, weights, _BOTH)
+    return values[xy] - values[yx]
 
 
 @dataclass(frozen=True)
@@ -433,9 +434,10 @@ _STACK_ELEMS = 1 << 17
 _AHEAD = 3
 
 
-def _replicate_matrices(ranks, n, ks, B, seed):
+def _replicate_matrices(ranks, n, ks, B, draw):
     """(B, grid) replicate values for each direction in ranks, one draw per replicate.
 
+    draw(b, row) fills row with replicate b's multipliers, b = 1, ..., B.
     Replicates are drawn in stacks of rows and evaluated in batches of whole
     stacks; see the module docstring for their sizes and for when stacks are
     drawn ahead.
@@ -458,7 +460,7 @@ def _replicate_matrices(ranks, n, ks, B, seed):
     def fill(b0):
         W = ring[b0 % _AHEAD] if ahead else np.empty((min(R, B - b0), n))
         for i, row in enumerate(W):
-            _draw(seed, b0 + i + 1, row)
+            draw(b0 + i + 1, row)
         return W, W.mean(axis=1)
 
     if ahead:
@@ -493,7 +495,10 @@ def _replicate_matrices(ranks, n, ks, B, seed):
             # of its arguments.
             del batch, W
             for d in ranks:
-                _weighted_values(*inputs.pop(d), out[d][c0:c1], ks)
+                values = out[d][c0:c1]
+                _kernels.weighted_eta_grid_sums(*inputs.pop(d), values, ks)
+                values *= 3.0
+                values /= ks.astype(np.float64) ** 3
     finally:
         if ahead:
             # On an error, drop the draws not yet started and wait for the rest.
@@ -514,7 +519,7 @@ def _engine(sample, kgrid, B, alpha, seed, directions):
     alpha = check_real(alpha, "alpha", "(0, 1)")
     ranks = _directed_ranks(sample, directions)
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
-    boot = _replicate_matrices(ranks, sample.n, ks, B, seed)
+    boot = _replicate_matrices(ranks, sample.n, ks, B, functools.partial(_draw, seed))
     return ks, B, alpha, plain, boot
 
 

@@ -8,6 +8,7 @@ by reconstructing the multiplier batches with raw numpy seed sequences, which
 must reproduce every field of a TestResult exactly.
 """
 
+import functools
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ from scipy.special import ndtri
 
 from tailasym import _kernels
 from tailasym import bootstrap as bt
-from tailasym import errors
+from tailasym import errors, estimators
 from tailasym.estimators import Direction, _oriented_ranks, delta_kn, eta_kn
 from tailasym.pipeline import default_kgrid
 from tailasym.ranks import make_sample
@@ -162,6 +163,55 @@ def test_bootstrap_eta_rejects_a_weight_that_is_not_a_positive_real(bad, error):
     w[7] = bad
     with pytest.raises(error):
         bt.bootstrap_eta(s, 5, w)
+
+
+def test_bootstrap_delta_ranks_once_and_fills_one_batch(monkeypatch):
+    rng = np.random.default_rng(65)
+    s = _random_sample(rng, 200)
+    ranked = []
+    real = estimators.concomitant_ranks
+
+    def counted(sample):
+        ranked.append(sample)
+        return real(sample)
+
+    monkeypatch.setattr(estimators, "concomitant_ranks", counted)
+    seen = _record_prefixes(monkeypatch)
+    bt.bootstrap_delta(s, 20, rng.standard_exponential(s.n))
+    # one ranking serves both directions, and both read one batch of one row
+    assert len(ranked) == 1
+    assert [rows for _, rows, _ in seen] == [1]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["tie_free", "jittered_ties"])
+def test_bootstrap_delta_is_the_difference_of_the_two_eta_replicates(ties):
+    rng = np.random.default_rng(66)
+    for n in (2, 30, 700, 3000):
+        if ties:
+            x, y = rng.integers(0, 20, size=(2, n)).astype(np.float64)
+            s = make_sample(x, y, tie_policy="jitter", seed=n)
+        else:
+            s = _random_sample(rng, n)
+        for k in sorted({2, min(n, 50), n}):
+            # unit exponentials, and log-uniform weights that tie weighted ranks
+            for w in (rng.standard_exponential(n), 10.0 ** rng.uniform(-20.0, 3.0, n)):
+                xy = bt.bootstrap_eta(s, k, w, Direction.X_GIVEN_Y)
+                yx = bt.bootstrap_eta(s, k, w, Direction.Y_GIVEN_X)
+                assert bt.bootstrap_delta(s, k, w) == xy - yx
+
+
+def test_bootstrap_delta_above_two_to_the_16_rows_starts_no_thread(monkeypatch):
+    # above 2**16 rows a stack holds one replicate, which draws ahead on
+    # helper threads when more replicates follow; a single one does not
+    rng = np.random.default_rng(67)
+    n = 2**16 + 1
+    s = _random_sample(rng, n)
+    w = rng.standard_exponential(n)
+    started = _record_thread_starts(monkeypatch)
+    delta = bt.bootstrap_delta(s, 100, w)
+    assert started == []
+    xy = bt.bootstrap_eta(s, 100, w, Direction.X_GIVEN_Y)
+    assert delta == xy - bt.bootstrap_eta(s, 100, w, Direction.Y_GIVEN_X)
 
 
 # --- multiplier draws -----------------------------------------------------------
@@ -570,10 +620,12 @@ def test_truncated_engine_equals_full_sort_reference():
             kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=4)} | {n})
         ks = np.asarray(kgrid, dtype=np.int64)
         B, seed = 4, int(rng.integers(0, 1000))
+        draw = functools.partial(bt._draw, seed)
         ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
-        mats = bt._replicate_matrices(ranks, n, ks, B, seed)
+        mats = bt._replicate_matrices(ranks, n, ks, B, draw)
+        w = np.empty(n)
         for b in range(1, B + 1):
-            w = replicate_weights(seed, b, n)
+            draw(b, w)
             wo = w / w.mean()
             want_xy = full_sort_replicate(s.x, s.y, wo, ks)
             want_yx = full_sort_replicate(s.y, s.x, wo, ks)
@@ -598,13 +650,14 @@ def _record_prefixes(monkeypatch):
     return seen
 
 
-def _assert_engine_equals_full_sort(s, kgrid, B, seed):
+def _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=bt._draw):
+    """The engine on the weights draw(seed, b, out) equals the reference on them."""
     ks = np.asarray(kgrid, dtype=np.int64)
     ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
-    mats = bt._replicate_matrices(ranks, s.n, ks, B, seed)
+    mats = bt._replicate_matrices(ranks, s.n, ks, B, functools.partial(draw, seed))
     w = np.empty(s.n)
     for b in range(1, B + 1):
-        bt._draw(seed, b, w)
+        draw(seed, b, w)
         wo = w / w.mean()
         want_xy = full_sort_replicate(s.x, s.y, wo, ks)
         want_yx = full_sort_replicate(s.y, s.x, wo, ks)
@@ -632,15 +685,12 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
     light[np.argsort(-s.x)[:600]] = True
     light[np.argsort(-s.y)[:600]] = True
 
-    real = bt._draw
-
     def draw(seed, b, out):
-        real(seed, b, out)
+        bt._draw(seed, b, out)
         out[light] *= 1e-9
 
-    monkeypatch.setattr(bt, "_draw", draw)
     seen = _record_prefixes(monkeypatch)
-    _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9)
+    _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9, draw=draw)
     # every prefix outgrew its first guess but stopped before n
     assert seen and all(
         bound + 6 * math.sqrt(bound) < size < s.n for bound, _, size in seen
@@ -741,7 +791,6 @@ def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_ref
         out[10] = 1e-20
         out[n - 1] = 2.0
 
-    monkeypatch.setattr(bt, "_draw", draw)
     sorts = _count_row_sorts(monkeypatch)
     calls = []
     real = _kernels.weighted_eta_grid_sums
@@ -751,7 +800,7 @@ def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_ref
         return real(*args)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
-    _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16)
+    _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16, draw=draw)
     assert sorts == []
     # the engine's first call is the X_GIVEN_Y stack: both tied elements are
     # kept at k = 12 and reach the kernel in reverse-rank order, so their
@@ -791,10 +840,9 @@ def test_log_uniform_weights_tie_ranks_and_equal_the_full_sort_reference(n, B, s
         return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bt, "_draw", draw)
         mp.setattr(bt, "_STACK_ELEMS", stack * n)
         mp.setattr(_kernels, "weighted_eta_grid_sums", checked)
-        _assert_engine_equals_full_sort(s, kgrid, B, seed)
+        _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=draw)
     assert n < 100 or any(ties)
 
 
@@ -829,7 +877,6 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     def draw(seed, b, out):
         out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
 
-    monkeypatch.setattr(bt, "_draw", draw)
     monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
     assert _batch_rows(s.n, kgrid, B) == 9
     seen = _record_prefixes(monkeypatch)
@@ -843,7 +890,7 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
         return real(rx_sorted, ry_sorted, w_sorted, out, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
-    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24, draw=draw)
     assert [rows for rows, _ in calls] == [9, 9, 9, 9, 2, 2]
     assert any(tied for _, tied in calls)
     # the first batch's three stacks, one prefix length each
@@ -851,8 +898,12 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     assert len({size for _, _, size in seen[:3]}) > 1
 
 
-def _record_draw_threads(monkeypatch, fail_at=None):
-    """Record (b, thread ident) of every draw; raise the returned error at b == fail_at."""
+def _record_draw_threads(fail_at=None):
+    """A draw that records (b, thread ident) of every call, and the record.
+
+    It raises the returned error at b == fail_at.  Returns the draw, the
+    record and the error.
+    """
     drawn = []
     error = RuntimeError(f"draw {fail_at} failed")
     real = bt._draw
@@ -863,8 +914,7 @@ def _record_draw_threads(monkeypatch, fail_at=None):
             raise error
         real(seed, b, out)
 
-    monkeypatch.setattr(bt, "_draw", draw)
-    return drawn, error
+    return draw, drawn, error
 
 
 def _record_thread_starts(monkeypatch):
@@ -884,11 +934,11 @@ def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
     s = _random_sample(rng, 300)
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    drawn, _ = _record_draw_threads(monkeypatch)
+    draw, drawn, _ = _record_draw_threads()
     started = _record_thread_starts(monkeypatch)
     before = threading.active_count()
     B = 7
-    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18)
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18, draw=draw)
     # the engine's draws come first, each replicate once, then the reference's
     engine, reference = drawn[:B], drawn[B:]
     assert sorted(b for b, _ in engine) == list(range(1, B + 1))
@@ -907,7 +957,8 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     s = _random_sample(rng, 300)
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     fail_at = 3
-    drawn, error = _record_draw_threads(monkeypatch, fail_at=fail_at)
+    draw, drawn, error = _record_draw_threads(fail_at=fail_at)
+    monkeypatch.setattr(bt, "_draw", draw)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         bt.test_pair(s, [5, 10, 20], B=7, seed=19)
@@ -935,13 +986,13 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     before_read = iter(rng.uniform(0.0, 0.002, size=B))
     finished = []
     second = threading.Event()
-    draw, add = bt._draw, bt._Batch.add
+    add = bt._Batch.add
 
     def slow_draw(seed, b, out):
         if b == 1:
             assert second.wait(timeout=10)
         time.sleep(around[b, 0])
-        draw(seed, b, out)
+        bt._draw(seed, b, out)
         time.sleep(around[b, 1])
         finished.append(b)
         if b == 2:
@@ -951,9 +1002,8 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
         time.sleep(next(before_read))
         return add(*args)
 
-    monkeypatch.setattr(bt, "_draw", slow_draw)
     monkeypatch.setattr(bt._Batch, "add", slow_add)
-    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21)
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21, draw=slow_draw)
     assert finished.index(2) < finished.index(1)
 
 
@@ -994,17 +1044,15 @@ def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypa
     light[np.argsort(-s.x)[:600]] = True
     light[np.argsort(-s.y)[:600]] = True
     light_rows = (2, 5)
-    real = bt._draw
 
     def draw(seed, b, out):
-        real(seed, b, out)
+        bt._draw(seed, b, out)
         if b in light_rows:
             out[light] *= 1e-9
 
-    monkeypatch.setattr(bt, "_draw", draw)
     seen = _record_prefixes(monkeypatch)
     calls = _count_weighted_calls(monkeypatch)
-    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=22)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=22, draw=draw)
     # one prefix length per replicate, for both orders, read in replicate
     # order
     grown = [size > m0 for _, rows, size in seen]
@@ -1030,13 +1078,11 @@ def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
     # drops.
     light = np.zeros(s.n, dtype=bool)
     light[np.argsort(-getattr(s, light_series))[:600]] = True
-    real = bt._draw
 
     def draw(seed, b, out):
-        real(seed, b, out)
+        bt._draw(seed, b, out)
         out[light] *= 1e-9
 
-    monkeypatch.setattr(bt, "_draw", draw)
     # along the other series the first guess already reaches k_max
     other = s.y if light_series == "x" else s.x
     w = np.empty(s.n)
@@ -1044,7 +1090,7 @@ def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
         draw(seed, b, w)
         assert (w / w.mean())[np.argsort(-other)[:m0]].sum() >= kgrid[-1]
     seen = _record_prefixes(monkeypatch)
-    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=seed)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=seed, draw=draw)
     # one stack of all B replicates, whose one prefix length outgrew m0
     assert [(bound, rows) for bound, rows, _ in seen] == [(30.0, B)]
     assert m0 < seen[0][2] < s.n
@@ -1054,9 +1100,9 @@ def test_a_single_replicate_starts_no_thread(monkeypatch):
     rng = np.random.default_rng(55)
     s = _random_sample(rng, 300)
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    drawn, _ = _record_draw_threads(monkeypatch)
+    draw, drawn, _ = _record_draw_threads()
     started = _record_thread_starts(monkeypatch)
-    _assert_engine_equals_full_sort(s, [5, 10, 20], B=1, seed=20)
+    _assert_engine_equals_full_sort(s, [5, 10, 20], B=1, seed=20, draw=draw)
     assert started == []
     assert all(ident == threading.get_ident() for _, ident in drawn)
 

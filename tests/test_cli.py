@@ -341,6 +341,9 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
     # QUADPACK port is imported by the first quadrature, not by the package.
     data, out = tmp_path / "sim.csv", tmp_path / "report.csv"
     tested, population = tmp_path / "tested.json", tmp_path / "population.json"
+    # a dated price export, CRLF and a quoted header: the exact CSV reader
+    prices = Path(__file__).parent / "data" / "golden" / "prices_crlf.csv"
+    price_acf, price_report = tmp_path / "acf.json", tmp_path / "prices.json"
     script = (
         "import sys\n"
         "import tailasym\n"
@@ -358,6 +361,13 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
         f"                 '--out', {str(tested)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'analyze'\n"
         "assert 'tailasym._quadpack' not in sys.modules, 'analyze'\n"
+        f"assert cli.main(['acf', {str(prices)!r}, '--col', 'btc', '--key-col', 'date',\n"
+        f"                 '--prices', '--max-lag', '20', '--out', {str(price_acf)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'acf --prices'\n"
+        f"assert cli.main(['analyze', {str(prices)!r}, '--x-col', 'btc', '--y-col', 'eth',\n"
+        f"                 '--key-col', 'date', '--prices', '--B', '20',\n"
+        f"                 '--out', {str(price_report)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'analyze --prices'\n"
         "assert cli.main(['population', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
         f"                 '--out', {str(population)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'population'\n"
@@ -370,6 +380,8 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
     assert out.read_text(encoding="utf-8").startswith("{")
     assert '"ci_delta_low"' in tested.read_text(encoding="utf-8")
     assert '"method": "quadrature"' in population.read_text(encoding="utf-8")
+    assert '"lags_beyond_band"' in price_acf.read_text(encoding="utf-8")
+    assert '"prices_converted_to_log_returns": true' in price_report.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
