@@ -51,6 +51,10 @@ RUNS = {
         "analyze", "prices_crlf.csv", "--x-col", "btc", "--y-col", "eth",
         "--key-col", "date", "--prices", "--B", "50", "--seed", "4",
     ],
+    "prices_lower_b50.json": [
+        "analyze", "prices_crlf.csv", "--x-col", "btc", "--y-col", "eth",
+        "--key-col", "date", "--prices", "--tail", "lower", "--B", "50", "--seed", "4",
+    ],
     "prices_acf_btc.json": [
         "acf", "prices_crlf.csv", "--col", "btc", "--key-col", "date", "--prices",
         "--max-lag", "20",
@@ -126,3 +130,4 @@ def test_golden_runs_cover_the_delta_gate_both_ways():
     assert '"delta_test_gated_out": false' in (GOLDEN / "kgumbel_b50.json").read_text()
     assert '"jitter_applied": true' in (GOLDEN / "ties_lower_jitter.json").read_text()
     assert '"delta_test_gated_out": false' in (GOLDEN / "prices_b50.json").read_text()
+    assert '"delta_test_gated_out": true' in (GOLDEN / "prices_lower_b50.json").read_text()
