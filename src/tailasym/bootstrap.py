@@ -33,10 +33,12 @@ SeedSequence.  Philox is counter-based (Salmon et al. 2011, "Parallel Random
 Numbers: As Easy as 1, 2, 3"): a 128-bit key and a counter fix its whole
 stream, and a Philox built from a seed sequence starts at counter 0, with an
 empty buffer and the sequence's generate_state(2, np.uint64) as its key.
-_spawn_keys ports that hash from numpy's SeedSequence and computes the keys
-of 128 consecutive replicates at once in uint64 arrays; each thread keeps
-one Generator on one Philox and sets the Philox to counter 0, the key and an
-empty buffer before every draw.  So the stream contract
+_spawn_keys ports that hash from numpy's SeedSequence.  Keys are hashed once
+per call: a test hashes the keys of all its B replicates in one pass over
+uint64 arrays before the first draw, and replicate b's draw reads its key by
+index.  B < 2**32, so b is a single 32-bit word of the spawn key.  Each
+thread keeps one Generator on one Philox and sets the Philox to counter 0,
+the key and an empty buffer before every draw.  So the stream contract
 Philox((seed, (0, b))) is unchanged, bit for bit, and the tests pin the keys
 to numpy's own.
 
@@ -138,7 +140,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -177,8 +178,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-# Replicates b >> _KEY_BLOCK_BITS share a block of keys, hashed together.
-_KEY_BLOCK_BITS = 7
 
 
 def _uint32_words(value):
@@ -191,23 +190,19 @@ def _uint32_words(value):
     return words
 
 
-@functools.lru_cache(maxsize=8)
-def _spawn_keys(seed, block):
-    """Philox keys of SeedSequence(entropy=seed, spawn_key=(0, b)), b in block.
+def _spawn_keys(seed, b):
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(0, b)), for each b in b.
 
-    The keys of b = block << _KEY_BLOCK_BITS onwards, one [low, high] pair of
-    Python ints each: SeedSequence(...).generate_state(2, np.uint64), the key
-    that Philox takes from that seed sequence.  The hash runs in uint64
-    arithmetic masked to 32 bits.  A block starts at a multiple of its
-    2**_KEY_BLOCK_BITS replicates, so only b's low word varies within it:
-    that word is the one array in the entropy, and the run entropy and b's
-    higher words are Python ints shared by the whole block.
+    A (len(b), 2) uint64 array, one [low, high] pair per replicate number:
+    SeedSequence(...).generate_state(2, np.uint64), the key that Philox takes
+    from that seed sequence.  The hash runs in uint64 arithmetic masked
+    to 32 bits.  Each b < 2**32 is one 32-bit word, the one array in the
+    entropy; the run entropy is Python ints shared by every replicate.
     """
-    b0 = block << _KEY_BLOCK_BITS
     run = _uint32_words(seed)
+    b = np.asarray(b, dtype=np.uint64)
     # With a spawn key, the run entropy is zero-padded to the pool size.
-    low = np.arange(1 << _KEY_BLOCK_BITS, dtype=np.uint64) + (b0 & _MASK32)
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [0, low] + _uint32_words(b0)[1:]
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [0, b]
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -236,20 +231,14 @@ def _spawn_keys(seed, block):
         hash_const = hash_const * _MULT_B & _MASK32
         word = word * hash_const & _MASK32
         state.append(word ^ (word >> 16))
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], 1).tolist()
-
-
-def _spawn_key(seed, b):
-    """The Philox key of SeedSequence(entropy=seed, spawn_key=(0, b))."""
-    seed, b = operator.index(seed), operator.index(b)
-    return _spawn_keys(seed, b >> _KEY_BLOCK_BITS)[b & ((1 << _KEY_BLOCK_BITS) - 1)]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], 1)
 
 
 _per_thread = threading.local()
 
 
-def _draw(seed, b, out):
-    """Fill out with replicate b's multipliers: unit exponentials from Philox((seed, (0, b)))."""
+def _draw(key, out):
+    """Fill out with the multipliers of the replicate whose Philox key is key."""
     try:
         generator = _per_thread.generator
     except AttributeError:
@@ -259,7 +248,7 @@ def _draw(seed, b, out):
     # no state of its own, so it draws from that state as a new one would.
     generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _spawn_key(seed, b)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -506,20 +495,33 @@ def _replicate_matrices(ranks, n, ks, B, draw):
     return out
 
 
+def _check_B(B):
+    """B as an int, if it is an integer with 1 <= B < 2**32; else raise InvalidB.
+
+    Replicate numbers b = 1, ..., B then fill one 32-bit word of the spawn key.
+    """
+    B = check_int(B, "B", 1, InvalidB)
+    if B >= 2**32:
+        raise InvalidB(f"B must be an integer < 2**32, got {B!r}")
+    return B
+
+
 def _engine(sample, kgrid, B, alpha, seed, directions):
     """The one replicate pass behind every test.
 
-    Validates the arguments and ranks each requested direction once, then
-    returns the grid, B, alpha and, per direction, the plain eta values and
-    the (B, grid) matrix of replicate values.
+    Validates the arguments, ranks each requested direction once and hashes
+    the keys of all B replicates, then returns the grid, B, alpha and, per
+    direction, the plain eta values and the (B, grid) matrix of replicate
+    values.
     """
     ks = _check_kgrid(kgrid, sample.n)
-    B = check_int(B, "B", 1, InvalidB)
+    B = _check_B(B)
     seed = check_int(seed, "seed", 0)
     alpha = check_real(alpha, "alpha", "(0, 1)")
     ranks = _directed_ranks(sample, directions)
     plain = {d: np.array(_eta_values(r, ks)) for d, r in ranks.items()}
-    boot = _replicate_matrices(ranks, sample.n, ks, B, functools.partial(_draw, seed))
+    keys = _spawn_keys(seed, np.arange(1, B + 1, dtype=np.uint64))
+    boot = _replicate_matrices(ranks, sample.n, ks, B, lambda b, w: _draw(keys[b - 1], w))
     return ks, B, alpha, plain, boot
 
 

@@ -51,7 +51,7 @@ class InvalidN(TailAsymError):
 
 
 class InvalidB(TailAsymError):
-    """Bootstrap replicate count must be a positive integer."""
+    """Bootstrap replicate count must be a positive integer below 2**32."""
 
 
 class SeriesTooShort(TailAsymError):

@@ -25,11 +25,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import summarize_rejection, test_pair
+from .bootstrap import _check_B, summarize_rejection, test_pair
 from .errors import (
     DomainError,
     EmptyIntersection,
-    InvalidB,
     IoError,
     KOutOfRange,
     MissingColumn,
@@ -596,7 +595,7 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     and k bounds are checked before any work, with or without the tests; only
     k_max <= n - 1 waits for the sample.
     """
-    check_int(config.B, "B", 1, InvalidB)
+    _check_B(config.B)
     check_int(config.seed, "seed", 0)
     check_real(config.alpha, "alpha", "(0, 1)")
     check_real(config.rejection_fraction, "rejection_fraction", "(0, 1]")

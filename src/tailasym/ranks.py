@@ -79,13 +79,38 @@ def _jitter(arr, rng):
     return out
 
 
+def _checked_pair(x, y):
+    """x and y as float64 arrays, each one-dimensional and finite, of one length >= 2.
+
+    Checks x, then y, then their lengths, and copies only what np.asarray
+    must convert.
+    """
+    xa = _as_checked_array(x, "x")
+    ya = _as_checked_array(y, "y")
+    if xa.size != ya.size:
+        raise LengthMismatch(f"series lengths differ: {xa.size} vs {ya.size}")
+    if xa.size < 2:
+        raise InvalidN(f"need at least 2 paired observations, got {xa.size}")
+    return xa, ya
+
+
 @dataclass(frozen=True, eq=False)
 class PairedSample:
-    """Immutable, validated pair of equal-length tie-free series."""
+    """Immutable, validated pair of equal-length tie-free series.
+
+    Construction runs make_sample's checks on the pair and holds each series
+    as a float64 array; ties are checked where ranks are formed, by
+    concomitant_ranks.
+    """
 
     x: np.ndarray
     y: np.ndarray
     jittered: bool = False
+
+    def __post_init__(self):
+        x, y = _checked_pair(self.x, self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -103,13 +128,7 @@ def make_sample(x, y, tie_policy="reject", seed=None):
     'jitter' replaces a series that actually contains ties by its ranks 1..n,
     ties broken in an order drawn from the seed, and records that it did so.
     """
-    xa = _as_checked_array(x, "x")
-    ya = _as_checked_array(y, "y")
-    if xa.size != ya.size:
-        raise LengthMismatch(f"series lengths differ: {xa.size} vs {ya.size}")
-    if xa.size < 2:
-        raise InvalidN(f"need at least 2 paired observations, got {xa.size}")
-
+    xa, ya = _checked_pair(x, y)
     check_choice(tie_policy, "tie_policy", _TIE_POLICIES)
 
     rng = None

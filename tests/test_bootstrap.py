@@ -41,6 +41,17 @@ def replicate_weights(seed, b, n):
     return rng.standard_exponential(n)
 
 
+# The draw and key hash as imported: the helpers below call them past any
+# monkeypatch that counts or replaces the engine's draws.
+_draw = bt._draw
+_spawn_keys = bt._spawn_keys
+
+
+def draw_replicate(seed, b, out):
+    """Fill out with replicate b's multipliers, as a test call with this seed draws them."""
+    _draw(_spawn_keys(seed, [b])[0], out)
+
+
 def naive_weighted_eta(x, y, w, k):
     """Literal definition of the weighted replicate at tail size k.
 
@@ -229,32 +240,37 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
     # In place of the Generator that _draw keeps for this thread.
     monkeypatch.setattr(bt._per_thread, "generator", Zeros(), raising=False)
     w = np.empty(4)
-    bt._draw(0, 1, w)
+    bt._draw(bt._spawn_keys(0, [1])[0], w)
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
 
 
 # Run seeds of one to four 32-bit words and more, and a power-study replication
 # seed, the first of np.random.SeedSequence(944).generate_state(100).
 _KEY_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 10**30, 2**200 + 9, 2732714111]
-# Every b of the first three key blocks, the edges of a block past 2**32, and
-# replicate numbers of two and three 32-bit words.
-_KEY_BS = [
-    *range(1, 301),
-    2**32 - 1, 2**32, 2**32 + 127, 2**32 + 128, 2**33 + 7,
-    2**64 - 1, 2**64, 2**70, 2**70 + 129,
-]
+
+
+# The top replicate numbers of one 32-bit word, the largest that B < 2**32 allows.
+_TOP_BS = [2**31, 2**32 - 2, 2**32 - 1]
+
+
+def _seed_sequence_keys(seed, bs):
+    return [
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, b)).generate_state(2, np.uint64).tolist()
+        for b in bs
+    ]
 
 
 @pytest.mark.parametrize("seed", _KEY_SEEDS)
 def test_spawn_keys_equal_the_seed_sequence_state(seed):
-    got = [bt._spawn_key(seed, b) for b in _KEY_BS]
-    want = [
-        np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-        .generate_state(2, np.uint64)
-        .tolist()
-        for b in _KEY_BS
-    ]
-    assert got == want
+    # every b of a call, from a single replicate to a few hundred, either side
+    # of a power of two, as _engine hashes them
+    for B in (1, 127, 128, 129, 300):
+        got = bt._spawn_keys(seed, np.arange(1, B + 1, dtype=np.uint64)).tolist()
+        assert got == _seed_sequence_keys(seed, range(1, B + 1))
+    assert bt._spawn_keys(seed, _TOP_BS).tolist() == _seed_sequence_keys(seed, _TOP_BS)
+    # numpy's seed sequence rejects a negative seed with the same error
+    with pytest.raises(ValueError, match="non-negative"):
+        bt._spawn_keys(-1, [1])
 
 
 def test_draws_of_any_size_on_the_reused_generator_equal_the_documented_stream():
@@ -262,20 +278,21 @@ def test_draws_of_any_size_on_the_reused_generator_equal_the_documented_stream()
     # depend on the draws before it.
     for seed, b, n in [(0, 1, 2000), (7, 3, 1), (7, 3, 2000), (2**40, 129, 33), (0, 1, 5)]:
         out = np.empty(n)
-        bt._draw(seed, b, out)
+        draw_replicate(seed, b, out)
         assert out.tobytes() == replicate_weights(seed, b, n).tobytes()
 
 
 def test_draws_equal_the_documented_stream_on_every_thread():
     n = 257
-    cases = [(seed, b) for seed in _KEY_SEEDS for b in (1, 2, 128, 300, 2**33 + 7, 2**70)]
+    cases = [(seed, b) for seed in _KEY_SEEDS for b in (1, 2, 128, 300, *_TOP_BS)]
     want = [replicate_weights(seed, b, n).tobytes() for seed, b in cases]
+    keys = [bt._spawn_keys(seed, [b])[0] for seed, b in cases]
 
     def drawn():
         w = np.empty(n)
         got = []
-        for seed, b in cases:
-            bt._draw(seed, b, w)
+        for key in keys:
+            bt._draw(key, w)
             got.append(w.tobytes())
         return got
 
@@ -295,9 +312,29 @@ def test_draws_equal_the_documented_stream_on_every_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert on_threads == [want] * 4
-    # numpy's seed sequence rejects a negative seed with the same error
-    with pytest.raises(ValueError, match="non-negative"):
-        bt._draw(-1, 1, np.empty(n))
+
+
+@pytest.mark.parametrize("test", [bt.test_eta_zero, bt.test_delta_zero, bt.test_pair])
+def test_B_of_two_to_the_32_raises_before_the_replicate_pass(monkeypatch, test):
+    s = _random_sample(np.random.default_rng(19), 30)
+
+    def no_work(*args):
+        raise AssertionError("reached the replicate pass")
+
+    # Past the check, B = 2**32 would hash 2**32 keys and allocate a (B, grid)
+    # matrix: these fail first if the check does not.
+    monkeypatch.setattr(bt, "_spawn_keys", no_work)
+    monkeypatch.setattr(bt, "_replicate_matrices", no_work)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.InvalidB, match=re.escape("< 2**32, got 4294967296")):
+            test(s, [5], B=2**32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # replicate numbers up to 2**32 - 1 fill one 32-bit word
+    assert bt._check_B(np.uint32(2**32 - 1)) == 2**32 - 1
 
 
 # --- full tests against a reconstructed replicate loop ---------------------------
@@ -483,16 +520,24 @@ def _count_weighted_calls(monkeypatch):
     return calls
 
 
+def _patch_draw(monkeypatch, draw):
+    """Route the draws of a test call through draw(seed, b, out).
+
+    The engine hands _draw replicate b's key; here the key is (seed, b) itself.
+    """
+    monkeypatch.setattr(bt, "_spawn_keys", lambda seed, bs: [(seed, int(b)) for b in bs])
+    monkeypatch.setattr(bt, "_draw", lambda key, out: draw(*key, out))
+
+
 def _count_draws(monkeypatch):
     """Record the replicate index b of every multiplier draw."""
     drawn = []
-    real = bt._draw
 
     def draw(seed, b, out):
         drawn.append(b)
-        real(seed, b, out)
+        draw_replicate(seed, b, out)
 
-    monkeypatch.setattr(bt, "_draw", draw)
+    _patch_draw(monkeypatch, draw)
     return drawn
 
 
@@ -620,7 +665,7 @@ def test_truncated_engine_equals_full_sort_reference():
             kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=4)} | {n})
         ks = np.asarray(kgrid, dtype=np.int64)
         B, seed = 4, int(rng.integers(0, 1000))
-        draw = functools.partial(bt._draw, seed)
+        draw = functools.partial(draw_replicate, seed)
         ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
         mats = bt._replicate_matrices(ranks, n, ks, B, draw)
         w = np.empty(n)
@@ -650,7 +695,7 @@ def _record_prefixes(monkeypatch):
     return seen
 
 
-def _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=bt._draw):
+def _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=draw_replicate):
     """The engine on the weights draw(seed, b, out) equals the reference on them."""
     ks = np.asarray(kgrid, dtype=np.int64)
     ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
@@ -686,7 +731,7 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
     light[np.argsort(-s.y)[:600]] = True
 
     def draw(seed, b, out):
-        bt._draw(seed, b, out)
+        draw_replicate(seed, b, out)
         out[light] *= 1e-9
 
     seen = _record_prefixes(monkeypatch)
@@ -812,6 +857,11 @@ def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_ref
     assert np.all(ry[:, :3] == [1.0, 0.0, 1.0])
 
 
+def log_uniform_draw(seed, b, out):
+    """Weights spread over 23 decades, from a stream seeded by (seed, b)."""
+    out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     n=st.integers(2, 150),
@@ -827,22 +877,19 @@ def test_log_uniform_weights_tie_ranks_and_equal_the_full_sort_reference(n, B, s
     s = _random_sample(rng, n)
     kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=3)})
 
-    def draw(seed, b, out):
-        out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
-
     ties = []
     real = _kernels.weighted_eta_grid_sums
 
-    def checked(rx_sorted, ypos_sorted, w_sorted, taus, ks):
+    def checked(rx_sorted, ry_sorted, w_sorted, out, ks):
         step = np.diff(rx_sorted, axis=1)
         assert np.all(step >= 0.0)
         ties.append(np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1])))
-        return real(rx_sorted, ypos_sorted, w_sorted, taus, ks)
+        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bt, "_STACK_ELEMS", stack * n)
         mp.setattr(_kernels, "weighted_eta_grid_sums", checked)
-        _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=draw)
+        _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=log_uniform_draw)
     assert n < 100 or any(ties)
 
 
@@ -874,9 +921,6 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     kgrid = [3, 8, 12]
     B = 20
 
-    def draw(seed, b, out):
-        out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
-
     monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
     assert _batch_rows(s.n, kgrid, B) == 9
     seen = _record_prefixes(monkeypatch)
@@ -890,7 +934,7 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
         return real(rx_sorted, ry_sorted, w_sorted, out, ks)
 
     monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
-    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24, draw=draw)
+    _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24, draw=log_uniform_draw)
     assert [rows for rows, _ in calls] == [9, 9, 9, 9, 2, 2]
     assert any(tied for _, tied in calls)
     # the first batch's three stacks, one prefix length each
@@ -906,13 +950,12 @@ def _record_draw_threads(fail_at=None):
     """
     drawn = []
     error = RuntimeError(f"draw {fail_at} failed")
-    real = bt._draw
 
     def draw(seed, b, out):
         drawn.append((b, threading.get_ident()))
         if b == fail_at:
             raise error
-        real(seed, b, out)
+        draw_replicate(seed, b, out)
 
     return draw, drawn, error
 
@@ -958,7 +1001,7 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     fail_at = 3
     draw, drawn, error = _record_draw_threads(fail_at=fail_at)
-    monkeypatch.setattr(bt, "_draw", draw)
+    _patch_draw(monkeypatch, draw)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         bt.test_pair(s, [5, 10, 20], B=7, seed=19)
@@ -992,7 +1035,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
         if b == 1:
             assert second.wait(timeout=10)
         time.sleep(around[b, 0])
-        bt._draw(seed, b, out)
+        draw_replicate(seed, b, out)
         time.sleep(around[b, 1])
         finished.append(b)
         if b == 2:
@@ -1046,7 +1089,7 @@ def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypa
     light_rows = (2, 5)
 
     def draw(seed, b, out):
-        bt._draw(seed, b, out)
+        draw_replicate(seed, b, out)
         if b in light_rows:
             out[light] *= 1e-9
 
@@ -1080,7 +1123,7 @@ def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
     light[np.argsort(-getattr(s, light_series))[:600]] = True
 
     def draw(seed, b, out):
-        bt._draw(seed, b, out)
+        draw_replicate(seed, b, out)
         out[light] *= 1e-9
 
     # along the other series the first guess already reaches k_max

@@ -174,6 +174,8 @@ def test_analyze_partial_k_flags_exit_2(tmp_path, capsys):
          "k_step must be >= 1, got 0", "k_step must be an integer >= 1, got 0"),
         (["--k-min", "10", "--k-step", "5"], "k_min, k_max and k_step must be given together",
          "k_min, k_max and k_step must be given together"),
+        (["--B", "4294967296"], "B must be below 2**32",
+         "B must be an integer < 2**32, got 4294967296"),
     ],
 )
 def test_analyze_invalid_config_exits_2_before_the_bootstrap(

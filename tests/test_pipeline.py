@@ -798,6 +798,7 @@ def test_analysis_missing_column():
     [
         ("B", 0, errors.InvalidB),
         ("B", True, errors.InvalidB),
+        ("B", 2**32, errors.InvalidB),
         ("alpha", 7.0, errors.DomainError),
         ("rejection_fraction", 2.0, errors.DomainError),
         ("rejection_fraction", True, errors.DomainError),

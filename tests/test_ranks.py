@@ -65,14 +65,39 @@ def test_concomitant_ranks_y_order_indices():
 
 
 def test_concomitant_ranks_reject_ties_in_either_series():
-    # hand-built samples skip make_sample's checks; any tie must still raise,
-    # naming the pair a stable sort finds first
+    # hand-built samples skip make_sample's tie check; any tie must still
+    # raise, naming the pair a stable sort finds first
     tied_y = ranks.PairedSample(x=np.array([1.0, 2.0, 3.0, 4.0]), y=np.array([6.0, 5.0, 7.0, 5.0]))
     with pytest.raises(errors.TiesPresent, match="y has equal values at indices 1 and 3"):
         ranks.concomitant_ranks(tied_y)
     tied_x = ranks.PairedSample(x=np.array([3.0, 1.0, 3.0, 1.0]), y=np.array([1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(errors.TiesPresent, match="x has equal values at indices 1 and 3"):
         ranks.concomitant_ranks(tied_x)
+
+
+def test_hand_built_samples_get_the_checks_of_make_sample():
+    descending = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(errors.NonFinite, match=re.escape("x[1] is not finite: nan")):
+        ranks.PairedSample(x=np.array([1.0, np.nan, 3.0, 4.0, 5.0]), y=descending)
+    with pytest.raises(errors.LengthMismatch, match="series lengths differ: 4 vs 5"):
+        ranks.PairedSample(x=np.arange(4.0), y=descending)
+    with pytest.raises(errors.DomainError, match=re.escape("y must be one-dimensional")):
+        ranks.PairedSample(x=np.arange(6.0), y=descending.reshape(1, 5))
+    with pytest.raises(errors.InvalidN, match="got 1"):
+        ranks.PairedSample(x=np.array([1.0]), y=np.array([2.0]))
+    # lists are held as float64 arrays, as make_sample holds them
+    listed = ranks.PairedSample(x=[1, 2, 3, 4, 5], y=descending.tolist())
+    assert listed.x.dtype == np.float64 and listed.y.dtype == np.float64
+    made = ranks.make_sample([1, 2, 3, 4, 5], descending)
+    assert np.array_equal(listed.x, made.x) and np.array_equal(listed.y, made.y)
+    assert ranks.concomitant_ranks(listed).rho.tolist() == [5, 4, 3, 2, 1]
+
+
+def test_make_sample_holds_its_arrays_without_another_copy():
+    s = ranks.make_sample(np.arange(5.0), np.arange(5.0)[::-1])
+    assert not s.x.flags.writeable and not s.y.flags.writeable
+    swapped = s.swapped()
+    assert swapped.x is s.y and swapped.y is s.x
 
 
 def test_signed_zeros_are_a_tie():
