@@ -40,6 +40,9 @@ RUNS = {
         "--k-min", "20", "--k-max", "1000", "--k-step", "10", "--no-eta-gate",
         "--format", "csv",
     ],
+    "kgumbel_estimates.csv": [
+        "analyze", "kgumbel_n3000.csv", *_COLS, "--skip-tests", "--format", "csv",
+    ],
     "independent_gated.json": [
         "analyze", "independent_n800.csv", *_COLS, "--B", "50", "--seed", "5",
     ],
@@ -71,6 +74,8 @@ RUNS = {
     "population_kg_05_09_20_tol1e-10.json": [
         "population", "--model", "kgumbel:alpha=0.5,beta=0.9,delta=20", "--tol", "1e-10",
     ],
+    "population_nelsen_0667.json": ["population", "--model", "nelsen:theta=0.667"],
+    "population_maxmodel_3.json": ["population", "--model", "maxmodel:m=3"],
 }
 
 
