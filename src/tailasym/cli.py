@@ -46,10 +46,9 @@ def _add_out(p):
 def _cmd_simulate(args):
     model = parse_model_spec(args.model)
     s = sample(model, args.n, args.seed)
-    lines = ["t,x,y"]
-    for t, (xv, yv) in enumerate(zip(s.x, s.y), start=1):
-        lines.append(f"{t},{float(xv)!r},{float(yv)!r}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    rows = enumerate(zip(s.x.tolist(), s.y.tolist()), start=1)
+    lines = [f"{t},{x!r},{y!r}\n" for t, (x, y) in rows]
+    _write_text("t,x,y\n" + "".join(lines), args.out)
     return 0
 
 

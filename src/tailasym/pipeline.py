@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import compress, islice
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,33 +68,30 @@ CSV_COLUMNS = (
 
 
 class _Keys:
-    """The keys field of SeriesTable: a table may hold a _PendingKeys in its
-    place, which becomes the keys tuple the first time keys is read."""
+    """The keys field of SeriesTable: a table may hold a partial of
+    _ordered_keys in its place, which becomes the keys tuple the first time
+    keys is read."""
 
     def __get__(self, table, owner=None):
         if table is None:
             raise AttributeError("keys")  # a field without a default
         keys = table.__dict__["keys"]
-        if isinstance(keys, _PendingKeys):
-            keys = table.__dict__["keys"] = keys.build()
+        if isinstance(keys, functools.partial):
+            keys = table.__dict__["keys"] = keys()
         return keys
 
     def __set__(self, table, keys):
         table.__dict__["keys"] = keys
 
 
-class _PendingKeys(NamedTuple):
-    """Keys that load_csv has not built yet: the key texts, in file order or
-    from a function that parses them, to be taken in the given row order."""
-
-    texts: object
-    order: Optional[np.ndarray]
-
-    def build(self):
-        texts = self.texts() if callable(self.texts) else self.texts
-        if self.order is None:
-            return tuple(texts)
-        return tuple(map(texts.__getitem__, self.order.tolist()))
+def _ordered_keys(texts, order):
+    """The keys tuple of texts, the key texts in file order or a function
+    that parses them, taken in the given row order (None: file order)."""
+    if callable(texts):
+        texts = texts()
+    if order is None:
+        return tuple(texts)
+    return tuple(map(texts.__getitem__, order.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +164,9 @@ def _sorted_table(path, wanted, keys, values, ints=None):
     for col in values:
         col.flags.writeable = False
     return SeriesTable(
-        keys=_PendingKeys(keys, order), columns=dict(zip(wanted, values)), source=str(path)
+        keys=functools.partial(_ordered_keys, keys, order),
+        columns=dict(zip(wanted, values)),
+        source=str(path),
     )
 
 

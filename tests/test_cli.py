@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden import RUNS, check_in_fresh_process
 from tailasym import __version__, cli, errors, pipeline
 from tailasym.copulas import parse_model_spec, sample
 
@@ -339,51 +340,12 @@ def test_import_loads_neither_scipy_nor_the_draw_ahead_pool():
 
 
 def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path):
-    # No command needs scipy, which serves the tests as an oracle only; the
-    # QUADPACK port is imported by the first quadrature, not by the package.
-    data, out = tmp_path / "sim.csv", tmp_path / "report.csv"
-    tested, population = tmp_path / "tested.json", tmp_path / "population.json"
-    # a dated price export, CRLF and a quoted header: the exact CSV reader
-    prices = Path(__file__).parent / "data" / "golden" / "prices_crlf.csv"
-    price_acf, price_report = tmp_path / "acf.json", tmp_path / "prices.json"
-    script = (
-        "import sys\n"
-        "import tailasym\n"
-        "from tailasym import cli\n"
-        "assert 'scipy' not in sys.modules, 'import tailasym'\n"
-        "assert 'tailasym._quadpack' not in sys.modules, 'import tailasym'\n"
-        "assert cli.main(['simulate', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
-        f"                 '--n', '300', '--out', {str(data)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'simulate'\n"
-        f"assert cli.main(['analyze', {str(data)!r}, '--x-col', 'x', '--y-col', 'y',\n"
-        f"                 '--key-col', 't', '--skip-tests', '--out', {str(out)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'analyze --skip-tests'\n"
-        f"assert cli.main(['analyze', {str(data)!r}, '--x-col', 'x', '--y-col', 'y',\n"
-        f"                 '--key-col', 't', '--B', '20', '--no-eta-gate',\n"
-        f"                 '--out', {str(tested)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'analyze'\n"
-        "assert 'tailasym._quadpack' not in sys.modules, 'analyze'\n"
-        f"assert cli.main(['acf', {str(prices)!r}, '--col', 'btc', '--key-col', 'date',\n"
-        f"                 '--prices', '--max-lag', '20', '--out', {str(price_acf)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'acf --prices'\n"
-        f"assert cli.main(['analyze', {str(prices)!r}, '--x-col', 'btc', '--y-col', 'eth',\n"
-        f"                 '--key-col', 'date', '--prices', '--B', '20',\n"
-        f"                 '--out', {str(price_report)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'analyze --prices'\n"
-        "assert cli.main(['population', '--model', 'kgumbel:alpha=1,beta=0.5,delta=2',\n"
-        f"                 '--out', {str(population)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'population'\n"
-        "assert 'tailasym._quadpack' in sys.modules, 'population'\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text(encoding="utf-8").startswith("{")
-    assert '"ci_delta_low"' in tested.read_text(encoding="utf-8")
-    assert '"method": "quadrature"' in population.read_text(encoding="utf-8")
-    assert '"lags_beyond_band"' in price_acf.read_text(encoding="utf-8")
-    assert '"prices_converted_to_log_returns": true' in price_report.read_text(encoding="utf-8")
+    # simulate, acf and analyze --skip-tests, after one another in a fresh
+    # process: none loads scipy or the quadrature.
+    check_in_fresh_process(tmp_path, [
+        name for name, argv in RUNS.items()
+        if argv[0] in ("simulate", "acf") or "--skip-tests" in argv
+    ])
 
 
 @pytest.mark.parametrize(
@@ -454,7 +416,7 @@ def test_acf_prices_flag_and_constant_exit_2(tmp_path, capsys):
 
 
 def test_population_closed_form_output(capsys):
-    assert run_cli("population", "--model", "nelsen:theta=0.667") == 0
+    assert run_cli(*RUNS["population_nelsen_0667.json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["model"] == {"family": "nelsen", "theta": 0.667}
     assert doc["method"] == "closed_form"
@@ -464,7 +426,7 @@ def test_population_closed_form_output(capsys):
 
 
 def test_population_quadrature_output(capsys):
-    assert run_cli("population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2") == 0
+    assert run_cli(*RUNS["population_kg_1_05_2.json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "quadrature"
     assert doc["eta_xy"] == pytest.approx(0.2365007418083671, abs=1e-7)
@@ -502,7 +464,7 @@ def test_population_exits_3_when_quadrature_reports_a_warning(capsys, monkeypatc
     monkeypatch.setattr(
         _quadpack, "integrate", lambda *args: integrate(*args[:-1], 1)
     )
-    assert run_cli("population", "--model", "kgumbel:alpha=0.3,beta=0.8,delta=1.4") == 3
+    assert run_cli(*RUNS["population_kg_03_08_14.json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -516,31 +478,10 @@ def test_population_bad_model_exits_2(capsys):
 
 
 def test_population_writes_the_same_bytes_with_scipy_blocked(tmp_path):
-    # A None entry in sys.modules makes every scipy import raise ImportError.
-    models = [
-        "nelsen:theta=0.667", "maxmodel:m=3",
-        "kgumbel:alpha=1,beta=0.5,delta=2", "kgumbel:alpha=0.3,beta=0.8,delta=1.4",
-    ]
-    runs = {}
-    for i, model in enumerate(models):
-        argv = ["population", "--model", model, "--out"]
-        assert cli.main([*argv, str(tmp_path / f"in{i}.json")]) == 0
-        runs[str(tmp_path / f"blocked{i}.json")] = argv
-    script = (
-        "import json, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from tailasym import cli\n"
-        "for out, argv in json.loads(sys.argv[1]).items():\n"
-        "    assert cli.main([*argv, out]) == 0, argv\n"
+    # Closed forms and quadratures alike write their goldens without scipy.
+    check_in_fresh_process(
+        tmp_path, [name for name, argv in RUNS.items() if argv[0] == "population"]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for i in range(len(models)):
-        blocked = (tmp_path / f"blocked{i}.json").read_bytes()
-        assert blocked == (tmp_path / f"in{i}.json").read_bytes()
 
 
 # --- entry point ----------------------------------------------------------------------

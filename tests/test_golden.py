@@ -1,116 +1,30 @@
 """Byte-for-byte comparison of fresh CLI output with committed golden files.
 
-The files under tests/data/golden/ were written before the bootstrap was
-rebuilt around one shared replicate engine (see the README there for the
-exact commands).  Every run here repeats one of those commands and must
-reproduce the committed bytes: the rebuild is a pure speed change, and
-gate 11 (two fresh runs agree with each other) cannot see a change that
-moves both runs alike.
+The commands are golden.py's RUNS, and every check here writes their
+outputs with its recorder.  Every run must reproduce the committed bytes:
+an optimisation is a pure speed change, and gate 11 (two fresh runs agree
+with each other) cannot see a change that moves both runs alike.
 """
 
 import datetime
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailasym import cli
-
-GOLDEN = Path(__file__).parent / "data" / "golden"
-
-_COLS = ["--x-col", "x", "--y-col", "y", "--key-col", "t"]
-
-RUNS = {
-    "kgumbel_n3000.csv": [
-        "simulate", "--model", "kgumbel:alpha=1,beta=0.5,delta=2",
-        "--n", "3000", "--seed", "7",
-    ],
-    "independent_n800.csv": [
-        "simulate", "--model", "kgumbel:alpha=1,beta=1,delta=1",
-        "--n", "800", "--seed", "11",
-    ],
-    "kgumbel_b50.json": [
-        "analyze", "kgumbel_n3000.csv", *_COLS, "--B", "50", "--seed", "3",
-    ],
-    "dense_grid.csv": [
-        "analyze", "kgumbel_n3000.csv", *_COLS, "--B", "50", "--seed", "3",
-        "--k-min", "20", "--k-max", "1000", "--k-step", "10", "--no-eta-gate",
-        "--format", "csv",
-    ],
-    "kgumbel_estimates.csv": [
-        "analyze", "kgumbel_n3000.csv", *_COLS, "--skip-tests", "--format", "csv",
-    ],
-    "independent_gated.json": [
-        "analyze", "independent_n800.csv", *_COLS, "--B", "50", "--seed", "5",
-    ],
-    "ties_lower_jitter.json": [
-        "analyze", "ties_n1000.csv", *_COLS, "--B", "50", "--seed", "9",
-        "--tail", "lower", "--tie-policy", "jitter",
-    ],
-    "prices_b50.json": [
-        "analyze", "prices_crlf.csv", "--x-col", "btc", "--y-col", "eth",
-        "--key-col", "date", "--prices", "--B", "50", "--seed", "4",
-    ],
-    "prices_lower_b50.json": [
-        "analyze", "prices_crlf.csv", "--x-col", "btc", "--y-col", "eth",
-        "--key-col", "date", "--prices", "--tail", "lower", "--B", "50", "--seed", "4",
-    ],
-    "prices_acf_btc.json": [
-        "acf", "prices_crlf.csv", "--col", "btc", "--key-col", "date", "--prices",
-        "--max-lag", "20",
-    ],
-    "population_kg_1_05_2.json": [
-        "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=2",
-    ],
-    "population_kg_03_08_14.json": [
-        "population", "--model", "kgumbel:alpha=0.3,beta=0.8,delta=1.4",
-    ],
-    "population_kg_1_05_14_tol1e-10.json": [
-        "population", "--model", "kgumbel:alpha=1,beta=0.5,delta=1.4", "--tol", "1e-10",
-    ],
-    "population_kg_05_09_20_tol1e-10.json": [
-        "population", "--model", "kgumbel:alpha=0.5,beta=0.9,delta=20", "--tol", "1e-10",
-    ],
-    "population_nelsen_0667.json": ["population", "--model", "nelsen:theta=0.667"],
-    "population_maxmodel_3.json": ["population", "--model", "maxmodel:m=3"],
-}
+from golden import GOLDEN, RUNS, check_in_fresh_process, record
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_output_matches_golden_bytes(name, tmp_path, monkeypatch):
-    # Run from the golden directory so the report's source field is the bare name.
-    monkeypatch.chdir(GOLDEN)
-    out = tmp_path / name
-    assert cli.main([*RUNS[name], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+def test_cli_output_matches_golden_bytes(name, tmp_path):
+    record(tmp_path, [name])
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_analyze_reproduces_golden_bytes_with_scipy_blocked(tmp_path):
-    # A None entry in sys.modules makes every scipy import raise ImportError,
-    # so each analyze run, bootstrap tests included, must need numpy alone.
-    runs = {
-        str(tmp_path / name): argv
-        for name, argv in RUNS.items()
-        if argv[0] == "analyze"
-    }
-    script = (
-        "import json, os, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from tailasym import cli\n"
-        "os.chdir(sys.argv[2])\n"
-        "for out, argv in json.loads(sys.argv[1]).items():\n"
-        "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+    # Each analyze run, bootstrap tests included, needs numpy alone.
+    check_in_fresh_process(
+        tmp_path, [name for name, argv in RUNS.items() if argv[0] == "analyze"]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs), str(GOLDEN)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for out in runs:
-        assert Path(out).read_bytes() == (GOLDEN / Path(out).name).read_bytes()
 
 
 def test_price_input_follows_its_recipe():
