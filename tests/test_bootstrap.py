@@ -1,11 +1,9 @@
 """Bootstrap machinery tests.
 
-The heart of this module is a brute-force oracle: the weighted replicate
-statistic is recomputed from its definition with quadratic loops (weighted
-reverse ranks by pairwise comparison, the pair sum written out literally) and
-compared against the production path.  The replicate stream protocol is pinned
-by reconstructing the multiplier batches with raw numpy seed sequences, which
-must reproduce every field of a TestResult exactly.
+Single replicates, the stacked engine and whole test calls are held to the
+oracles of ``tests/oracles.py``: the weighted replicate from its definition,
+the full-sort reference replicate, the multiplier stream from numpy's own
+seed sequences and the rule that assembles a TestResult from its replicates.
 """
 
 import functools
@@ -22,6 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from oracles import (
+    assembled, full_sort_replicate, literal_eta, naive_weighted_eta, replicate_weights, seed_sequence,
+)
 from tailasym import _kernels
 from tailasym import bootstrap as bt
 from tailasym import errors, estimators
@@ -34,13 +35,6 @@ def _random_sample(rng, n):
     return make_sample(rng.random(n) * 10 - 5, rng.standard_normal(n))
 
 
-def replicate_weights(seed, b, n):
-    """The documented multiplier stream for replicate b: Philox((seed, (0, b)))."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, b))
-    rng = np.random.Generator(np.random.Philox(seq))
-    return rng.standard_exponential(n)
-
-
 # The draw and key hash as imported: the helpers below call them past any
 # monkeypatch that counts or replaces the engine's draws.
 _draw = bt._draw
@@ -50,29 +44,6 @@ _spawn_keys = bt._spawn_keys
 def draw_replicate(seed, b, out):
     """Fill out with replicate b's multipliers, as a test call with this seed draws them."""
     _draw(_spawn_keys(seed, [b])[0], out)
-
-
-def naive_weighted_eta(x, y, w, k):
-    """Literal definition of the weighted replicate at tail size k.
-
-    Weighted reverse ranks by pairwise comparison, inclusion of a point when
-    the total weight of strictly larger conditioning values is below k, and
-    the (k - max)_+ pair sum evaluated with two explicit loops.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    wo = np.asarray(w, dtype=float)
-    wo = wo / wo.mean()
-    rx = np.array([wo[x > xi].sum() for xi in x])
-    ry = np.array([wo[y > yi].sum() for yi in y])
-    idx = np.flatnonzero(ry < k)
-    s = 0.0
-    for i in idx:
-        for j in idx:
-            m = max(rx[i], rx[j])
-            if m < k:
-                s += wo[i] * wo[j] * (k - m)
-    return 3.0 * s / k**3
 
 
 # --- single replicates vs the brute-force oracle --------------------------------
@@ -121,17 +92,9 @@ def test_equal_weights_sum_over_the_top_k_and_eta_kn_over_the_top_k_minus_one():
     ones = np.ones(500)
     got = {}
     for d, (ranked, given) in zip(Direction, ((x, y), (y, x))):
-        # reverse ranks of the ranked series, by decreasing conditioning value
-        order = np.argsort(-given)
-        rho = np.array([1 + np.count_nonzero(ranked > ranked[i]) for i in order])
-
-        def literal(k, top):
-            larger = np.maximum.outer(rho[:top], rho[:top])
-            return 3 * int(np.maximum(k + 1 - larger, 0).sum()) / k**3
-
         for k in (5, 10, 50, 100, 200):
             got[d, k] = (bt.bootstrap_eta(s, k, ones, d), eta_kn(s, k, d).value)
-            assert got[d, k] == (literal(k, k), literal(k, k - 1))
+            assert got[d, k] == (literal_eta(ranked, given, k, top=k), literal_eta(ranked, given, k))
     xy = [got[Direction.X_GIVEN_Y, k] for k in (5, 10, 50, 100, 200)]
     assert [boot == plain for boot, plain in xy] == [True, True, True, False, False]
     assert [round(v, 6) for v in got[Direction.X_GIVEN_Y, 100]] == [0.258948, 0.251604]
@@ -245,7 +208,7 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
 
 
 # Run seeds of one to four 32-bit words and more, and a power-study replication
-# seed, the first of np.random.SeedSequence(944).generate_state(100).
+# seed, the first word of generate_state(100) of the seed sequence of 944.
 _KEY_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 10**30, 2**200 + 9, 2732714111]
 
 
@@ -254,10 +217,7 @@ _TOP_BS = [2**31, 2**32 - 2, 2**32 - 1]
 
 
 def _seed_sequence_keys(seed, bs):
-    return [
-        np.random.SeedSequence(entropy=seed, spawn_key=(0, b)).generate_state(2, np.uint64).tolist()
-        for b in bs
-    ]
+    return [seed_sequence(seed, b).generate_state(2, np.uint64).tolist() for b in bs]
 
 
 @pytest.mark.parametrize("seed", _KEY_SEEDS)
@@ -351,18 +311,12 @@ def test_delta_test_fields_reconstructed_exactly():
         w = replicate_weights(seed, b, s.n)
         for j, k in enumerate(kgrid):
             cols[b - 1, j] = bt.bootstrap_delta(s, k, w)
-    z = bt.normal_quantile(alpha / 2.0)
     for j, (k, r) in enumerate(zip(kgrid, results)):
         stat = delta_kn(s, k).value
-        col = cols[:, j]
         assert (r.k, r.B, r.alpha) == (k, B, alpha)
         assert r.statistic == stat
-        assert r.p_value == np.count_nonzero(np.abs(col - stat) > abs(stat)) / B
-        sd = math.sqrt(k) * float(np.std(col, ddof=1))
-        assert r.boot_sd == sd
-        half = z * sd / math.sqrt(k)
-        assert r.ci_low == stat - half
-        assert r.ci_high == stat + half
+        fields = (r.p_value, r.boot_sd, r.ci_low, r.ci_high)
+        assert fields == assembled(stat, cols[:, j], k, B, alpha, True)
         assert r.ci_low <= r.statistic <= r.ci_high
 
 
@@ -383,30 +337,30 @@ def test_eta_test_fields_reconstructed_exactly():
             )
             assert r.statistic == stat
             # one-sided: replicates whose centered value exceeds the statistic
-            assert r.p_value == np.count_nonzero(col - stat > stat) / B
-            assert r.boot_sd == math.sqrt(k) * float(np.std(col, ddof=1))
+            fields = (r.p_value, r.boot_sd, r.ci_low, r.ci_high)
+            assert fields == assembled(stat, col, k, B, alpha, False)
 
 
 @pytest.mark.parametrize("B", [1, 2, 7, 20, 129, 1000])
 def test_assembled_grid_equals_the_per_column_fields(B):
     # the whole grid at once: every field bit for bit as from its own column
     rng = np.random.default_rng(B)
-    ks = np.array([3, 10, 40, 41, 200], dtype=np.int64)
-    plain = rng.standard_normal(ks.size) / 10
+    ks = np.array([3, 10, 40, 41, 200, 300, 400], dtype=np.int64)
+    plain = rng.standard_normal(5) / 10
     plain[2] = 0.0
-    boot = rng.standard_normal((B, ks.size)) * rng.uniform(0.01, 3.0, ks.size)
+    boot = rng.standard_normal((B, 5)) * rng.uniform(0.01, 3.0, 5)
     boot[:, 3] = plain[3]
-    z = bt.normal_quantile(0.05 / 2.0)
+    # Ties in both branches: 0 with every replicate 0, and every replicate
+    # 2 * plain, whose centred value 2p - p is exactly p.
+    plain = np.append(plain, [0.0, plain[0]])
+    boot = np.column_stack((boot, np.zeros(B), np.full(B, 2.0 * plain[0])))
     for two_sided in (False, True):
         results = bt._assemble(plain, boot, ks, B, 0.05, two_sided)
         for j, r in enumerate(results):
-            stat, col, root_k = float(plain[j]), boot[:, j], math.sqrt(ks[j])
-            dev = np.abs(col - stat) > abs(stat) if two_sided else col - stat > stat
-            sd = root_k * float(np.std(col, ddof=1)) if B > 1 else 0.0
-            half = z * sd / root_k
-            assert type(r.k) is int and r.k == ks[j]
-            assert (r.statistic, r.p_value) == (stat, np.count_nonzero(dev) / B)
-            assert (r.boot_sd, r.ci_low, r.ci_high) == (sd, stat - half, stat + half)
+            stat = float(plain[j])
+            assert type(r.k) is int and r.k == ks[j] and r.statistic == stat
+            fields = (r.p_value, r.boot_sd, r.ci_low, r.ci_high)
+            assert fields == assembled(stat, boot[:, j], ks[j], B, 0.05, two_sided)
 
 
 def test_eta_and_delta_tests_share_replicate_weights():
@@ -428,7 +382,7 @@ def test_eta_and_delta_tests_share_replicate_weights():
     assert np.array_equal(delta_cols, xy_cols - yx_cols)
     res = bt.test_delta_zero(s, [k], B=B, seed=seed)[0]
     stat = delta_kn(s, k).value
-    assert res.p_value == np.count_nonzero(np.abs(delta_cols - stat) > abs(stat)) / B
+    assert res.p_value == assembled(stat, delta_cols, k, B, 0.05, True)[0]
 
 
 def test_identical_series_give_zero_delta_and_p_zero():
@@ -541,37 +495,6 @@ def _count_draws(monkeypatch):
     return drawn
 
 
-# The kernel as imported: the reference below calls it past any monkeypatch
-# that counts or reshapes the engine's calls.
-_kernel = _kernels.weighted_eta_grid_sums
-
-
-def full_sort_replicate(ranked, conditioning, wo, ks):
-    """Reference replicate: all n weighted ranks sorted, no truncation.
-
-    The weighted rank of an element is the exclusive running sum of the
-    weights along decreasing ranked values, the total weight of the larger
-    ones; equal weighted ranks are ordered by unweighted reverse rank.
-    """
-    n = ranked.size
-    value_order = np.argsort(-ranked, kind="stable")
-    y_order = np.argsort(-conditioning, kind="stable")
-    ws = wo[value_order]
-    r = np.empty(n)
-    r[value_order] = np.concatenate(([0.0], np.cumsum(ws)[:-1]))
-    reverse = np.empty(n, dtype=np.int64)
-    reverse[value_order] = np.arange(1, n + 1)
-    rx = r[y_order]
-    wy = wo[y_order]
-    excl = np.concatenate(([0.0], np.cumsum(wy)[:-1]))
-    order = np.lexsort((reverse[y_order], rx))
-    sums = _kernel(
-        rx[order][None, :], excl[order][None, :], wy[order][None, :],
-        np.empty((1, ks.size)), ks,
-    )
-    return (3.0 * sums[0]) / ks.astype(np.float64) ** 3
-
-
 def _batch_rows(n, kgrid, B):
     """Rows of a full batch: whole stacks whose first prefixes fit _STACK_ELEMS floats."""
     R = max(1, min(B, bt._STACK_ELEMS // n))
@@ -663,19 +586,7 @@ def test_truncated_engine_equals_full_sort_reference():
         s = _random_sample(rng, n)
         if kgrid is None:
             kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=4)} | {n})
-        ks = np.asarray(kgrid, dtype=np.int64)
-        B, seed = 4, int(rng.integers(0, 1000))
-        draw = functools.partial(draw_replicate, seed)
-        ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
-        mats = bt._replicate_matrices(ranks, n, ks, B, draw)
-        w = np.empty(n)
-        for b in range(1, B + 1):
-            draw(b, w)
-            wo = w / w.mean()
-            want_xy = full_sort_replicate(s.x, s.y, wo, ks)
-            want_yx = full_sort_replicate(s.y, s.x, wo, ks)
-            assert np.array_equal(mats[Direction.X_GIVEN_Y][b - 1], want_xy)
-            assert np.array_equal(mats[Direction.Y_GIVEN_X][b - 1], want_yx)
+        _assert_engine_equals_full_sort(s, kgrid, B=4, seed=int(rng.integers(0, 1000)))
 
 
 def _record_prefixes(monkeypatch):

@@ -1,16 +1,11 @@
-"""Estimator tests.
-
-The oracle here is the literal double sum over concomitant reverse ranks,
-kept deliberately naive (O(k^2) loops, integer accumulation) so that agreement
-with the production kernel is a real cross-check and, because both ends divide
-the same exact integer by k^3 once, can be asserted with ==.
-"""
+"""Estimator tests, against ``literal_eta`` of tests/oracles.py with ==."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import literal_eta
 from tailasym import errors
 from tailasym.estimators import (
     Direction,
@@ -25,20 +20,6 @@ from tailasym.estimators import (
 from tailasym.ranks import PairedSample, concomitant_ranks, make_sample
 
 
-def eta_literal(x, y, k):
-    """Straight transcription of the estimator definition."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    order = np.argsort(-y, kind="stable")
-    xs = x[order]
-    rho = np.array([int(np.sum(x >= v)) for v in xs])
-    s = 0
-    for i in range(k - 1):
-        for j in range(k - 1):
-            s += max(k + 1 - max(rho[i], rho[j]), 0)
-    return 3 * s / k**3
-
-
 def test_matches_literal_double_sum_exactly():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -47,7 +28,7 @@ def test_matches_literal_double_sum_exactly():
         y = rng.standard_normal(n)
         k = int(rng.integers(2, n + 1))
         s = make_sample(x, y)
-        assert eta_kn(s, k).value == eta_literal(x, y, k)
+        assert eta_kn(s, k).value == literal_eta(x, y, k)
 
 
 def test_hand_worked_small_case():

@@ -1,13 +1,13 @@
 """The two kernels against their oracles.
 
 The integer kernel is exact integer arithmetic: it must give zero where no
-rank contributes, the closed-form sum (k - 1)(2k^2 + 5k - 6)/6 at full
-concordance, and stay exact past the int64 range.
+rank contributes, ``concordant_sum`` at full concordance, and stay exact past
+the int64 range.
 
 The weighted kernel evaluates a stack of replicates over a run of grid rows
 at once, and must give, for every row of the stack, bit for bit what the
-literal loop over k, ``per_k_weighted_sums`` below, gives: same terms, same
-running sums and the same ``np.dot`` call per k.  The runs the kernel cuts a
+literal loop over k, ``per_k_weighted_sums``, gives.  Both oracles are in
+tests/oracles.py.  The runs the kernel cuts a
 grid into must cover each grid row once, within the block budget, and its
 width at each k must be the largest count of a row's ranks below k.  The
 columns a run's block spans must hold every entry kept in the run and be
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import concordant_sum, per_k_weighted_sums
 from tailasym import _kernels
 from tailasym.estimators import eta_upper_bound
 
@@ -42,42 +43,24 @@ def test_integer_kernel_full_concordance_closed_form():
     ks = np.arange(2, 41, dtype=np.int64)
     out = _kernels.eta_grid_sums(pos, ks)
     for s, k in zip(out, ks):
-        k = int(k)
-        assert int(s) == (k - 1) * (2 * k * k + 5 * k - 6) // 6
+        assert int(s) == concordant_sum(int(k))
 
 
 def test_integer_kernel_exact_just_above_the_int64_bound():
     # S(k) at full concordance is the largest sum at tail size k; one step
     # past k = 3,024,616 it no longer fits in int64 and must still come out exact
-    def max_sum(j):
-        return (j - 1) * (2 * j * j + 5 * j - 6) // 6
-
     k = 3_024_617
     limit = int(np.iinfo(np.int64).max)
-    assert max_sum(k - 1) <= limit < max_sum(k)
+    assert concordant_sum(k - 1) <= limit < concordant_sum(k)
     pos = np.arange(k, dtype=np.int64)
     ks = np.array([k - 1, k], dtype=np.int64)
-    want = [max_sum(j) for j in (k - 1, k)]
+    want = [concordant_sum(j) for j in (k - 1, k)]
     got = _kernels.eta_grid_sums(pos, ks)
     assert [int(v) for v in got] == want
     assert 3 * int(got[1]) / k**3 == eta_upper_bound(k)
 
 
 # --- weighted kernel -----------------------------------------------------------
-
-
-def per_k_weighted_sums(rx_sorted, ry_sorted, w_sorted, ks):
-    """The weighted kernel as a loop over k: one prefix, one mask, one dot each."""
-    out = np.empty(len(ks), dtype=np.float64)
-    for t, k in enumerate(ks):
-        kf = float(k)
-        hi = int(np.searchsorted(rx_sorted, kf, side="left"))
-        keep = ry_sorted[:hi] < kf
-        rx = rx_sorted[:hi][keep]
-        w = w_sorted[:hi][keep]
-        cw = np.cumsum(w)
-        out[t] = float(np.dot((kf - rx) * w, 2.0 * cw - w))
-    return out
 
 
 def _weighted_inputs(size, finite, m, seed, halves=False, rows=1, cut=1):

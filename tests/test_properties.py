@@ -1,4 +1,4 @@
-"""Property tests against the literal O(n^2) definitions and the exact CSV reader.
+"""Property tests against the oracles of tests/oracles.py and the exact CSV reader.
 
 hypothesis draws rank configurations (any tie-free sample is a pair of
 permutations as far as rank statistics go), heavily tied series for the
@@ -14,25 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import assembled, literal_eta, naive_weighted_eta, replicate_weights
 from tailasym import bootstrap as bt
 from tailasym import errors, pipeline
 from tailasym.estimators import Direction, eta_kn
 from tailasym.ranks import make_sample
-from test_bootstrap import naive_weighted_eta, replicate_weights
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 XY, YX = Direction.X_GIVEN_Y, Direction.Y_GIVEN_X
-
-
-def literal_eta(x, y, k):
-    """3 / k^3 times the sum over the top k - 1 of y of (k + 1 - max(r_i, r_j))_+.
-
-    r_i is the reverse rank of x_i, counted as the number of x values >= x_i.
-    """
-    top = sorted(range(len(y)), key=lambda i: -y[i])[: k - 1]
-    r = [sum(1 for v in x if v >= x[i]) for i in top]
-    s = sum(max(k + 1 - max(a, b), 0) for a in r for b in r)
-    return 3 * s / k**3
 
 
 @st.composite
@@ -108,12 +97,14 @@ def test_one_replicate_tests_on_a_grid_read_the_naive_replicates(case, ties):
             a, b = (s.x, s.y) if d is XY else (s.y, s.x)
             assert rep == _close(naive_weighted_eta(a, b, w, k))
             assert res.statistic == literal_eta(a, b, k)
-            assert res.p_value == float(rep - res.statistic > res.statistic)
+            fields = (res.p_value, res.boot_sd, res.ci_low, res.ci_high)
+            assert fields == assembled(res.statistic, [rep], k, 1, 0.05, False)
             assert res.boot_sd == 0.0 and res.ci_low == res.statistic == res.ci_high
         delta = pair.delta[j]
         assert delta.statistic == pair.eta_xy[j].statistic - pair.eta_yx[j].statistic
         rep = bt.bootstrap_delta(s, k, w)
-        assert delta.p_value == float(abs(rep - delta.statistic) > abs(delta.statistic))
+        fields = (delta.p_value, delta.boot_sd, delta.ci_low, delta.ci_high)
+        assert fields == assembled(delta.statistic, [rep], k, 1, 0.05, True)
 
 
 # --- the two CSV readers -----------------------------------------------------------

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import jitter_stream, offset_jitter
 from tailasym import errors
 from tailasym import ranks
 
@@ -210,14 +211,6 @@ def test_jitter_survives_gaps_of_one_ulp():
     assert ranks.concomitant_ranks(s).n == 4
 
 
-def _offset_jitter(arr, rng):
-    """Tie-breaking by small seeded offsets, valid while the gaps are wide."""
-    n = arr.size
-    gaps = np.diff(np.unique(arr))
-    scale = float(gaps.min()) if gaps.size else 1.0
-    return arr + (rng.permutation(n) + 1.0) / (n + 1.0) * (0.5 * scale)
-
-
 def test_jitter_orders_like_offsets_wherever_offsets_work():
     rng = np.random.default_rng(4)
     for seed in range(20):
@@ -225,14 +218,12 @@ def test_jitter_orders_like_offsets_wherever_offsets_work():
         x = np.round(rng.standard_normal(n), 1)
         y = np.round(rng.standard_normal(n), 1)
         s = ranks.make_sample(x, y, tie_policy="jitter", seed=seed)
-        stream = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        )
+        stream = jitter_stream(seed)
         for got, raw in ((s.x, x), (s.y, y)):
             if len(np.unique(raw)) == n:
                 assert np.array_equal(got, raw)
                 continue
-            want = _offset_jitter(raw, stream)
+            want = offset_jitter(raw, stream)
             assert len(np.unique(want)) == n
             assert np.array_equal(ranks.reverse_ranks(got), ranks.reverse_ranks(want))
 
