@@ -270,6 +270,11 @@ def _checked_weights(weights, n):
         raise NonFinite("multiplier weights must be finite")
     if np.any(w <= 0.0):
         raise DomainError("multiplier weights must be strictly positive")
+    # An infinite mean would normalize every weight to 0.
+    with np.errstate(over="ignore"):
+        mean = w.mean()
+    if not np.isfinite(mean):
+        raise DomainError("the mean of the multiplier weights overflows float64")
     return w
 
 

@@ -33,7 +33,6 @@ from .ranks import PairedSample, make_sample
 
 __all__ = [
     "NelsenCopula", "KhoudrajiGumbelCopula", "MaxFactorCopula", "PopulationValues",
-    "copula_cdf", "survival_copula", "tail_copula", "stable_tail_dependence",
     "tail_dependence_chi", "population_values",
     "khoudraji_gumbel_delta_closed_form", "sample", "parse_model_spec",
 ]
@@ -262,28 +261,6 @@ def _khoudraji_mix(w, u, a):
     if a == 1.0:
         return w
     return np.maximum(w ** (1.0 / a), u ** (1.0 / (1.0 - a)))
-
-
-def copula_cdf(model, u, v):
-    """C(u, v) for the given model; accepts scalars or broadcastable arrays."""
-    return model.cdf(u, v)
-
-
-def survival_copula(model, u, v):
-    """Joint upper-orthant copula: P(U > 1-u, V > 1-v) = u+v-1+C(1-u, 1-v)."""
-    ua, va = _check_unit_args(u, v)
-    return _scalar_like(ua + va - 1.0 + model._cdf(1.0 - ua, 1.0 - va), u, v)
-
-
-def tail_copula(model, x, y):
-    """Upper tail copula Lambda(x, y) of the model at nonnegative arguments."""
-    return model.tail_copula(x, y)
-
-
-def stable_tail_dependence(model, x, y):
-    """Stable tail dependence function l(x, y) = x + y - Lambda(x, y)."""
-    xa, ya = _check_tail_args(x, y)
-    return _scalar_like(xa + ya - model._tail(xa, ya), x, y)
 
 
 def tail_dependence_chi(model):

@@ -24,9 +24,8 @@ from .errors import DomainError, KOutOfRange, check_int
 from .ranks import ConcomitantRanks, PairedSample, concomitant_ranks
 
 __all__ = [
-    "Direction", "EtaEstimate", "DeltaEstimate", "TailCopulaGrid", "eta_kn",
-    "eta_sweep", "delta_kn", "delta_sweep", "empirical_tail_copula_slice",
-    "eta_from_tail_copula", "eta_upper_bound",
+    "Direction", "EtaEstimate", "DeltaEstimate", "eta_kn", "eta_sweep", "delta_kn",
+    "delta_sweep", "eta_upper_bound",
 ]
 
 
@@ -149,58 +148,3 @@ def delta_sweep(sample: PairedSample, kgrid):
         DeltaEstimate(value=a - b, k=int(k), n=sample.n, eta_xy=a, eta_yx=b)
         for a, b, k in zip(exy, eyx, ks)
     ]
-
-
-@dataclass(frozen=True, eq=False)
-class TailCopulaGrid:
-    """Piecewise-constant empirical tail-copula slice u -> Lambda(u, 1).
-
-    The function is 0 on [0, breakpoints[0]), jumps by 1/k at each breakpoint,
-    and takes the value values[j] on (breakpoints[j], breakpoints[j+1]]; it is
-    left-continuous at its jumps (the indicator underneath is strict).
-    """
-
-    k: int
-    n: int
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def evaluate(self, u):
-        """Value of the slice at u (scalar or array), u in [0, 1]."""
-        ua = np.asarray(u, dtype=np.float64)
-        if np.any(~np.isfinite(ua)) or np.any(ua < 0.0) or np.any(ua > 1.0):
-            raise DomainError("slice argument must lie in [0, 1]")
-        out = np.searchsorted(self.breakpoints, ua, side="left") / self.k
-        return float(out) if ua.ndim == 0 else out
-
-
-def empirical_tail_copula_slice(
-    sample: PairedSample, k, direction=Direction.X_GIVEN_Y
-) -> TailCopulaGrid:
-    """Empirical tail-copula slice built from the top-(k-1) concomitant ranks.
-
-    Each concomitant rank r <= k among the first k-1 contributes a jump of 1/k
-    at u = (r-1)/k; integrating the square of the result and scaling by 3
-    reproduces eta_kn exactly (see eta_from_tail_copula).
-    """
-    direction = _coerce_direction(direction)
-    k = _check_k(k, sample.n)
-    top = _oriented_ranks(sample, direction).rho[: k - 1]
-    contributing = np.sort(top[top <= k])
-    breakpoints = (contributing - 1) / k
-    values = np.arange(1, contributing.size + 1, dtype=np.float64) / k
-    breakpoints.flags.writeable = False
-    values.flags.writeable = False
-    return TailCopulaGrid(k=k, n=sample.n, breakpoints=breakpoints, values=values)
-
-
-def eta_from_tail_copula(grid: TailCopulaGrid) -> float:
-    """3 times the exact integral of the squared slice over [0, 1].
-
-    Piecewise-constant integration: values[j] holds on (breakpoints[j], b_next]
-    with b_next the following breakpoint or 1.  Agrees with eta_kn to float
-    precision; a constant slice c on all of [0, 1] integrates to 3 c^2.
-    """
-    edges = np.append(grid.breakpoints, 1.0)
-    lengths = np.diff(edges)
-    return 3.0 * float(np.dot(grid.values * grid.values, lengths))

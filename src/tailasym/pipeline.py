@@ -421,15 +421,20 @@ def acf(values, max_lag) -> AcfSummary:
     """Biased (divide-by-n) sample autocorrelation at lags 1..max_lag.
 
     The reported band +/- 1.96/sqrt(n) is the usual asymptotic white-noise
-    yardstick.  Requires n > max_lag >= 1 and a finite, non-constant series.
+    yardstick.  Requires n > max_lag >= 1 and a finite, non-constant series
+    whose mean and lag-0 autocovariance are finite in float64.
     """
     v = _as_checked_array(values, "values")
     max_lag = check_int(max_lag, "max_lag", 1)
     n = v.size
     if n <= max_lag:
         raise SeriesTooShort(f"need more than {max_lag} observations, got {n}")
-    centered = v - v.mean()
-    c0 = float(np.dot(centered, centered)) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = v - v.mean()
+        c0 = float(np.dot(centered, centered)) / n
+    # An infinite mean or sum of squares leaves c0 infinite or NaN.
+    if not math.isfinite(c0):
+        raise DomainError("autocorrelation of this series overflows float64")
     if c0 == 0.0:
         raise DomainError("autocorrelation of a constant series is undefined")
     vals = np.asarray(

@@ -5,15 +5,22 @@ is one contract of the reports, written from its definition and kept naive,
 so that agreement with the production path is a real cross-check; a change
 that moves a contract on purpose edits its function here and nowhere else.
 The references take the weighted kernel as imported here, past any
-monkeypatch of ``_kernels``.
+monkeypatch of ``_kernels``.  The copula identities and the empirical
+tail-copula slice at the end are what the models and eta_kn are checked
+against; no command computes them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tailasym import _kernels
 from tailasym.bootstrap import normal_quantile
+from tailasym.copulas import _check_tail_args, _check_unit_args, _scalar_like
+from tailasym.errors import DomainError
+from tailasym.estimators import Direction
+from tailasym.ranks import concomitant_ranks
 
 _kernel = _kernels.weighted_eta_grid_sums
 
@@ -141,3 +148,68 @@ def assembled(stat, col, k, B, alpha, two_sided):
     sd = root_k * float(np.std(col, ddof=1)) if B > 1 else 0.0
     half = normal_quantile(alpha / 2.0) * sd / root_k
     return np.count_nonzero(exceed) / B, sd, stat - half, stat + half
+
+
+def survival_copula(model, u, v):
+    """Joint upper-orthant copula: P(U > 1-u, V > 1-v) = u+v-1+C(1-u, 1-v)."""
+    ua, va = _check_unit_args(u, v)
+    return _scalar_like(ua + va - 1.0 + model._cdf(1.0 - ua, 1.0 - va), u, v)
+
+
+def stable_tail_dependence(model, x, y):
+    """Stable tail dependence function l(x, y) = x + y - Lambda(x, y)."""
+    xa, ya = _check_tail_args(x, y)
+    return _scalar_like(xa + ya - model._tail(xa, ya), x, y)
+
+
+@dataclass(frozen=True, eq=False)
+class TailCopulaGrid:
+    """Piecewise-constant empirical tail-copula slice u -> Lambda(u, 1).
+
+    The function is 0 on [0, breakpoints[0]), jumps by 1/k at each breakpoint,
+    and takes the value values[j] on (breakpoints[j], breakpoints[j+1]]; it is
+    left-continuous at its jumps (the indicator underneath is strict).
+    """
+
+    k: int
+    n: int
+    breakpoints: np.ndarray
+    values: np.ndarray
+
+    def evaluate(self, u):
+        """Value of the slice at u (scalar or array), u in [0, 1]."""
+        ua = np.asarray(u, dtype=np.float64)
+        if np.any(~np.isfinite(ua)) or np.any(ua < 0.0) or np.any(ua > 1.0):
+            raise DomainError("slice argument must lie in [0, 1]")
+        out = np.searchsorted(self.breakpoints, ua, side="left") / self.k
+        return float(out) if ua.ndim == 0 else out
+
+
+def empirical_tail_copula_slice(sample, k, direction=Direction.X_GIVEN_Y):
+    """Empirical tail-copula slice built from the top-(k-1) concomitant ranks.
+
+    Each concomitant rank r <= k among the first k-1 contributes a jump of 1/k
+    at u = (r-1)/k; integrating the square of the result and scaling by 3
+    reproduces eta_kn exactly (see eta_from_tail_copula).  Y_GIVEN_X ranks
+    the swapped sample with a sort of its own.
+    """
+    oriented = sample if direction is Direction.X_GIVEN_Y else sample.swapped()
+    top = concomitant_ranks(oriented).rho[: k - 1]
+    contributing = np.sort(top[top <= k])
+    breakpoints = (contributing - 1) / k
+    values = np.arange(1, contributing.size + 1, dtype=np.float64) / k
+    breakpoints.flags.writeable = False
+    values.flags.writeable = False
+    return TailCopulaGrid(k=k, n=sample.n, breakpoints=breakpoints, values=values)
+
+
+def eta_from_tail_copula(grid):
+    """3 times the exact integral of the squared slice over [0, 1].
+
+    Piecewise-constant integration: values[j] holds on (breakpoints[j], b_next]
+    with b_next the following breakpoint or 1.  Agrees with eta_kn to float
+    precision; a constant slice c on all of [0, 1] integrates to 3 c^2.
+    """
+    edges = np.append(grid.breakpoints, 1.0)
+    lengths = np.diff(edges)
+    return 3.0 * float(np.dot(grid.values * grid.values, lengths))

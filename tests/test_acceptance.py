@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from calibration import BOOT_SD_KS, boot_sd_ratios, pair_tests
-from oracles import concordant_sum, literal_eta
+from oracles import (
+    concordant_sum,
+    empirical_tail_copula_slice,
+    eta_from_tail_copula,
+    literal_eta,
+)
 from tailasym import cli
 from tailasym.bootstrap import bootstrap_eta
 from tailasym.copulas import (
@@ -25,13 +30,7 @@ from tailasym.copulas import (
     population_values,
     sample,
 )
-from tailasym.estimators import (
-    Direction,
-    delta_kn,
-    empirical_tail_copula_slice,
-    eta_from_tail_copula,
-    eta_kn,
-)
+from tailasym.estimators import Direction, delta_kn, eta_kn
 from tailasym.ranks import make_sample
 
 BOTH = (Direction.X_GIVEN_Y, Direction.Y_GIVEN_X)

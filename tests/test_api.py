@@ -9,10 +9,10 @@ from tailasym import bootstrap, copulas, errors, estimators, pipeline, ranks
 MODULES = (ranks, estimators, copulas, bootstrap, pipeline, errors)
 
 
-def test_all_holds_68_unique_names_that_resolve():
+def test_all_holds_61_unique_names_that_resolve():
     names = tailasym.__all__
-    assert len(names) == 68
-    assert len(set(names)) == 68
+    assert len(names) == 61
+    assert len(set(names)) == 61
     assert "__version__" in names
     for name in names:
         assert getattr(tailasym, name) is not None

@@ -139,6 +139,16 @@ def test_bootstrap_eta_rejects_a_weight_that_is_not_a_positive_real(bad, error):
         bt.bootstrap_eta(s, 5, w)
 
 
+def test_weights_whose_mean_overflows_raise():
+    # Equal weights give the unit-weight value; an infinite mean would
+    # normalize every weight to 0 and give 0.0 in its place.
+    s = make_sample(*np.random.default_rng(0).standard_normal((2, 50)))
+    w = np.full(50, 1e308)
+    for replicate in (bt.bootstrap_eta, bt.bootstrap_delta):
+        with pytest.raises(errors.DomainError, match="mean of the multiplier weights"):
+            replicate(s, 10, w)
+
+
 def test_bootstrap_delta_ranks_once_and_fills_one_batch(monkeypatch):
     rng = np.random.default_rng(65)
     s = _random_sample(rng, 200)

@@ -14,20 +14,17 @@ import re
 import numpy as np
 import pytest
 
+from oracles import stable_tail_dependence, survival_copula
 from tailasym import errors
 from tailasym.copulas import (
     KhoudrajiGumbelCopula,
     MaxFactorCopula,
     NelsenCopula,
     _positive_stable,
-    copula_cdf,
     khoudraji_gumbel_delta_closed_form,
     parse_model_spec,
     population_values,
     sample,
-    stable_tail_dependence,
-    survival_copula,
-    tail_copula,
     tail_dependence_chi,
 )
 from tailasym.estimators import Direction
@@ -82,26 +79,26 @@ def test_maxfactor_rejects_bad_m(m):
 
 def test_nelsen_cdf_examples():
     c = NelsenCopula(2 / 3)
-    assert math.isclose(copula_cdf(c, 0.5, 0.5), 1 / 3, rel_tol=1e-15)
-    assert copula_cdf(c, 0.0, 0.7) == 0.0
-    assert copula_cdf(c, 0.7, 1.0) == 0.7
+    assert math.isclose(c.cdf(0.5, 0.5), 1 / 3, rel_tol=1e-15)
+    assert c.cdf(0.0, 0.7) == 0.0
+    assert c.cdf(0.7, 1.0) == 0.7
     # countermonotone and comonotone ends
-    assert copula_cdf(NelsenCopula(0.0), 0.6, 0.7) == pytest.approx(0.3, abs=1e-15)
-    assert copula_cdf(NelsenCopula(1.0), 0.6, 0.7) == 0.6
+    assert NelsenCopula(0.0).cdf(0.6, 0.7) == pytest.approx(0.3, abs=1e-15)
+    assert NelsenCopula(1.0).cdf(0.6, 0.7) == 0.6
 
 
 def test_nelsen_tail_copula_and_chi():
     c = NelsenCopula(2 / 3)
-    assert tail_copula(c, 0.9, 0.2) == 0.2
-    assert tail_copula(c, 0.3, 0.9) == pytest.approx(0.2, abs=1e-15)
+    assert c.tail_copula(0.9, 0.2) == 0.2
+    assert c.tail_copula(0.3, 0.9) == pytest.approx(0.2, abs=1e-15)
     assert tail_dependence_chi(c) == pytest.approx(2 / 3, abs=1e-15)
     # one-sided infinite arguments take the finite branch
-    assert tail_copula(c, np.inf, 0.4) == 0.4
-    assert tail_copula(NelsenCopula(0.0), np.inf, 0.4) == 0.0
+    assert c.tail_copula(np.inf, 0.4) == 0.4
+    assert NelsenCopula(0.0).tail_copula(np.inf, 0.4) == 0.0
     with pytest.raises(errors.DomainError):
-        tail_copula(c, np.inf, np.inf)
+        c.tail_copula(np.inf, np.inf)
     with pytest.raises(errors.DomainError):
-        tail_copula(c, -0.1, 0.5)
+        c.tail_copula(-0.1, 0.5)
 
 
 def test_nelsen_survival_equals_tail_copula_shape_below_diagonal():
@@ -118,9 +115,9 @@ def test_nelsen_survival_equals_tail_copula_shape_below_diagonal():
 
 def test_maxfactor_examples():
     c = MaxFactorCopula(2)
-    assert copula_cdf(c, 0.9, 0.81) == pytest.approx(0.81, abs=1e-15)
+    assert c.cdf(0.9, 0.81) == pytest.approx(0.81, abs=1e-15)
     assert stable_tail_dependence(c, 1.0, 1.0) == pytest.approx(1.5, abs=1e-15)
-    assert tail_copula(c, 1.0, 1.0) == 0.5
+    assert c.tail_copula(1.0, 1.0) == 0.5
     assert tail_dependence_chi(MaxFactorCopula(4)) == 0.25
 
 
@@ -134,12 +131,12 @@ def test_kgumbel_delta_one_has_empty_tail():
     # and array arguments alike, an infinite one included.
     c = KhoudrajiGumbelCopula(0.7, 0.4, 1.0)
     for x, y in [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1), (np.inf, 0.4)]:
-        got = tail_copula(c, x, y)
+        got = c.tail_copula(x, y)
         assert type(got) is float and got == 0.0
         assert stable_tail_dependence(c, x, y) == x + y
     x = np.array([[0.3], [5.0]])
     y = np.array([1.0, 2.0, 0.1])
-    got = tail_copula(c, x, y)
+    got = c.tail_copula(x, y)
     assert got.shape == (2, 3) and not np.any(got) and not np.any(np.signbit(got))
     assert np.array_equal(stable_tail_dependence(c, x, y), x + y)
     assert tail_dependence_chi(c) == 0.0
@@ -158,13 +155,13 @@ def test_cdf_bounds_and_margins_random_models():
     for c in models:
         u = rng.random(500)
         v = rng.random(500)
-        vals = copula_cdf(c, u, v)
+        vals = c.cdf(u, v)
         # Frechet-Hoeffding bounds
         assert np.all(vals <= np.minimum(u, v) + 1e-12)
         assert np.all(vals >= np.maximum(u + v - 1.0, 0.0) - 1e-12)
         # uniform margins of the copula itself
-        assert np.allclose(copula_cdf(c, u, np.ones_like(u)), u, atol=1e-12)
-        assert np.allclose(copula_cdf(c, np.ones_like(v), v), v, atol=1e-12)
+        assert np.allclose(c.cdf(u, np.ones_like(u)), u, atol=1e-12)
+        assert np.allclose(c.cdf(np.ones_like(v), v), v, atol=1e-12)
 
 
 def test_tail_copula_dominated_by_min():
@@ -172,11 +169,11 @@ def test_tail_copula_dominated_by_min():
     for c in (NelsenCopula(0.8), KhoudrajiGumbelCopula(1.0, 0.5, 2.0), MaxFactorCopula(2)):
         x = rng.random(300) * 3
         y = rng.random(300) * 3
-        lam = tail_copula(c, x, y)
+        lam = c.tail_copula(x, y)
         assert np.all(lam <= np.minimum(x, y) + 1e-12)
         assert np.all(lam >= -1e-12)
         # homogeneity of order 1
-        lam2 = tail_copula(c, 2.0 * x, 2.0 * y)
+        lam2 = c.tail_copula(2.0 * x, 2.0 * y)
         assert np.allclose(lam2, 2.0 * np.asarray(lam), rtol=1e-12, atol=1e-14)
 
 
@@ -185,7 +182,7 @@ def test_survival_copula_identity_random_points():
     c = KhoudrajiGumbelCopula(0.6, 0.8, 2.5)
     for _ in range(100):
         u, v = rng.random(2)
-        direct = u + v - 1.0 + copula_cdf(c, 1.0 - u, 1.0 - v)
+        direct = u + v - 1.0 + c.cdf(1.0 - u, 1.0 - v)
         assert survival_copula(c, u, v) == pytest.approx(direct, abs=1e-15)
 
 
@@ -374,7 +371,7 @@ def test_sampler_matches_cdf_on_grid(model):
     for gu, xq in zip(grid, qx):
         for gv, yq in zip(grid, qy):
             emp = float(np.mean((s.x <= xq) & (s.y <= yq)))
-            want = float(copula_cdf(model, gu, gv))
+            want = float(model.cdf(gu, gv))
             se = math.sqrt(max(want * (1 - want), 0.05) / n)
             assert abs(emp - want) < 5 * se + 3 / n, (gu, gv, emp, want)
 

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import literal_eta
+from oracles import (
+    TailCopulaGrid,
+    empirical_tail_copula_slice,
+    eta_from_tail_copula,
+    literal_eta,
+)
 from tailasym import errors
 from tailasym.estimators import (
     Direction,
     delta_kn,
     delta_sweep,
-    empirical_tail_copula_slice,
-    eta_from_tail_copula,
     eta_kn,
     eta_sweep,
     eta_upper_bound,
@@ -241,8 +244,6 @@ def test_integral_identity_random_samples():
 
 
 def test_integral_of_constant_grid():
-    from tailasym.estimators import TailCopulaGrid
-
     g = TailCopulaGrid(
         k=4, n=10, breakpoints=np.array([0.0]), values=np.array([0.25])
     )

@@ -12,6 +12,7 @@ import pytest
 from tailasym import _kernels, errors, pipeline
 from tailasym.pipeline import (
     CSV_COLUMNS,
+    AcfSummary,
     AnalysisConfig,
     SeriesTable,
     acf,
@@ -594,6 +595,38 @@ def test_acf_rejects_non_finite_values(monkeypatch, bad):
         with pytest.raises(errors.NonFinite) as exc:
             run_pair_analysis(_table(x, np.arange(50.0)), "a", "b", cfg)
         assert str(exc.value) == f"a[7] is not finite: {bad!r}"
+
+
+def test_acf_raises_where_float64_overflows():
+    # The first series has a finite mean and an infinite c0, the second an
+    # infinite mean; either would make every autocorrelation NaN.
+    big = np.finfo(np.float64).max
+    for values in ([1e308, -1e308, big, 0.5, -3.0, 2.0], [1e308, 1e308, big, 1.0, 2.0]):
+        with pytest.raises(errors.DomainError, match="overflows float64"):
+            acf(values, 1)
+
+
+def test_an_overflowing_acf_is_skipped_in_provenance():
+    x = np.arange(50.0)
+    x[:3] = 1e308, -1e308, np.finfo(np.float64).max
+    cfg = AnalysisConfig(skip_tests=True)
+    prov = run_pair_analysis(_table(x, np.arange(50.0)), "a", "b", cfg).provenance
+    assert prov["acf"]["a"] == {"skipped": "autocorrelation of this series overflows float64"}
+    assert prov["acf"]["b"]["max_lag"] == 49
+
+
+def test_acf_lags_are_clamped_to_one_below_the_series_length():
+    rng = np.random.default_rng(36)
+    cfg = AnalysisConfig(skip_tests=True)
+    table = _table(*rng.standard_normal((2, 30)), names=("x", "y"))
+    assert cfg.acf_lags > 29
+    assert run_pair_analysis(table, "x", "y", cfg).provenance["acf"]["x"]["max_lag"] == 29
+
+
+def test_exceed_band_counts_only_values_strictly_beyond_it():
+    b = 1.96 / 8.0
+    summary = AcfSummary(values=np.array([b, -b, np.nextafter(b, 1.0)]), band=b, n=64)
+    assert summary.exceed_band() == [3]
 
 
 # --- tail-size grids -----------------------------------------------------------------
