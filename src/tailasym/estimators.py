@@ -55,11 +55,6 @@ def _directed_ranks(sample: PairedSample, directions) -> dict:
     return {d: xy if d is Direction.X_GIVEN_Y else xy.swapped() for d in directions}
 
 
-def _oriented_ranks(sample: PairedSample, direction: Direction) -> ConcomitantRanks:
-    """Concomitant ranks and sort orders for one direction of the statistic."""
-    return _directed_ranks(sample, (direction,))[direction]
-
-
 def _check_k(k, n) -> int:
     k = check_int(k, "k", 2, KOutOfRange)
     if k > n:
@@ -127,7 +122,7 @@ def eta_sweep(sample: PairedSample, kgrid, direction=Direction.X_GIVEN_Y):
     """eta_kn over a strictly increasing grid of tail sizes (one rank pass)."""
     direction = _coerce_direction(direction)
     ks = _check_kgrid(kgrid, sample.n)
-    values = _eta_values(_oriented_ranks(sample, direction), ks)
+    values = _eta_values(_directed_ranks(sample, (direction,))[direction], ks)
     return [
         EtaEstimate(value=v, k=int(k), n=sample.n, direction=direction)
         for v, k in zip(values, ks)

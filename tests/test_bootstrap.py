@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from oracles import (
 from tailasym import _kernels
 from tailasym import bootstrap as bt
 from tailasym import errors, estimators
-from tailasym.estimators import Direction, _oriented_ranks, delta_kn, eta_kn
+from tailasym.estimators import Direction, _directed_ranks, delta_kn, eta_kn
 from tailasym.pipeline import default_kgrid
 from tailasym.ranks import make_sample
 
@@ -35,15 +36,110 @@ def _random_sample(rng, n):
     return make_sample(rng.random(n) * 10 - 5, rng.standard_normal(n))
 
 
-# The draw and key hash as imported: the helpers below call them past any
-# monkeypatch that counts or replaces the engine's draws.
-_draw = bt._draw
-_spawn_keys = bt._spawn_keys
-
-
 def draw_replicate(seed, b, out):
     """Fill out with replicate b's multipliers, as a test call with this seed draws them."""
-    _draw(_spawn_keys(seed, [b])[0], out)
+    bt._draw(bt._spawn_keys(seed, [b])[0], out)
+
+
+# --- the engine recorder ------------------------------------------------------------
+
+
+class KernelCall(NamedTuple):
+    """One weighted kernel call of the engine."""
+
+    rows: int
+    width: int
+    below: list  # each row's count of conditioning ranks below k_max
+    ks: list
+    tied: bool  # some row holds two equal weighted ranks below k_max
+    rx: np.ndarray
+    ry: np.ndarray
+
+
+class EngineLog:
+    """What the engine did, read at its four seams, in call order.
+
+    Installed on mp, the monkeypatch fixture or pytest.MonkeyPatch.context()
+    inside a hypothesis test.  It records
+    * kernel: a KernelCall per _kernels.weighted_eta_grid_sums call, which
+      takes five positional arguments, as perfbench's tracer reads them;
+    * runs: (R, widest, runs) per _kernels._runs call inside those calls;
+    * adds: (bound, rows, prefix length) per _Batch.add, one per stack,
+      whose one length serves both orders;
+    * draws: (b, thread ident) per draw of _replicate_matrices.
+    The references of tests/oracles.py call the kernel as imported there, so
+    every record is the engine's.
+
+    stack sets _STACK_ELEMS, and block sets _BLOCK inside the engine's kernel
+    calls alone.  before_draw(b) runs before each draw, on the thread that
+    draws, and before_add() before each _Batch.add.  Every kernel call is
+    checked: every row comes in one shared order of the conditioning
+    positions, along which its weighted ranks never decrease; every column
+    has a conditioning rank below k_max in some row, and the last one a rank
+    below k_max too.  tie_free adds that both kinds of rank are distinct up
+    to the ones past the weight prefix, which repeat the prefix total, at
+    least k_max.  With record=False the log sets stack alone and installs
+    no seam, so that a memory test measures the engine without the records.
+    """
+
+    def __init__(
+        self, mp, stack=None, block=None, before_draw=None, before_add=None, tie_free=False,
+        record=True,
+    ):
+        self.kernel, self.runs, self.adds, self.draws = [], [], [], []
+        self._block, self._tie_free = block, tie_free
+        self._before_draw, self._before_add = before_draw, before_add
+        self._real_kernel, self._real_runs = _kernels.weighted_eta_grid_sums, _kernels._runs
+        self._real_add, self._real_matrices = bt._Batch.add, bt._replicate_matrices
+        if stack is not None:
+            mp.setattr(bt, "_STACK_ELEMS", stack)
+        if not record:
+            return
+        mp.setattr(_kernels, "weighted_eta_grid_sums", self._kernel)
+        # A function, not a bound method, so that it binds to the batch.
+        mp.setattr(bt._Batch, "add", lambda batch, W, means: self._add(batch, W, means))
+        mp.setattr(bt, "_replicate_matrices", self._replicate_matrices)
+
+    def _kernel(self, rx, ry, w, out, ks, /):
+        k_max = ks[-1]
+        assert out.shape == (len(rx), len(ks))
+        ties = []
+        for ranks in (rx, np.sort(ry, axis=1)):
+            assert np.all(np.isfinite(ranks))
+            step = np.diff(ranks, axis=1)
+            assert np.all(step >= 0.0)
+            ties.append(bool(np.any((step == 0.0) & (ranks[:, 1:] < k_max))))
+        assert not (self._tie_free and any(ties))
+        assert np.all(ry.min(axis=0) < k_max)
+        assert rx.shape[1] == 0 or rx[:, -1].min() < k_max
+        below = np.count_nonzero(ry < k_max, axis=1).tolist()
+        self.kernel.append(KernelCall(len(rx), rx.shape[1], below, ks.tolist(), ties[0], rx, ry))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_runs", self._runs)
+            if self._block is not None:
+                mp.setattr(_kernels, "_BLOCK", self._block)
+            return self._real_kernel(rx, ry, w, out, ks)
+
+    def _runs(self, R, widest):
+        runs = list(self._real_runs(R, widest))
+        self.runs.append((R, widest.copy(), runs))
+        return runs
+
+    def _add(self, batch, W, means):
+        if self._before_add is not None:
+            self._before_add()
+        m = self._real_add(batch, W, means)
+        self.adds.append((batch.bound, len(W), m))
+        return m
+
+    def _replicate_matrices(self, ranks, n, ks, B, draw):
+        def recorded(b, row):
+            self.draws.append((b, threading.get_ident()))
+            if self._before_draw is not None:
+                self._before_draw(b)
+            draw(b, row)
+
+        return self._real_matrices(ranks, n, ks, B, recorded)
 
 
 # --- single replicates vs the brute-force oracle --------------------------------
@@ -160,11 +256,11 @@ def test_bootstrap_delta_ranks_once_and_fills_one_batch(monkeypatch):
         return real(sample)
 
     monkeypatch.setattr(estimators, "concomitant_ranks", counted)
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch)
     bt.bootstrap_delta(s, 20, rng.standard_exponential(s.n))
     # one ranking serves both directions, and both read one batch of one row
     assert len(ranked) == 1
-    assert [rows for _, rows, _ in seen] == [1]
+    assert [rows for _, rows, _ in log.adds] == [1]
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["tie_free", "jittered_ties"])
@@ -453,58 +549,6 @@ def test_argument_validation():
 # --- the shared, tail-truncated replicate engine ----------------------------------
 
 
-def _count_weighted_calls(monkeypatch):
-    """Record (rows, width, each row's count of conditioning ranks below k_max).
-
-    Every row of a stack comes in one shared order of the conditioning
-    positions, and its weighted ranks never decrease along it.  Every column
-    has a conditioning rank below k_max in some row, and the last one a rank
-    below k_max too.  The engine's stacks here are tie-free, so both kinds of
-    rank are distinct up to the ones past the weight prefix, which repeat the
-    prefix total, at least k_max.
-    """
-    calls = []
-    real = _kernels.weighted_eta_grid_sums
-
-    def counted(rx_sorted, ry_sorted, w_sorted, out, ks):
-        width = rx_sorted.shape[1]
-        assert out.shape == (len(rx_sorted), len(ks))
-        for ranks in (rx_sorted, np.sort(ry_sorted, axis=1)):
-            assert np.all(np.isfinite(ranks))
-            step = np.diff(ranks, axis=1)
-            assert np.all(step >= 0.0)
-            assert np.all((step > 0.0) | (ranks[:, :-1] >= ks[-1]))
-        assert np.all(ry_sorted.min(axis=0) < ks[-1])
-        assert width == 0 or rx_sorted[:, -1].min() < ks[-1]
-        below = np.count_nonzero(ry_sorted < ks[-1], axis=1)
-        calls.append((len(rx_sorted), width, below.tolist()))
-        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", counted)
-    return calls
-
-
-def _patch_draw(monkeypatch, draw):
-    """Route the draws of a test call through draw(seed, b, out).
-
-    The engine hands _draw replicate b's key; here the key is (seed, b) itself.
-    """
-    monkeypatch.setattr(bt, "_spawn_keys", lambda seed, bs: [(seed, int(b)) for b in bs])
-    monkeypatch.setattr(bt, "_draw", lambda key, out: draw(*key, out))
-
-
-def _count_draws(monkeypatch):
-    """Record the replicate index b of every multiplier draw."""
-    drawn = []
-
-    def draw(seed, b, out):
-        drawn.append(b)
-        draw_replicate(seed, b, out)
-
-    _patch_draw(monkeypatch, draw)
-    return drawn
-
-
 def _batch_rows(n, kgrid, B):
     """Rows of a full batch: whole stacks whose first prefixes fit _STACK_ELEMS floats."""
     R = max(1, min(B, bt._STACK_ELEMS // n))
@@ -518,60 +562,47 @@ def test_pair_makes_two_kernel_calls_per_stack(monkeypatch):
     s = _random_sample(rng, 300)
     # stacks of _STACK_ELEMS // n = 3 replicates: 3, 3 and 1, from the
     # largest budget that still gives 3
-    monkeypatch.setattr(bt, "_STACK_ELEMS", 4 * s.n - 1)
-    calls = _count_weighted_calls(monkeypatch)
-    drawn = _count_draws(monkeypatch)
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch, stack=4 * s.n - 1, tie_free=True)
     B = 7
     bt.test_pair(s, [5, 10, 20], B=B, seed=1)
-    assert drawn == list(range(1, B + 1))
-    assert [rows for _, rows, _ in seen] == [3, 3, 1]
+    assert [b for b, _ in log.draws] == list(range(1, B + 1))
+    assert [rows for _, rows, _ in log.adds] == [3, 3, 1]
     # two stacks' first prefixes, 3 * (4 * 46 + 2) floats each, fit the
     # budget, so the kernel is called once per direction and batch of two
     # stacks: 6 rows, then the last stack's 1
     assert _batch_rows(s.n, [5, 10, 20], B) == 6
-    assert [rows for rows, _, _ in calls] == [6, 6, 1, 1]
+    assert [call.rows for call in log.kernel] == [6, 6, 1, 1]
     # only the top of the conditioning order reaches the kernel: at most as
     # many entries as the batch's largest count of conditioning ranks below
     # k_max
-    for _, width, below in calls:
-        assert 0 < width <= max(below) < s.n
+    for call in log.kernel:
+        assert 0 < call.width <= max(call.below) < s.n
 
 
 def test_kernel_calls_pass_the_batch_rows_first_and_the_grid_last(monkeypatch):
-    # perfbench's tracer counts len(args[0]) and len(args[4]) of every call
+    # perfbench's tracer counts len(args[0]) and len(args[4]) of every call;
+    # the log's kernel takes the five arguments by position only
     rng = np.random.default_rng(64)
     s = _random_sample(rng, 300)
-    monkeypatch.setattr(bt, "_STACK_ELEMS", 4 * s.n - 1)
-    calls = []
-    real = _kernels.weighted_eta_grid_sums
-
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
+    log = EngineLog(monkeypatch, stack=4 * s.n - 1)
     kgrid = [5, 10, 20]
     bt.test_pair(s, kgrid, B=7, seed=1)
     # batches of two stacks of 3 replicates, then the last stack's 1
-    assert [len(args[0]) for args, _ in calls] == [6, 6, 1, 1]
-    for args, kwargs in calls:
-        assert len(args) == 5 and kwargs == {}
-        assert args[4].tolist() == kgrid
+    assert [call.rows for call in log.kernel] == [6, 6, 1, 1]
+    assert all(call.ks == kgrid for call in log.kernel)
 
 
 def test_single_tests_use_the_same_engine(monkeypatch):
     rng = np.random.default_rng(41)
     s = _random_sample(rng, 120)
-    calls = _count_weighted_calls(monkeypatch)
-    drawn = _count_draws(monkeypatch)
+    log = EngineLog(monkeypatch, tie_free=True)
     # 5 replicates fit one stack: one call per direction, all 5 as rows
     bt.test_eta_zero(s, [6, 12], B=5, seed=2)
-    assert [rows for rows, _, _ in calls] == [5]
+    assert [call.rows for call in log.kernel] == [5]
     bt.test_delta_zero(s, [6, 12], B=5, seed=2)
-    assert [rows for rows, _, _ in calls] == [5, 5, 5]
-    assert drawn == [1, 2, 3, 4, 5] * 2
-    assert all(0 < width <= max(below) < s.n for _, width, below in calls)
+    assert [call.rows for call in log.kernel] == [5, 5, 5]
+    assert [b for b, _ in log.draws] == [1, 2, 3, 4, 5] * 2
+    assert all(0 < call.width <= max(call.below) < s.n for call in log.kernel)
 
 
 def test_pair_equals_the_three_single_tests():
@@ -599,27 +630,10 @@ def test_truncated_engine_equals_full_sort_reference():
         _assert_engine_equals_full_sort(s, kgrid, B=4, seed=int(rng.integers(0, 1000)))
 
 
-def _record_prefixes(monkeypatch):
-    """Record (bound, rows, prefix length) of every stack's weight prefixes.
-
-    One length serves both orders of a stack.
-    """
-    seen = []
-    real = bt._Batch.add
-
-    def recorded(self, W, means):
-        m = real(self, W, means)
-        seen.append((self.bound, len(W), m))
-        return m
-
-    monkeypatch.setattr(bt._Batch, "add", recorded)
-    return seen
-
-
 def _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=draw_replicate):
     """The engine on the weights draw(seed, b, out) equals the reference on them."""
     ks = np.asarray(kgrid, dtype=np.int64)
-    ranks = {d: _oriented_ranks(s, d) for d in bt._BOTH}
+    ranks = _directed_ranks(s, bt._BOTH)
     mats = bt._replicate_matrices(ranks, s.n, ks, B, functools.partial(draw, seed))
     w = np.empty(s.n)
     for b in range(1, B + 1):
@@ -634,12 +648,12 @@ def _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=draw_replicate):
 def test_prefix_stops_well_short_of_a_large_sample(monkeypatch):
     rng = np.random.default_rng(44)
     s = _random_sample(rng, 5000)
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, [20, 33, 47, 60], B=6, seed=8)
     # one stack of all 6 replicates: one prefix length for both orders,
     # bounded by k_max, read by both directions
-    assert [(bound, rows) for bound, rows, _ in seen] == [(60.0, 6)]
-    assert max(size for _, _, size in seen) <= 4 * 60 < s.n
+    assert [(bound, rows) for bound, rows, _ in log.adds] == [(60.0, 6)]
+    assert max(size for _, _, size in log.adds) <= 4 * 60 < s.n
 
 
 def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
@@ -655,11 +669,11 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
         draw_replicate(seed, b, out)
         out[light] *= 1e-9
 
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9, draw=draw)
     # every prefix outgrew its first guess but stopped before n
-    assert seen and all(
-        bound + 6 * math.sqrt(bound) < size < s.n for bound, _, size in seen
+    assert log.adds and all(
+        bound + 6 * math.sqrt(bound) < size < s.n for bound, _, size in log.adds
     )
 
 
@@ -667,29 +681,12 @@ def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
     rng = np.random.default_rng(46)
     n = 50
     s = _random_sample(rng, n)
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, [2, 17, n - 1], B=5, seed=10)
-    assert seen and all(size == n for _, _, size in seen)
+    assert log.adds and all(size == n for _, _, size in log.adds)
 
 
 # --- replicate stacks against the full-sort reference ------------------------------
-
-
-def _record_runs(monkeypatch):
-    """Record the stack height, the widest counts and the runs of every kernel call.
-
-    The engine's calls come first, then the one-row calls of the reference.
-    """
-    seen = []
-    real = _kernels._runs
-
-    def recorded(R, widest):
-        runs = list(real(R, widest))
-        seen.append((R, widest.copy(), runs))
-        return runs
-
-    monkeypatch.setattr(_kernels, "_runs", recorded)
-    return seen
 
 
 def test_stacks_equal_the_full_sort_reference(monkeypatch):
@@ -698,17 +695,16 @@ def test_stacks_equal_the_full_sort_reference(monkeypatch):
     kgrid = [10, 25, 40, 60]
     # stacks of _STACK_ELEMS // n = 3 replicates, so B = 7 leaves a last
     # stack of one
-    monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
-    calls = _count_weighted_calls(monkeypatch)
+    log = EngineLog(monkeypatch, stack=3 * s.n, tie_free=True)
     _assert_engine_equals_full_sort(s, kgrid, B=7, seed=11)
-    assert [rows for rows, _, _ in calls] == [3, 3, 3, 3, 1, 1]
+    assert [call.rows for call in log.kernel] == [3, 3, 3, 3, 1, 1]
     # rows of one stack count different numbers of conditioning ranks below
     # k_max, so the shorter rows carry finite ranks at positions past their
     # own count, which the kernel drops
-    assert any(len(set(below)) > 1 for _, _, below in calls)
-    calls.clear()
+    assert any(len(set(call.below)) > 1 for call in log.kernel)
+    log.kernel.clear()
     _assert_engine_equals_full_sort(s, kgrid, B=1, seed=12)
-    assert [rows for rows, _, _ in calls] == [1, 1]
+    assert [call.rows for call in log.kernel] == [1, 1]
 
 
 def _count_row_sorts(monkeypatch):
@@ -731,10 +727,10 @@ def test_a_tie_free_stack_sorts_no_rows(monkeypatch):
     rng = np.random.default_rng(52)
     s = _random_sample(rng, 500)
     sorts = _count_row_sorts(monkeypatch)
-    # the recorder checks that every row is in the shared rank order
-    calls = _count_weighted_calls(monkeypatch)
+    # the log checks that every row is in the shared rank order
+    log = EngineLog(monkeypatch, tie_free=True)
     bt.test_pair(s, [10, 25, 40, 60], B=30, seed=17)
-    assert [rows for rows, _, _ in calls] == [30, 30]
+    assert [call.rows for call in log.kernel] == [30, 30]
     assert sorts == []
 
 
@@ -758,21 +754,14 @@ def test_tied_weighted_ranks_keep_the_unweighted_rank_order_of_the_full_sort_ref
         out[n - 1] = 2.0
 
     sorts = _count_row_sorts(monkeypatch)
-    calls = []
-    real = _kernels.weighted_eta_grid_sums
-
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
+    log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, [12, 16, 20], B=3, seed=16, draw=draw)
     assert sorts == []
     # the engine's first call is the X_GIVEN_Y stack: both tied elements are
     # kept at k = 12 and reach the kernel in reverse-rank order, so their
     # conditioning ranks read 1.0 (position 1) and 0.0 (position 0); the
     # third column, position 2, reads 1.0 too, as element 10 weighs 1e-20
-    rx, ry, _, _, _ = calls[0]
+    rx, ry = log.kernel[0].rx, log.kernel[0].ry
     assert rx.shape[0] == 3
     assert np.all(rx[:, :3] == [10.0, 10.0, 11.0])
     assert np.all(ry[:, :3] == [1.0, 0.0, 1.0])
@@ -797,21 +786,13 @@ def test_log_uniform_weights_tie_ranks_and_equal_the_full_sort_reference(n, B, s
     rng = np.random.default_rng(seed)
     s = _random_sample(rng, n)
     kgrid = sorted({int(k) for k in rng.integers(2, n + 1, size=3)})
-
-    ties = []
-    real = _kernels.weighted_eta_grid_sums
-
-    def checked(rx_sorted, ry_sorted, w_sorted, out, ks):
-        step = np.diff(rx_sorted, axis=1)
-        assert np.all(step >= 0.0)
-        ties.append(np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1])))
-        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bt, "_STACK_ELEMS", stack * n)
-        mp.setattr(_kernels, "weighted_eta_grid_sums", checked)
+        log = EngineLog(mp, stack=stack * n)
         _assert_engine_equals_full_sort(s, kgrid, B, seed, draw=log_uniform_draw)
-    assert n < 100 or any(ties)
+    # Ties need room: a kernel input of 40 columns or more ties a rank below
+    # k_max, while a narrow one, as when heavy weights come first, may not.
+    widest = max(call.width for call in log.kernel)
+    assert widest < 40 or any(call.tied for call in log.kernel)
 
 
 def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypatch):
@@ -819,15 +800,13 @@ def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypat
     s = _random_sample(rng, 1500)
     kgrid = list(range(10, 1400, 10))
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    seen = _record_runs(monkeypatch)
+    log = EngineLog(monkeypatch, stack=s.n)
     _assert_engine_equals_full_sort(s, kgrid, B=2, seed=13)
     # a first prefix of all n, wider than the budget, so each batch holds one
     # stack; the replicate's grid split into runs of rows
     assert _batch_rows(s.n, kgrid, 2) == 1
-    engine = seen[: 2 * 2]
-    assert all((R, len(widest)) == (1, len(kgrid)) for R, widest, _ in engine)
-    assert all(len(runs) > 1 for _, _, runs in engine)
+    assert [(R, len(widest)) for R, widest, _ in log.runs] == [(1, len(kgrid))] * (2 * 2)
+    assert all(len(runs) > 1 for _, _, runs in log.runs)
 
 
 def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_reference(
@@ -842,43 +821,14 @@ def test_batches_of_tied_stacks_with_unequal_prefixes_equal_the_full_sort_refere
     kgrid = [3, 8, 12]
     B = 20
 
-    monkeypatch.setattr(bt, "_STACK_ELEMS", 3 * s.n)
+    log = EngineLog(monkeypatch, stack=3 * s.n)
     assert _batch_rows(s.n, kgrid, B) == 9
-    seen = _record_prefixes(monkeypatch)
-    calls = []
-    real = _kernels.weighted_eta_grid_sums
-
-    def recorded(rx_sorted, ry_sorted, w_sorted, out, ks):
-        step = np.diff(rx_sorted, axis=1)
-        tied = np.any((step == 0.0) & (rx_sorted[:, 1:] < ks[-1]))
-        calls.append((len(rx_sorted), tied))
-        return real(rx_sorted, ry_sorted, w_sorted, out, ks)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", recorded)
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=24, draw=log_uniform_draw)
-    assert [rows for rows, _ in calls] == [9, 9, 9, 9, 2, 2]
-    assert any(tied for _, tied in calls)
+    assert [call.rows for call in log.kernel] == [9, 9, 9, 9, 2, 2]
+    assert any(call.tied for call in log.kernel)
     # the first batch's three stacks, one prefix length each
-    assert [rows for _, rows, _ in seen[:3]] == [3] * 3
-    assert len({size for _, _, size in seen[:3]}) > 1
-
-
-def _record_draw_threads(fail_at=None):
-    """A draw that records (b, thread ident) of every call, and the record.
-
-    It raises the returned error at b == fail_at.  Returns the draw, the
-    record and the error.
-    """
-    drawn = []
-    error = RuntimeError(f"draw {fail_at} failed")
-
-    def draw(seed, b, out):
-        drawn.append((b, threading.get_ident()))
-        if b == fail_at:
-            raise error
-        draw_replicate(seed, b, out)
-
-    return draw, drawn, error
+    assert [rows for _, rows, _ in log.adds[:3]] == [3] * 3
+    assert len({size for _, _, size in log.adds[:3]}) > 1
 
 
 def _record_thread_starts(monkeypatch):
@@ -897,19 +847,15 @@ def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
     rng = np.random.default_rng(53)
     s = _random_sample(rng, 300)
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    draw, drawn, _ = _record_draw_threads()
+    log = EngineLog(monkeypatch, stack=s.n)
     started = _record_thread_starts(monkeypatch)
     before = threading.active_count()
     B = 7
-    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18, draw=draw)
-    # the engine's draws come first, each replicate once, then the reference's
-    engine, reference = drawn[:B], drawn[B:]
-    assert sorted(b for b, _ in engine) == list(range(1, B + 1))
-    main = threading.get_ident()
-    helpers = {ident for _, ident in engine}
-    assert len(helpers) <= 2 and main not in helpers
-    assert all(ident == main for _, ident in reference)
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=18)
+    # each replicate drawn once, none on the calling thread
+    assert sorted(b for b, _ in log.draws) == list(range(1, B + 1))
+    helpers = {ident for _, ident in log.draws}
+    assert len(helpers) <= 2 and threading.get_ident() not in helpers
     # one pool, whose threads are named <pool>_<index>
     assert 1 <= len(started) <= 2
     assert len({name.rpartition("_")[0] for name in started}) == 1
@@ -919,17 +865,21 @@ def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
 def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     rng = np.random.default_rng(54)
     s = _random_sample(rng, 300)
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     fail_at = 3
-    draw, drawn, error = _record_draw_threads(fail_at=fail_at)
-    _patch_draw(monkeypatch, draw)
+    error = RuntimeError(f"draw {fail_at} failed")
+
+    def fail(b):
+        if b == fail_at:
+            raise error
+
+    log = EngineLog(monkeypatch, stack=s.n, before_draw=fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         bt.test_pair(s, [5, 10, 20], B=7, seed=19)
     assert exc.value is error
     # each draw asked for at most once, and none past the two queued behind
     # the failed one
-    asked = sorted(b for b, _ in drawn)
+    asked = sorted(b for b, _ in log.draws)
     assert len(set(asked)) == len(asked)
     assert asked[:fail_at] == list(range(1, fail_at + 1))
     assert asked[-1] <= fail_at + 2
@@ -944,13 +894,11 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     # value; draw 1 also waits for draw 2, which the other helper runs
     rng = np.random.default_rng(seed)
     s = _random_sample(rng, 300)
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
     B = 12
     around = rng.uniform(0.0, 0.002, size=(B + 1, 2))
     before_read = iter(rng.uniform(0.0, 0.002, size=B))
     finished = []
     second = threading.Event()
-    add = bt._Batch.add
 
     def slow_draw(seed, b, out):
         if b == 1:
@@ -962,11 +910,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
         if b == 2:
             second.set()
 
-    def slow_add(*args):
-        time.sleep(next(before_read))
-        return add(*args)
-
-    monkeypatch.setattr(bt._Batch, "add", slow_add)
+    EngineLog(monkeypatch, stack=s.n, before_add=lambda: time.sleep(next(before_read)))
     _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=21, draw=slow_draw)
     assert finished.index(2) < finished.index(1)
 
@@ -978,17 +922,15 @@ def test_one_replicate_stacks_make_two_kernel_calls_per_batch(monkeypatch):
     # one replicate per stack, as a sample of more than _STACK_ELEMS / 2 gets;
     # a first prefix of 20 + 6 sqrt(20) = 46 entries, so ten stacks, 4 * 46 + 2
     # floats each, fit a batch
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    calls = _count_weighted_calls(monkeypatch)
-    drawn = _count_draws(monkeypatch)
+    log = EngineLog(monkeypatch, stack=s.n, tie_free=True)
     B = 25
     batch = _batch_rows(s.n, kgrid, B)
     assert batch == 10
     bt.test_pair(s, kgrid, B=B, seed=23)
     # one call per direction and batch, not per replicate (2 * B)
-    assert len(calls) == 2 * math.ceil(B / batch)
-    assert [rows for rows, _, _ in calls] == [10, 10, 10, 10, 5, 5]
-    assert sorted(drawn) == list(range(1, B + 1))
+    assert len(log.kernel) == 2 * math.ceil(B / batch)
+    assert [call.rows for call in log.kernel] == [10, 10, 10, 10, 5, 5]
+    assert sorted(b for b, _ in log.draws) == list(range(1, B + 1))
 
 
 def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypatch):
@@ -998,7 +940,7 @@ def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypa
     B = 7
     # one replicate per stack, and all 7 in one batch of first prefixes of
     # 30 + 6 sqrt(30) = 62 entries
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    log = EngineLog(monkeypatch, stack=s.n, tie_free=True)
     assert _batch_rows(s.n, kgrid, B) == 8
     m0 = 62
     # In replicates 2 and 5 the 600 largest values of each series weigh
@@ -1014,16 +956,14 @@ def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypa
         if b in light_rows:
             out[light] *= 1e-9
 
-    seen = _record_prefixes(monkeypatch)
-    calls = _count_weighted_calls(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=22, draw=draw)
     # one prefix length per replicate, for both orders, read in replicate
     # order
-    grown = [size > m0 for _, rows, size in seen]
-    assert all(rows == 1 for _, rows, _ in seen)
+    grown = [size > m0 for _, rows, size in log.adds]
+    assert all(rows == 1 for _, rows, _ in log.adds)
     assert grown == [b in light_rows for b in range(1, B + 1)]
-    assert len({size for _, _, size in seen}) > 1
-    assert [rows for rows, _, _ in calls] == [B, B]
+    assert len({size for _, _, size in log.adds}) > 1
+    assert [call.rows for call in log.kernel] == [B, B]
 
 
 @pytest.mark.parametrize("light_series", ["x", "y"])
@@ -1053,22 +993,21 @@ def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
     for b in range(1, B + 1):
         draw(seed, b, w)
         assert (w / w.mean())[np.argsort(-other)[:m0]].sum() >= kgrid[-1]
-    seen = _record_prefixes(monkeypatch)
+    log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, kgrid, B=B, seed=seed, draw=draw)
     # one stack of all B replicates, whose one prefix length outgrew m0
-    assert [(bound, rows) for bound, rows, _ in seen] == [(30.0, B)]
-    assert m0 < seen[0][2] < s.n
+    assert [(bound, rows) for bound, rows, _ in log.adds] == [(30.0, B)]
+    assert m0 < log.adds[0][2] < s.n
 
 
 def test_a_single_replicate_starts_no_thread(monkeypatch):
     rng = np.random.default_rng(55)
     s = _random_sample(rng, 300)
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
-    draw, drawn, _ = _record_draw_threads()
+    log = EngineLog(monkeypatch, stack=s.n)
     started = _record_thread_starts(monkeypatch)
-    _assert_engine_equals_full_sort(s, [5, 10, 20], B=1, seed=20, draw=draw)
+    _assert_engine_equals_full_sort(s, [5, 10, 20], B=1, seed=20)
     assert started == []
-    assert all(ident == threading.get_ident() for _, ident in drawn)
+    assert log.draws == [(1, threading.get_ident())]
 
 
 @pytest.mark.parametrize("block", [1, 50, 400, 1500])
@@ -1078,20 +1017,11 @@ def test_stacks_split_by_a_small_block_equal_the_full_sort_reference(monkeypatch
     rng = np.random.default_rng(49)
     z = rng.standard_normal(300)
     s = make_sample(z, z + 0.5 * rng.standard_normal(300))
-    real = _kernels.weighted_eta_grid_sums
-
-    def small_block(*args):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "_BLOCK", block)
-            return real(*args)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
-    seen = _record_runs(monkeypatch)
+    log = EngineLog(monkeypatch, block=block)
     _assert_engine_equals_full_sort(s, [10, 20, 30, 45, 60], B=10, seed=14)
     # one stack of 10 replicates, one call per direction
-    engine = seen[:2]
-    assert [(R, len(widest)) for R, widest, _ in engine] == [(10, 5), (10, 5)]
-    assert all(len(runs) > 1 for _, _, runs in engine)
+    assert [(R, len(widest)) for R, widest, _ in log.runs] == [(10, 5), (10, 5)]
+    assert all(len(runs) > 1 for _, _, runs in log.runs)
 
 
 def test_grid_rows_past_the_block_run_alone_equal_the_full_sort_reference(monkeypatch):
@@ -1102,19 +1032,10 @@ def test_grid_rows_past_the_block_run_alone_equal_the_full_sort_reference(monkey
     z = rng.standard_normal(600)
     s = make_sample(z, z + 0.5 * rng.standard_normal(600))
     kgrid = [4, 8, 12, 20, 35, 50, 70]
-    real = _kernels.weighted_eta_grid_sums
-
-    def small_block(*args):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "_BLOCK", 1000)
-            return real(*args)
-
-    monkeypatch.setattr(_kernels, "weighted_eta_grid_sums", small_block)
-    seen = _record_runs(monkeypatch)
+    log = EngineLog(monkeypatch, block=1000)
     _assert_engine_equals_full_sort(s, kgrid, B=20, seed=15)
-    engine = seen[:2]
-    assert [(R, len(widest)) for R, widest, _ in engine] == [(20, 7), (20, 7)]
-    for R, widest, runs in engine:
+    assert [(R, len(widest)) for R, widest, _ in log.runs] == [(20, 7), (20, 7)]
+    for R, widest, runs in log.runs:
         assert any(t1 - t0 > 1 for t0, t1 in runs)
         high = [t for t in range(len(kgrid)) if R * widest[t] > 1000]
         assert high and all((t, t + 1) in runs for t in high)
@@ -1150,7 +1071,7 @@ def test_batch_memory_is_bounded_by_the_batch_not_by_B(monkeypatch):
     kgrid = [10, 20, 30, 40]
     # one replicate per stack, drawn ahead, in batches of 12 first prefixes
     # of 40 + 6 sqrt(40) = 77 entries
-    monkeypatch.setattr(bt, "_STACK_ELEMS", s.n)
+    EngineLog(monkeypatch, stack=s.n, record=False)
     rows = _batch_rows(s.n, kgrid, 160)
     assert rows == 12
     bt.test_delta_zero(s, kgrid, B=2, seed=3)

@@ -357,17 +357,11 @@ def test_import_simulate_and_analyze_without_tests_leave_scipy_unloaded(tmp_path
     ],
     ids=["analyze", "analyze_skip_tests", "acf"],
 )
-def test_commands_parse_no_text_of_integer_keys(tmp_path, monkeypatch, argv):
+def test_commands_parse_no_text_of_integer_keys(tmp_path, loadtxt_dtypes, argv):
     # Neither command reads the table's keys, so a plain file with integer
     # keys is loaded without an object field in any loadtxt pass.
     data = _simulate(tmp_path, n=300, seed=8)
-    loadtxt, dtypes = np.loadtxt, []
-
-    def recorded(*args, **kwargs):
-        dtypes.append(np.dtype(kwargs["dtype"]))
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", recorded)
+    dtypes = loadtxt_dtypes
     out = tmp_path / "out.txt"
     assert run_cli(*argv, str(data), "--key-col", "t", "--out", str(out)) == 0
     assert dtypes and not any(dt.hasobject for dt in dtypes)

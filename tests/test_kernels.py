@@ -195,19 +195,12 @@ def test_widest_is_the_largest_count_of_a_rows_ranks_below_k(
     # the low k's (shift) or none at all (size 0, or finite 0 in one row)
     rx, ry, w, ks = _weighted_inputs(size, min(finite, size), m, seed, halves, rows)
     rx = rx + shift
-    seen = []
-    real = _kernels._runs
-
-    def recorded(R, widest):
-        seen.append(widest.copy())
-        return real(R, widest)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_runs", recorded)
+        seen = _record_columns(mp)
         _kernels.weighted_eta_grid_sums(rx, ry, w, np.empty((rows, ks.size)), ks)
     kf = ks.astype(np.float64)
     want = np.max([np.searchsorted(row, kf, "left") for row in rx], axis=0)
-    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    assert len(seen) == 1 and np.array_equal(seen[0][0], want)
 
 
 def _record_columns(monkeypatch):

@@ -341,25 +341,20 @@ def _parts(table):
     return table.keys, [(name, col.tobytes()) for name, col in table.columns.items()]
 
 
-def _fast_and_exact(monkeypatch, path, key="k", wanted=("v",)):
+def _fast_and_exact(monkeypatch, dtypes, path, key="k", wanted=("v",)):
     """load_csv's table with the exact reader disabled, the exact reader's
-    table, and the number of np.loadtxt calls load_csv made."""
+    table, and the number of np.loadtxt calls load_csv made: the length of
+    dtypes, the loadtxt_dtypes record, as the exact reader makes none."""
     wanted = list(wanted)
     exact = pipeline._sorted_table(path, wanted, *pipeline._read_exact(path, key, wanted))
-    loadtxt, calls = np.loadtxt, []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["dtype"])
-        return loadtxt(*args, **kwargs)
 
     def no_exact(*args):
         raise AssertionError("the exact reader ran")
 
     with monkeypatch.context() as m:
-        m.setattr(np, "loadtxt", counted)
         m.setattr(pipeline, "_read_exact", no_exact)
         fast = load_csv(path, key, wanted)
-    return fast, exact, len(calls)
+    return fast, exact, len(dtypes)
 
 
 _INTEGER_KEYS = [
@@ -371,31 +366,21 @@ _INTEGER_KEYS = [
 
 
 @pytest.mark.parametrize("keys", _INTEGER_KEYS)
-def test_load_csv_parses_integer_keys_in_its_one_loadtxt_pass(tmp_path, monkeypatch, keys):
+def test_load_csv_parses_integer_keys_in_its_one_loadtxt_pass(
+    tmp_path, monkeypatch, loadtxt_dtypes, keys
+):
     rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
     p = _write(tmp_path, "ints.csv", "k,v\n" + rows)
-    fast, exact, calls = _fast_and_exact(monkeypatch, p)
+    fast, exact, calls = _fast_and_exact(monkeypatch, loadtxt_dtypes, p)
     assert calls == 1
     assert fast.keys == tuple(sorted(keys, key=int))
     assert _parts(fast) == _parts(exact)
 
 
-def _loadtxt_dtypes(monkeypatch):
-    """The dtype of every np.loadtxt call made from now on, in call order."""
-    loadtxt, dtypes = np.loadtxt, []
-
-    def recorded(*args, **kwargs):
-        dtypes.append(np.dtype(kwargs["dtype"]))
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", recorded)
-    return dtypes
-
-
 @pytest.mark.parametrize("layout", ["key_first", "bom_led", "key_last"])
 @pytest.mark.parametrize("keys", _INTEGER_KEYS)
 def test_load_csv_parses_the_text_of_integer_keys_when_they_are_first_read(
-    tmp_path, monkeypatch, keys, layout
+    tmp_path, loadtxt_dtypes, keys, layout
 ):
     bom, header, row = {
         "key_first": ("", "k,v,w", "{k},{i},-{i}.5"),
@@ -406,7 +391,7 @@ def test_load_csv_parses_the_text_of_integer_keys_when_they_are_first_read(
     p = _write(tmp_path, "ints.csv", bom + header + "\n" + rows)
     wanted = ["v", "w"]
     exact = pipeline._sorted_table(p, wanted, *pipeline._read_exact(p, "k", wanted))
-    dtypes = _loadtxt_dtypes(monkeypatch)
+    dtypes = loadtxt_dtypes
     t = load_csv(p, "k", wanted)
     assert t.n_rows == len(keys)
     # one pass of int64 keys and floats; n_rows parsed no key text
@@ -449,10 +434,12 @@ def test_series_table_built_by_hand_keeps_its_keys_and_stays_frozen():
         [str(i) for i in range(50, 0, -1)] + ["x"],  # one text key, in the last row
     ],
 )
-def test_load_csv_reads_other_keys_in_a_second_loadtxt_pass(tmp_path, monkeypatch, keys):
+def test_load_csv_reads_other_keys_in_a_second_loadtxt_pass(
+    tmp_path, monkeypatch, loadtxt_dtypes, keys
+):
     rows = "".join(f"{k},{i}\n" for i, k in enumerate(keys))
     p = _write(tmp_path, "keys.csv", "k,v\n" + rows)
-    fast, exact, calls = _fast_and_exact(monkeypatch, p)
+    fast, exact, calls = _fast_and_exact(monkeypatch, loadtxt_dtypes, p)
     assert calls == 2
     assert _parts(fast) == _parts(exact)
 
@@ -468,12 +455,14 @@ def test_plain_reader_leaves_blank_keys_to_the_exact_reader(tmp_path, blank):
 
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["in_order", "shuffled"])
-def test_load_csv_reads_iso_date_keys_in_text_order(tmp_path, monkeypatch, shuffled):
+def test_load_csv_reads_iso_date_keys_in_text_order(
+    tmp_path, monkeypatch, loadtxt_dtypes, shuffled
+):
     days = np.arange("2021-01-01", "2021-04-11", dtype="datetime64[D]").astype(str)
     order = np.random.default_rng(7).permutation(days.size) if shuffled else range(days.size)
     rows = "".join(f"{days[i]},{100 + i}.5\n" for i in order)
     p = _write(tmp_path, "daily.csv", "date,close\n" + rows)
-    fast, exact, calls = _fast_and_exact(monkeypatch, p, "date", ["close"])
+    fast, exact, calls = _fast_and_exact(monkeypatch, loadtxt_dtypes, p, "date", ["close"])
     assert calls == 2  # the int64 parse fails on the first date
     assert fast.keys == tuple(days.tolist())
     assert np.array_equal(fast.columns["close"], np.arange(days.size) + 100.5)
