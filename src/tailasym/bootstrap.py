@@ -33,14 +33,15 @@ SeedSequence.  Philox is counter-based (Salmon et al. 2011, "Parallel Random
 Numbers: As Easy as 1, 2, 3"): a 128-bit key and a counter fix its whole
 stream, and a Philox built from a seed sequence starts at counter 0, with an
 empty buffer and the sequence's generate_state(2, np.uint64) as its key.
-_spawn_keys ports that hash from numpy's SeedSequence.  Keys are hashed once
-per call: a test hashes the keys of all its B replicates in one pass over
-uint64 arrays before the first draw, and replicate b's draw reads its key by
-index.  B < 2**32, so b is a single 32-bit word of the spawn key.  Each
-thread keeps one Generator on one Philox and sets the Philox to counter 0,
-the key and an empty buffer before every draw.  So the stream contract
-Philox((seed, (0, b))) is unchanged, bit for bit, and the tests pin the keys
-to numpy's own.
+Keys are hashed once per call, before the first draw: numpy's
+SeedSequence(seed, spawn_key=(0,)) mixes the seed and spawn word 0 into its
+pool, and _spawn_keys mixes b into that pool and runs generate_state's hash,
+ported from numpy, for all B replicates at once in one pass over uint64
+arrays.  Replicate b's draw reads its key by index.  B < 2**32, so b is a
+single 32-bit word of the spawn key.  Each thread keeps one Generator on one
+Philox and sets the Philox to counter 0, the key and an empty buffer before
+every draw.  So the stream contract Philox((seed, (0, b))) is unchanged, bit
+for bit, and the tests pin the keys to numpy's own.
 
 Each evaluation only touches the top of the two orders.  An element enters
 the sum at tail size k when both of its weighted ranks are below k: its rank
@@ -171,23 +172,12 @@ __all__ = [
 ]
 
 
-# SeedSequence's entropy hash, from numpy/random/bit_generator.pyx: its pool
-# size, the hashmix constants, the mix multipliers, and generate_state's.
-_POOL_SIZE = 4
+# SeedSequence's hash, from numpy/random/bit_generator.pyx: the hashmix
+# constants, the mix multipliers, and generate_state's.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-
-
-def _uint32_words(value):
-    """value's 32-bit words, least significant first; [0] for 0."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
 
 
 def _spawn_keys(seed, b):
@@ -195,35 +185,22 @@ def _spawn_keys(seed, b):
 
     A (len(b), 2) uint64 array, one [low, high] pair per replicate number:
     SeedSequence(...).generate_state(2, np.uint64), the key that Philox takes
-    from that seed sequence.  The hash runs in uint64 arithmetic masked
-    to 32 bits.  Each b < 2**32 is one 32-bit word, the one array in the
-    entropy; the run entropy is Python ints shared by every replicate.
+    from that seed sequence.  The pool of SeedSequence(seed, spawn_key=(0,))
+    has mixed in every entropy word but the last, b < 2**32, which is mixed
+    in here for every b at once, in uint64 arithmetic masked to 32 bits.
     """
-    run = _uint32_words(seed)
+    pool = np.random.SeedSequence(seed, spawn_key=(0,)).pool.tolist()
     b = np.asarray(b, dtype=np.uint64)
-    # With a spawn key, the run entropy is zero-padded to the pool size.
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [0, b]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
+    # numpy made four hashmix calls per entropy word so far: the seed's w
+    # 32-bit words, zero-padded to the pool size 4, and spawn word 0.
+    words = max(-(-seed.bit_length() // 32), 4) + 1
+    hash_const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    for dst, word in enumerate(pool):
+        value = b ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
         value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        mixed = (_MIX_MULT_L * word - _MIX_MULT_R * (value ^ (value >> 16))) & _MASK32
+        pool[dst] = mixed ^ (mixed >> 16)
     hash_const = _INIT_B
     state = []
     for word in pool:
@@ -651,16 +628,18 @@ def normal_quantile(p) -> float:
     normal_quantile(0.5) is 0; normal_quantile(0.025) is 1.95996...;
     p must lie strictly in (0, 1).  The lower-tail quantile is Cephes'
     ndtri (S. L. Moshier, Cephes Math Library), the routine that
-    scipy.special.ndtri wraps, ported to Python floats; a test pins it to
-    scipy's value bit for bit.
+    scipy.special.ndtri wraps, with np.polyval for its polevl and p1evl; a
+    test pins it to scipy's value bit for bit.
     """
     p = check_real(p, "p", "(0, 1)")
-    return 0.0 - _ndtri(p)
+    return float(0.0 - _ndtri(p))
 
 
 # Cephes ndtri's rational approximations, numerators P and denominators Q
-# (leading coefficient first): in y - 0.5 for exp(-2) < y < 1 - exp(-2), and
-# in 1/x, x = sqrt(-2 log y), for 2 <= x < 8 and for x >= 8 in the tails.
+# (leading coefficient first, as np.polyval takes them): in y - 0.5 for
+# exp(-2) < y < 1 - exp(-2), and in 1/x, x = sqrt(-2 log y), for 2 <= x < 8
+# and for x >= 8 in the tails.  Each Q leads with 1.0, which makes polyval
+# Cephes' p1evl: its first step is 0.0 * x + 1.0 == 1.0.
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
@@ -690,14 +669,6 @@ _Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _horner(x, coefs):
-    # Cephes' polevl; a leading 1.0 gives its p1evl, since 1.0 * x == x.
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _ndtri(y):
     """Cephes ndtri: the lower-tail standard normal quantile, 0 < y < 1."""
     upper = y > 1.0 - _EXP_M2
@@ -706,9 +677,9 @@ def _ndtri(y):
     if y > _EXP_M2:
         y -= 0.5
         y2 = y * y
-        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+        return (y + y * (y2 * np.polyval(_P0, y2) / np.polyval(_Q0, y2))) * _S2PI
     x = math.sqrt(-2.0 * math.log(y))
     z = 1.0 / x
     p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
+    x = x - math.log(x) / x - z * np.polyval(p, z) / np.polyval(q, z)
     return x if upper else -x

@@ -313,9 +313,12 @@ def test_zero_draws_of_either_sign_are_nudged(monkeypatch):
     assert w.tobytes() == np.array([tiny, 2.0, tiny, 1.0]).tobytes()
 
 
-# Run seeds of one to four 32-bit words and more, and a power-study replication
+# Run seeds of one to seven 32-bit words, and a power-study replication
 # seed, the first word of generate_state(100) of the seed sequence of 944.
-_KEY_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 10**30, 2**200 + 9, 2732714111]
+_KEY_SEEDS = [
+    0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 10**30, 2**128, 2**160 + 1, 2**200 + 9,
+    2732714111,
+]
 
 
 # The top replicate numbers of one 32-bit word, the largest that B < 2**32 allows.
@@ -671,10 +674,20 @@ def test_prefix_grows_when_the_top_ranks_carry_tiny_weights(monkeypatch):
 
     log = EngineLog(monkeypatch)
     _assert_engine_equals_full_sort(s, [5, 12, 30], B=4, seed=9, draw=draw)
-    # every prefix outgrew its first guess but stopped before n
-    assert log.adds and all(
-        bound + 6 * math.sqrt(bound) < size < s.n for bound, _, size in log.adds
-    )
+    # One stack of all 4 replicates, whose prefix is the first of m0, 2 m0,
+    # 4 m0, ..., capped at n, at which every replicate's total along
+    # decreasing x and along decreasing y reaches k_max.
+    w = np.empty((4, s.n))
+    for b, row in enumerate(w, 1):
+        draw(9, b, row)
+    w /= w.mean(axis=1, keepdims=True)
+    orders = [np.argsort(-s.x), np.argsort(-s.y)]
+    m = m0 = int(30 + 6 * math.sqrt(30))
+    while min(np.cumsum(w[:, o[:m]], axis=1)[:, -1].min() for o in orders) < 30:
+        m = min(s.n, 2 * m)
+    assert log.adds == [(30.0, 4, m)]
+    # it doubled at least twice but stopped before n
+    assert 4 * m0 <= m < s.n
 
 
 def test_prefix_covers_the_sample_when_k_max_is_n_minus_one(monkeypatch):
@@ -1122,6 +1135,17 @@ def test_summarize_rejection_counts_and_threshold():
         bt.summarize_rejection(results, threshold=True)
 
 
+def test_a_p_value_equal_to_alpha_is_not_below_it():
+    # one exceedance in B = 20 replicates: p = 1/20 is alpha = 0.05 exactly
+    at_alpha = bt.TestResult(
+        k=10, statistic=0.1, p_value=1 / 20, boot_sd=0.0, ci_low=0.0, ci_high=0.2, B=20,
+        alpha=0.05,
+    )
+    assert at_alpha.p_value == at_alpha.alpha
+    verdict = bt.summarize_rejection([at_alpha])
+    assert verdict.fraction_below_alpha == 0.0 and not verdict.reject
+
+
 # --- normal quantile --------------------------------------------------------------
 
 
@@ -1167,6 +1191,7 @@ def test_normal_quantile_known_points():
     ]:
         assert bt.normal_quantile(alpha / 2) == float.fromhex(z)
     assert bt.normal_quantile(0.975) == -1.959963984540054
+    assert type(bt.normal_quantile(0.025)) is float
     for bad in (0.0, 1.0, -0.5, 1.5, float("nan"), "x", None):
         with pytest.raises(errors.DomainError):
             bt.normal_quantile(bad)

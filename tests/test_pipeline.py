@@ -626,6 +626,12 @@ def test_default_kgrid_large_samples_use_the_fixed_grid():
     assert default_kgrid(10**6) == list(range(100, 501, 10))
 
 
+def test_analysis_grid_switches_to_the_fixed_grid_at_2500():
+    fixed = list(range(100, 501, 10))
+    assert AnalysisConfig().materialize_kgrid(2500) == fixed
+    assert AnalysisConfig().materialize_kgrid(2499) != fixed
+
+
 def test_default_kgrid_small_samples():
     assert default_kgrid(100) == list(range(5, 21))  # 5% .. 20%, dense
     assert default_kgrid(40) == list(range(2, 9))
