@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +73,8 @@ class EngineLog:
 
     stack sets _STACK_ELEMS, and block sets _BLOCK inside the engine's kernel
     calls alone.  before_draw(b) runs before each draw, on the thread that
-    draws, and before_add() before each _Batch.add.  Every kernel call is
+    draws, before_add() and after_add() around each _Batch.add, and
+    before_kernel() before each kernel call.  Every kernel call is
     checked: every row comes in one shared order of the conditioning
     positions, along which its weighted ranks never decrease; every column
     has a conditioning rank below k_max in some row, and the last one a rank
@@ -83,12 +85,13 @@ class EngineLog:
     """
 
     def __init__(
-        self, mp, stack=None, block=None, before_draw=None, before_add=None, tie_free=False,
-        record=True,
+        self, mp, stack=None, block=None, before_draw=None, before_add=None, after_add=None,
+        before_kernel=None, tie_free=False, record=True,
     ):
         self.kernel, self.runs, self.adds, self.draws = [], [], [], []
         self._block, self._tie_free = block, tie_free
         self._before_draw, self._before_add = before_draw, before_add
+        self._after_add, self._before_kernel = after_add, before_kernel
         self._real_kernel, self._real_runs = _kernels.weighted_eta_grid_sums, _kernels._runs
         self._real_add, self._real_matrices = bt._Batch.add, bt._replicate_matrices
         if stack is not None:
@@ -101,6 +104,8 @@ class EngineLog:
         mp.setattr(bt, "_replicate_matrices", self._replicate_matrices)
 
     def _kernel(self, rx, ry, w, out, ks, /):
+        if self._before_kernel is not None:
+            self._before_kernel()
         k_max = ks[-1]
         assert out.shape == (len(rx), len(ks))
         ties = []
@@ -130,6 +135,8 @@ class EngineLog:
             self._before_add()
         m = self._real_add(batch, W, means)
         self.adds.append((batch.bound, len(W), m))
+        if self._after_add is not None:
+            self._after_add()
         return m
 
     def _replicate_matrices(self, ranks, n, ks, B, draw):
@@ -928,6 +935,27 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     assert finished.index(2) < finished.index(1)
 
 
+def test_a_ring_buffer_is_drawn_into_only_after_its_prefixes_are_read(monkeypatch):
+    # one replicate per stack, drawn ahead into a ring of _AHEAD buffers; a
+    # 2 ms wait before each _Batch.add, the one read of a buffer, gives a
+    # helper time to draw into a buffer that is still to be read
+    rng = np.random.default_rng(69)
+    s = _random_sample(rng, 300)
+    B = 9
+    events = []
+    EngineLog(
+        monkeypatch, stack=s.n, before_draw=lambda b: events.append(("draw", b)),
+        before_add=lambda: time.sleep(0.002), after_add=lambda: events.append(("read", None)),
+    )
+    _assert_engine_equals_full_sort(s, [5, 10, 20, 40], B=B, seed=27)
+    read = [i for i, (kind, _) in enumerate(events) if kind == "read"]
+    drawn = {b: i for i, (kind, b) in enumerate(events) if kind == "draw"}
+    assert len(read) == B and sorted(drawn) == list(range(1, B + 1))
+    # replicate b + _AHEAD takes replicate b's buffer once its prefixes are read
+    for b in range(1, B - bt._AHEAD + 1):
+        assert drawn[b + bt._AHEAD] > read[b - 1]
+
+
 def test_one_replicate_stacks_make_two_kernel_calls_per_batch(monkeypatch):
     rng = np.random.default_rng(60)
     s = _random_sample(rng, 2000)
@@ -1075,6 +1103,29 @@ def test_stack_memory_is_bounded_by_the_stack_not_by_B():
     # four times the replicates add no more than the (B, grid) matrices: one
     # per direction and their difference
     assert peaks[400] - peaks[100] <= 3 * (400 - 100) * len(kgrid) * 8
+
+
+def test_every_stack_buffer_is_freed_before_the_kernel_runs(monkeypatch):
+    # stacks of 3 replicates, 3, 3 and 1, each drawn into a buffer of its own
+    # and evaluated as a batch of its own: a buffer that outlived its batch's
+    # prefix step would add to the kernel's peak memory
+    rng = np.random.default_rng(70)
+    s = _random_sample(rng, 300)
+    buffers = []
+
+    def draw(b, row):
+        buffers.append(weakref.ref(row.base))
+        draw_replicate(28, b, row)
+
+    def all_freed():
+        assert buffers and all(buffer() is None for buffer in buffers)
+
+    log = EngineLog(monkeypatch, stack=3 * s.n, before_kernel=all_freed)
+    ks = np.asarray([5, 10, 20, 40], dtype=np.int64)
+    bt._replicate_matrices(_directed_ranks(s, bt._BOTH), s.n, ks, 7, draw)
+    assert [rows for _, rows, _ in log.adds] == [3, 3, 1]
+    assert [call.rows for call in log.kernel] == [3, 3, 3, 3, 1, 1]
+    assert len(buffers) == 7
 
 
 def test_batch_memory_is_bounded_by_the_batch_not_by_B(monkeypatch):
