@@ -138,8 +138,6 @@ replicate read those arrays.
 
 from __future__ import annotations
 
-import collections
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -421,10 +419,10 @@ def _replicate_matrices(ranks, n, ks, B, draw):
     rows = R * max(1, _STACK_ELEMS // (R * (4 * m0 + 2)))
     out = {d: np.empty((B, ks.size), dtype=np.float64) for d in ranks}
     # One replicate per stack and more to come: two helper threads draw the
-    # next replicates into a ring of _AHEAD buffers while the calling thread
-    # reads prefixes and evaluates batches (buffers they allocated themselves
-    # would stay in their own malloc arenas).  Otherwise each stack gets a
-    # buffer of its own, drawn when it is due.
+    # next replicates into a ring of _AHEAD buffers (buffers they allocated
+    # would stay in their own malloc arenas), futures in drawn by replicate
+    # offset, while the calling thread reads prefixes and evaluates batches.
+    # Otherwise each stack gets a buffer of its own, drawn when it is due.
     ahead = R == 1 < B
     ring = np.empty((_AHEAD, 1, n), dtype=np.float64) if ahead else None
 
@@ -439,27 +437,23 @@ def _replicate_matrices(ranks, n, ks, B, draw):
         from concurrent.futures import ThreadPoolExecutor
 
         helpers = ThreadPoolExecutor(max_workers=2)
-        submit = lambda b0: helpers.submit(fill, b0).result  # noqa: E731
-    else:
-        submit = lambda b0: functools.partial(fill, b0)  # noqa: E731
     try:
-        queued = collections.deque(map(submit, range(0, min(B, _AHEAD * R), R)))
+        drawn = {b0: helpers.submit(fill, b0) for b0 in range(min(B, _AHEAD))} if ahead else {}
         for c0 in range(0, B, rows):
             c1 = min(c0 + rows, B)
             batch = _Batch(ranks, c1 - c0, k_max)
             for b0 in range(c0, c1, R):
-                W, means = queued.popleft()()
+                W, means = drawn.pop(b0).result() if ahead else fill(b0)
                 batch.add(W, means)
-                # A ring buffer goes to the replicate _AHEAD stacks on as soon
-                # as its prefixes are read.  A stack's own buffer is freed
-                # before the next is drawn, and the batch's last one once the
-                # batch's inputs are formed, so that, as for a stack evaluated
-                # alone, preparation and not the kernel's data-dependent
-                # blocks sets the batch's peak memory.
+                # A stack's own buffer is freed before the next is drawn, and
+                # the batch's last one once the batch's inputs are formed, so
+                # that, as for a stack evaluated alone, preparation and not the
+                # kernel's data-dependent blocks sets the batch's peak memory.
+                # A ring buffer takes the replicate _AHEAD on once it is read.
                 if b0 + R < c1:
                     del W
-                if b0 + _AHEAD * R < B:
-                    queued.append(submit(b0 + _AHEAD * R))
+                if ahead and b0 + _AHEAD < B:
+                    drawn[b0 + _AHEAD] = helpers.submit(fill, b0 + _AHEAD)
             inputs = batch.inputs(ranks)
             # The kernel's blocks get the memory of the batch's prefixes, of
             # its last stack's own buffer and, once a direction is evaluated,
