@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from calibration import ARMAX_BURN_IN, armax
 from oracles import stable_tail_dependence, survival_copula
 from tailasym import errors
 from tailasym.copulas import (
@@ -481,3 +482,25 @@ def test_describe_round_trips_the_parameters():
         family = got.pop("family")
         params = ",".join(f"{k}={v}" for k, v in got.items())
         assert parse_model_spec(f"{family}:{params}") == model
+
+
+def _ranks(values):
+    return np.argsort(np.argsort(values))
+
+
+def test_armax_is_the_iid_sample_at_phi_zero_and_the_literal_recursion_otherwise():
+    model = KhoudrajiGumbelCopula(1.0, 1.0, 2.0)
+    n, seed = 300, 31
+    pairs = sample(model, n + ARMAX_BURN_IN, seed)
+    iid = armax(model, n, 0.0, seed)
+    for got, u in ((iid.x, pairs.x), (iid.y, pairs.y)):
+        assert np.array_equal(_ranks(got), _ranks(u[ARMAX_BURN_IN:]))
+    # X_t = max(phi X_{t-1}, (1 - phi) Z_t) from X_{-1} = 0, step by step
+    phi = 0.5
+    clustered = armax(model, n, phi, seed)
+    for got, u in ((clustered.x, pairs.x), (clustered.y, pairs.y)):
+        x, literal = 0.0, []
+        for z in (-1.0 / np.log(u)).tolist():
+            x = max(phi * x, (1.0 - phi) * z)
+            literal.append(x)
+        assert np.array_equal(_ranks(got), _ranks(literal[ARMAX_BURN_IN:]))
