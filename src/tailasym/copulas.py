@@ -96,6 +96,10 @@ class _Family:
         params = {f.name: getattr(self, f.name) for f in fields(self)}
         return {"family": self.family, **params}
 
+    def population_etas(self):
+        """(eta_xy, eta_yx) in closed form, or None where only quadrature gives them."""
+        return None
+
 
 @dataclass(frozen=True)
 class NelsenCopula(_Family):
@@ -185,9 +189,6 @@ class KhoudrajiGumbelCopula(_Family):
         core = a + b - self._gumbel_exponent(a, b)
         # One argument at infinity: the limit is the finite scaled coordinate.
         return np.where(np.isinf(np.maximum(a, b)), np.minimum(a, b), core)
-
-    def population_etas(self):
-        return None
 
     def _draw(self, rng, n):
         if self.delta == 1.0:

@@ -581,10 +581,6 @@ def _round_floats(obj):
     return obj
 
 
-def _verdict_dict(results, threshold):
-    return asdict(summarize_rejection(results, threshold))
-
-
 def run_pair_analysis(table, col_x, col_y, config) -> Report:
     """Full pair analysis of two columns of an aligned table.
 
@@ -631,49 +627,39 @@ def run_pair_analysis(table, col_x, col_y, config) -> Report:
     acf_summary = _acf_block({col_x: x, col_y: y}, config)
     kgrid = config.materialize_kgrid(sample.n)
 
-    if config.skip_tests:
-        tests = None
-        deltas = delta_sweep(sample, kgrid)
-        estimates = (
-            [d.eta_xy for d in deltas],
-            [d.eta_yx for d in deltas],
-            [d.value for d in deltas],
-        )
-    else:
-        # One replicate pass runs all three tests, and their statistics are
-        # the estimates; the eta gate below only decides whether the delta
-        # block is reported.
-        tests = test_pair(
-            sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed
-        )
-        estimates = tuple([r.statistic for r in res] for res in tests)
     per_k = {col: [None] * len(kgrid) for col in CSV_COLUMNS}
     per_k["k"] = [int(k) for k in kgrid]
-    per_k["eta_xy"], per_k["eta_yx"], per_k["delta"] = estimates
     verdicts = {}
-
     delta_gated = False
-    if tests is not None:
-        res_xy, res_yx, res_d = tests
-        per_k["p_eta_xy"] = [r.p_value for r in res_xy]
-        per_k["p_eta_yx"] = [r.p_value for r in res_yx]
-        verdicts["eta_xy"] = _verdict_dict(res_xy, config.rejection_fraction)
-        verdicts["eta_yx"] = _verdict_dict(res_yx, config.rejection_fraction)
-
-        run_delta = True
-        if config.eta_gate:
-            run_delta = verdicts["eta_xy"]["reject"] or verdicts["eta_yx"]["reject"]
-        if run_delta:
+    if config.skip_tests:
+        deltas = delta_sweep(sample, kgrid)
+        per_k["eta_xy"] = [d.eta_xy for d in deltas]
+        per_k["eta_yx"] = [d.eta_yx for d in deltas]
+        per_k["delta"] = [d.value for d in deltas]
+    else:
+        # One replicate pass runs all three tests, and their statistics are
+        # the estimates; the eta gate only decides whether the delta block
+        # is reported.
+        res_xy, res_yx, res_d = test_pair(
+            sample, kgrid, B=config.B, alpha=config.alpha, seed=config.seed
+        )
+        for name, res in (("eta_xy", res_xy), ("eta_yx", res_yx)):
+            per_k[name] = [r.statistic for r in res]
+            per_k["p_" + name] = [r.p_value for r in res]
+            verdicts[name] = asdict(summarize_rejection(res, config.rejection_fraction))
+        per_k["delta"] = [r.statistic for r in res_d]
+        # bool(): an eta_gate of 0 or np.False_ must still report false.
+        delta_gated = bool(config.eta_gate) and not (
+            verdicts["eta_xy"]["reject"] or verdicts["eta_yx"]["reject"]
+        )
+        if delta_gated:
+            verdicts["delta"] = {"skipped": "eta gate: neither directional sweep rejects"}
+        else:
             per_k["p_delta"] = [r.p_value for r in res_d]
             per_k["ci_delta_low"] = [r.ci_low for r in res_d]
             per_k["ci_delta_high"] = [r.ci_high for r in res_d]
             per_k["boot_sd_delta"] = [r.boot_sd for r in res_d]
-            verdicts["delta"] = _verdict_dict(res_d, config.rejection_fraction)
-        else:
-            delta_gated = True
-            verdicts["delta"] = {
-                "skipped": "eta gate: neither directional sweep rejects"
-            }
+            verdicts["delta"] = asdict(summarize_rejection(res_d, config.rejection_fraction))
 
     provenance = {
         "source": table.source,

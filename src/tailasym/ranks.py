@@ -41,8 +41,8 @@ def _as_checked_array(values, name):
     return arr
 
 
-def _tied_pair(arr, ordered=None):
-    """Original indices of one tied pair, or None if all values are distinct.
+def _reject_ties(arr, name, ordered=None):
+    """Raise TiesPresent naming one tied pair of arr, if it has one.
 
     ordered, when given, is arr sorted in either direction, in any order
     among equal values; by default np.sort gives it.  Only once a tie is
@@ -51,19 +51,11 @@ def _tied_pair(arr, ordered=None):
     """
     if ordered is None:
         ordered = np.sort(arr)
-    if not np.any(ordered[1:] == ordered[:-1]):
-        return None
-    order = np.argsort(arr, kind="stable")
-    ascending = arr[order]
-    eq = np.flatnonzero(ascending[1:] == ascending[:-1])
-    return int(order[eq[0]]), int(order[eq[0] + 1])
-
-
-def _reject_ties(arr, name, ordered=None):
-    """Raise TiesPresent naming one tied pair of arr, if it has one."""
-    t = _tied_pair(arr, ordered)
-    if t is not None:
-        raise TiesPresent(f"{name} has equal values at indices {t[0]} and {t[1]}")
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(arr, kind="stable")
+        ascending = arr[order]
+        i = np.flatnonzero(ascending[1:] == ascending[:-1])[0]
+        raise TiesPresent(f"{name} has equal values at indices {order[i]} and {order[i + 1]}")
 
 
 def _jitter(arr, rng):

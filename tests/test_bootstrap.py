@@ -287,6 +287,7 @@ def test_bootstrap_delta_is_the_difference_of_the_two_eta_replicates(ties):
                 assert bt.bootstrap_delta(s, k, w) == xy - yx
 
 
+@pytest.mark.draw_ahead
 def test_bootstrap_delta_above_two_to_the_16_rows_starts_no_thread(monkeypatch):
     # above 2**16 rows a stack holds one replicate, which draws ahead on
     # helper threads when more replicates follow; a single one does not
@@ -792,6 +793,7 @@ def log_uniform_draw(seed, b, out):
     out[:] = 10.0 ** np.random.default_rng([seed, b]).uniform(-20.0, 3.0, out.size)
 
 
+@pytest.mark.draw_ahead
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     n=st.integers(2, 150),
@@ -815,6 +817,7 @@ def test_log_uniform_weights_tie_ranks_and_equal_the_full_sort_reference(n, B, s
     assert widest < 40 or any(call.tied for call in log.kernel)
 
 
+@pytest.mark.draw_ahead
 def test_replicate_wider_than_the_block_equals_the_full_sort_reference(monkeypatch):
     rng = np.random.default_rng(48)
     s = _random_sample(rng, 1500)
@@ -863,6 +866,7 @@ def _record_thread_starts(monkeypatch):
     return started
 
 
+@pytest.mark.draw_ahead
 def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
     rng = np.random.default_rng(53)
     s = _random_sample(rng, 300)
@@ -882,6 +886,7 @@ def test_one_replicate_stacks_draw_ahead_on_two_helper_threads(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.draw_ahead
 def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     rng = np.random.default_rng(54)
     s = _random_sample(rng, 300)
@@ -906,6 +911,7 @@ def test_a_failed_draw_ahead_raises_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.draw_ahead
 @pytest.mark.parametrize("seed", [57, 58, 59])
 def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch, seed):
     # seeded sleeps of 0-2 ms around every draw and before every
@@ -935,6 +941,7 @@ def test_draws_finishing_out_of_order_equal_the_full_sort_reference(monkeypatch,
     assert finished.index(2) < finished.index(1)
 
 
+@pytest.mark.draw_ahead
 def test_a_ring_buffer_is_drawn_into_only_after_its_prefixes_are_read(monkeypatch):
     # one replicate per stack, drawn ahead into a ring of _AHEAD buffers; a
     # 2 ms wait before each _Batch.add, the one read of a buffer, gives a
@@ -956,6 +963,7 @@ def test_a_ring_buffer_is_drawn_into_only_after_its_prefixes_are_read(monkeypatc
         assert drawn[b + bt._AHEAD] > read[b - 1]
 
 
+@pytest.mark.draw_ahead
 def test_one_replicate_stacks_make_two_kernel_calls_per_batch(monkeypatch):
     rng = np.random.default_rng(60)
     s = _random_sample(rng, 2000)
@@ -974,6 +982,7 @@ def test_one_replicate_stacks_make_two_kernel_calls_per_batch(monkeypatch):
     assert sorted(b for b, _ in log.draws) == list(range(1, B + 1))
 
 
+@pytest.mark.draw_ahead
 def test_batch_rows_with_unequal_prefixes_equal_the_full_sort_reference(monkeypatch):
     rng = np.random.default_rng(61)
     s = _random_sample(rng, 2000)
@@ -1041,6 +1050,7 @@ def test_one_order_outgrowing_its_first_prefix_equals_the_full_sort_reference(
     assert m0 < log.adds[0][2] < s.n
 
 
+@pytest.mark.draw_ahead
 def test_a_single_replicate_starts_no_thread(monkeypatch):
     rng = np.random.default_rng(55)
     s = _random_sample(rng, 300)
@@ -1128,6 +1138,7 @@ def test_every_stack_buffer_is_freed_before_the_kernel_runs(monkeypatch):
     assert len(buffers) == 7
 
 
+@pytest.mark.draw_ahead
 def test_batch_memory_is_bounded_by_the_batch_not_by_B(monkeypatch):
     rng = np.random.default_rng(62)
     z = rng.standard_normal(4000)

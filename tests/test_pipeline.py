@@ -874,6 +874,30 @@ def test_analysis_flags_equal_to_a_bool_act_and_echo_as_that_bool():
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("table", [_dependent_table, _independent_table])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("eta_gate", 1),
+        ("eta_gate", 0),
+        ("eta_gate", np.True_),
+        ("eta_gate", np.False_),
+        ("skip_tests", 0),
+        ("skip_tests", np.False_),
+    ],
+)
+def test_flags_equal_to_a_bool_gate_the_delta_test_as_that_bool(table, flag, value):
+    # With the tests on, eta_gate acts: the gate closes on the independent
+    # table and stays open on the dependent one.
+    t = table()
+    alike = AnalysisConfig(B=25, seed=3, **{flag: value})
+    plain = AnalysisConfig(B=25, seed=3, **{flag: bool(value)})
+    docs = [render_report(run_pair_analysis(t, "a", "b", c), "json") for c in (alike, plain)]
+    assert docs[0] == docs[1]
+    closes = table is _independent_table and plain.eta_gate
+    assert json.loads(docs[1])["provenance"]["delta_test_gated_out"] is closes
+
+
 def test_analysis_with_numpy_integer_settings_renders_like_python_ints():
     # B and seed are echoed as given, so the report turns them into ints.
     t = _dependent_table()

@@ -132,3 +132,10 @@ def test_limit_one_reports_the_first_rule_as_not_converged():
     got = _quadpack.integrate(math.exp, 0.0, 1.0, 1e-12, 1)
     assert got == (*_scipy_quad(math.exp, 1e-12, 200)[:2], 1, True)
     assert got[0] == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
+def test_pow15_is_inf_where_the_power_overflows():
+    # The error estimate raises 200 * abserr / resasc to the power 1.5, and
+    # QUADPACK's C pow gives inf where Python's ** raises OverflowError.
+    assert _quadpack._pow15(1e300) == math.inf
+    assert _quadpack._pow15(4.0) == 8.0
